@@ -45,6 +45,7 @@ from .moser import (
     SING_TOL,
     FormField,
     IntegratorConfig,
+    LeftValidityRegionError,
     MoserFamily,
     moser_flow,
 )
@@ -818,6 +819,7 @@ def _run_shrink(doc, cfg: RunConfig):
         doc["experiment"],
         int(doc["n_max"]),
         cond_cap=float(cfg.tolerances.get("cond_cap", COND_CAP)),
+        sing_tol=float(cfg.tolerances.get("sing_tol", SING_TOL)),
         seed=cfg.seed,
     )
     payload = {
@@ -1016,6 +1018,8 @@ def run(config: RunConfig) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         payload = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, LeftValidityRegionError):
+            payload.update(t=exc.t, x=exc.x, sigma_min=exc.sigma_min)
         # The error payload must land on disk even if only csv was asked for.
         error_formats = [f for f in config.formats if f != "csv"]
         if "json" not in error_formats:

@@ -25,6 +25,7 @@ from .linalg import (
 )
 from .moser import (
     COND_CAP,
+    SING_TOL,
     AssemblyReport,
     FormField,
     MoserFamily,
@@ -116,7 +117,8 @@ def _slot_field(space: ModelSpace, shifts: np.ndarray, s_eigs: np.ndarray,
 
     Points are laid out base-first: ``(x_1 .. x_n, e_1 .. e_n)`` with
     ``w_k = x_k - shifts[k]``, ``A_k = |w_k|^2 I + diag(s_eigs)`` and
-    ``Gamma_k = 2 (e_k w_k^T - w_k e_k^T)``.
+    ``Gamma_k = 2 (e_k w_k^T - w_k e_k^T)``.  With more than one slot the
+    field declares one block per slot, the coordinates ``(x_k, e_k)``.
     """
     n, d = shifts.shape
     eye = np.eye(d)
@@ -166,7 +168,12 @@ def _slot_field(space: ModelSpace, shifts: np.ndarray, s_eigs: np.ndarray,
             out[fib, base] = -da
         return 0.5 * out
 
-    return FormField(space, center, radius, eval_fn=evaluate, derivative=derivative)
+    blocks = None
+    if n > 1:
+        slot = np.arange(d)
+        blocks = [np.concatenate([k * d + slot, (n + k) * d + slot]) for k in range(n)]
+    return FormField(space, center, radius, eval_fn=evaluate, derivative=derivative,
+                     blocks=blocks)
 
 
 def make_marsden_field(
@@ -409,24 +416,6 @@ class ShrinkResult:
     bounds: UniformBoundReport
 
 
-def _projection_factor(tower: Tower, j: int) -> float:
-    """Radius shrink of the composite from level j down to level 0."""
-    if j == 0:
-        return 1.0
-    mat = tower.composite(0, j).matrix
-    src, tgt = tower.levels[j], tower.levels[0]
-    normalized = mat
-    if not src.has_identity_gram:
-        normalized = normalized @ src.gram_inv_sqrt
-    if not tgt.has_identity_gram:
-        w, v = np.linalg.eigh(tgt.gram_matrix)
-        normalized = ((v * np.sqrt(w)) @ v.T) @ normalized
-    s = np.linalg.svd(normalized, compute_uv=False)
-    if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
-        return 0.0
-    return float(s[tgt.dim - 1])
-
-
 def _shrink_levels(tower_spec: Mapping, n_max: int):
     """Materialize (tower, families, bounds, kind) from a spec mapping."""
     spec = dict(tower_spec)
@@ -495,6 +484,7 @@ def shrink_experiment(
     t_grid: int = 11,
     bound_k: float = 4.0,
     min_radius: float | None = None,
+    sing_tol: float = SING_TOL,
 ) -> ShrinkResult:
     """Measure per-level chart radii and decide whether a uniform one survives.
 
@@ -524,6 +514,7 @@ def shrink_experiment(
                 t_grid=t_grid,
                 ray_count=ray_count,
                 cond_cap=cond_cap,
+                sing_tol=sing_tol,
                 seed=seed + i,
                 extra_rays=ray_sets[i] or None,
                 axis_rays=not ray_sets[i],
@@ -540,7 +531,7 @@ def shrink_experiment(
                 cond_at_base=float(kappa),
             )
         )
-        projected.append(float(r) * _projection_factor(tower, i))
+        projected.append(float(r) * tower.radius_shrink(0, i))
         reports.append(
             MoserReport(
                 base_point=base,
@@ -586,6 +577,7 @@ def shrink_experiment(
         K=bound_k,
         t_grid=t_grid,
         seed=seed,
+        sing_tol=sing_tol,
     )
     return ShrinkResult(
         rows=tuple(rows),

@@ -71,11 +71,17 @@ class FormField:
     """Skew-matrix field on a ball (in the gram norm) of a model space.
 
     ``eval_fn`` must map an array of points with shape (..., dim) to skew
-    matrices of shape (..., dim, dim); set ``batched=False`` for a
-    single-point function and it will be wrapped.  ``derivative``, when
-    given, takes (x, h) and returns the directional derivative matrix.  The
-    formulas should tolerate points slightly outside the declared region:
-    region membership gates validity decisions, not evaluation.
+    matrices of shape (..., dim, dim).  ``derivative``, when given, takes
+    (x, h) and returns the directional derivative matrix.  The formulas
+    should tolerate points slightly outside the declared region: region
+    membership gates validity decisions, not evaluation.
+
+    ``blocks``, when given, partitions ``range(dim)`` into index groups of
+    equal size (one row each of a (count, size) integer array) and declares
+    the field zero off the diagonal blocks they pick out, so its singular
+    values are those of the blocks; ``validity_radius`` then factors the
+    small blocks instead of the whole matrix.  The declaration is checked
+    at the region center only.
     """
 
     space: ModelSpace
@@ -85,7 +91,7 @@ class FormField:
     derivative: object = None
     fd_h: float = 1e-6
     constant_value: np.ndarray | None = None
-    batched: bool = True
+    blocks: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.array(self.center, dtype=float)
@@ -105,12 +111,25 @@ class FormField:
                 raise DimensionMismatchError("constant_value has the wrong shape")
             m.flags.writeable = False
             object.__setattr__(self, "constant_value", m)
+        if self.blocks is not None:
+            try:
+                blocks = np.array(self.blocks, dtype=int)
+            except ValueError:
+                blocks = None
+            if blocks is None or blocks.ndim != 2 or not np.array_equal(
+                np.sort(blocks, axis=None), np.arange(self.space.dim)
+            ):
+                raise ValueError("blocks must partition range(dim) into groups of equal size")
+            blocks.flags.writeable = False
+            object.__setattr__(self, "blocks", blocks)
         probe = self.omega(self.center)
         defect = np.linalg.norm(probe + probe.T)
         if not np.all(np.isfinite(probe)):
             raise ValueError("field is not finite at the region center")
         if defect > 1e-10 * max(1.0, np.linalg.norm(probe)):
             raise ValueError("field is not skew at the region center")
+        if self.blocks is not None and not _vanishes_off_blocks(probe, self.blocks):
+            raise ValueError("field is not zero off its blocks at the region center")
 
     @classmethod
     def constant(cls, form: SkewForm, center, radius: float) -> "FormField":
@@ -129,11 +148,7 @@ class FormField:
             out = np.empty(pts.shape[:-1] + (self.space.dim, self.space.dim))
             out[...] = self.constant_value
             return out
-        if self.batched:
-            return np.asarray(self.eval_fn(pts), dtype=float)
-        flat = pts.reshape(-1, self.space.dim)
-        out = np.stack([np.asarray(self.eval_fn(p), dtype=float) for p in flat])
-        return out.reshape(pts.shape[:-1] + (self.space.dim, self.space.dim))
+        return np.asarray(self.eval_fn(pts), dtype=float)
 
     def directional_derivative(self, x, h) -> np.ndarray:
         """D omega(x)[h]; analytic when available, else central differences."""
@@ -167,12 +182,14 @@ class FormField:
         if remaining <= 0.0:
             raise ValueError("new center lies outside the region")
         offset = np.array(offset_matrix, dtype=float)
+        blocks = _blocks_kept(self.blocks, offset)
         if self.constant_value is not None:
             return FormField(
                 self.space,
                 new_center,
                 remaining,
                 constant_value=self.constant_value - offset,
+                blocks=blocks,
             )
         inner = self
 
@@ -186,7 +203,21 @@ class FormField:
             eval_fn=shifted_eval,
             derivative=self.derivative,
             fd_h=self.fd_h,
+            blocks=blocks,
         )
+
+
+def _vanishes_off_blocks(matrix: np.ndarray, blocks: np.ndarray) -> bool:
+    off = np.ones(matrix.shape, dtype=bool)
+    off[blocks[:, :, None], blocks[:, None, :]] = False
+    return not np.any(matrix[off])
+
+
+def _blocks_kept(blocks: np.ndarray | None, offset: np.ndarray) -> np.ndarray | None:
+    """``blocks`` when a constant ``offset`` added to the field vanishes off them, else None."""
+    if blocks is None or not _vanishes_off_blocks(offset, blocks):
+        return None
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,14 +248,30 @@ class MoserFamily:
         return self.omega_bar.center
 
     @cached_property
+    def blocks(self) -> np.ndarray | None:
+        """omega_bar's blocks when omega0 also vanishes off them, else None.
+
+        Every omega_t is then zero off the blocks.
+        """
+        return _blocks_kept(self.omega_bar.blocks, self.omega0.matrix)
+
+    @cached_property
+    def omega0_sigma_range(self) -> tuple[float, float]:
+        """(sigma_max, sigma_min) of omega0, the flat at t = 0 at every point."""
+        s = np.linalg.svd(_diagonal_blocks(self.omega0.matrix, self.blocks), compute_uv=False)
+        return float(s[:, 0].max()), float(s[:, -1].min())
+
+    @cached_property
     def total_field(self) -> FormField:
         """The endpoint field omega = omega0 + omega_bar."""
+        blocks = self.blocks
         if self.omega_bar.constant_value is not None:
             return FormField(
                 self.space,
                 self.omega_bar.center,
                 self.omega_bar.radius,
                 constant_value=self.omega_bar.constant_value + self.omega0.matrix,
+                blocks=blocks,
             )
         bar = self.omega_bar
         offset = self.omega0.matrix
@@ -239,6 +286,7 @@ class MoserFamily:
             eval_fn=total_eval,
             derivative=bar.derivative,
             fd_h=bar.fd_h,
+            blocks=blocks,
         )
 
     def omega_t_many(self, t: float, pts: np.ndarray) -> np.ndarray:
@@ -334,17 +382,42 @@ def _sample_ball(rng, space: ModelSpace, center: np.ndarray, radius: float,
     return center + rho[:, None] * u
 
 
-def _validity_margins(family: MoserFamily, pts: np.ndarray, ts: np.ndarray,
-                      sing_tol: float, cond_cap: float) -> np.ndarray:
-    """min-over-t margin per point; positive means valid at every time."""
-    bar = family.omega_bar.omega_many(pts)
-    oms = family.omega0.matrix + ts[:, None, None, None] * bar[None]
-    s = np.linalg.svd(oms, compute_uv=False)
-    smax = s[..., 0]
-    smin = s[..., -1]
+def _diagonal_blocks(m: np.ndarray, blocks: np.ndarray | None) -> np.ndarray:
+    """(..., dim, dim) -> (count, ..., size, size): the diagonal blocks of each
+    matrix, or the whole matrix as the one block when ``blocks`` is None."""
+    if blocks is None:
+        return m[None]
+    return np.moveaxis(m[..., blocks[:, :, None], blocks[:, None, :]], -3, 0)
+
+
+def _margins(smax, smin, sing_tol: float, cond_cap: float):
     m1 = smin / np.maximum(sing_tol * smax, _EPS) - 1.0
     m2 = 1.0 - (smax / np.maximum(smin, _EPS)) / cond_cap
-    return np.minimum(m1, m2).min(axis=0)
+    return np.minimum(m1, m2)
+
+
+def _validity_margins(family: MoserFamily, pts: np.ndarray, ts: np.ndarray,
+                      sing_tol: float, cond_cap: float) -> np.ndarray:
+    """min-over-t margin per point; positive means valid at every time.
+
+    Only the diagonal blocks of the flats (``MoserFamily.blocks``) are
+    formed and factored, stacked as (count * T, N, size, size); their
+    singular values together are the flat's.  A leading t = 0, where every
+    flat is omega0, is served from the family's cached factorization.
+    """
+    at_zero = ts[0] == 0.0
+    if at_zero:
+        ts = ts[1:]
+    bar = _diagonal_blocks(family.omega_bar.omega_many(pts), family.blocks)
+    omega0 = _diagonal_blocks(family.omega0.matrix, family.blocks)
+    oms = omega0[:, None, None] + ts[:, None, None, None] * bar[:, None]
+    s = np.linalg.svd(oms.reshape((-1,) + oms.shape[2:]), compute_uv=False)
+    s = s.reshape(oms.shape[:-1])
+    margins = _margins(s[..., 0].max(axis=0), s[..., -1].min(axis=0), sing_tol, cond_cap)
+    margins = margins.min(axis=0)
+    if at_zero:
+        margins = np.minimum(margins, _margins(*family.omega0_sigma_range, sing_tol, cond_cap))
+    return margins
 
 
 def validity_radius(
@@ -363,9 +436,14 @@ def validity_radius(
 
     Marches outward along coordinate axes (skippable in high dimension via
     ``axis_rays=False``), seeded random rays, and any caller-supplied rays,
-    refines local margin minima (thin degeneracy shells are narrower than
-    the march step), and bisects the first sign change to 1e-3 relative.
-    Returns 0.0 when x0 itself fails.
+    and bisects the first sign change of the margin to 1e-3 relative.  Thin
+    degeneracy shells are narrower than the march step, so the four deepest
+    local margin minima of a ray that never fails are refined by a
+    golden-section search (``_golden_min``), which stops at the first
+    failing point.  When the family declares blocks (``MoserFamily.blocks``)
+    the margins come from the singular values of the diagonal blocks, and
+    omega0, the flat at t = 0, is factored once per family.  Returns 0.0
+    when x0 itself fails.
     """
     if cond_cap <= 1.0:
         raise ValueError("cond_cap must exceed 1")
@@ -427,21 +505,40 @@ def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
     cut = available
     for i in candidates:
         lo, hi = radii[i - 1], radii[i + 1]
-        r_min = _ternary_min(margin_fn, lo, hi)
-        if margin_fn(r_min) <= 0.0:
+        r_min, m_min = _golden_min(margin_fn, lo, hi)
+        if m_min <= 0.0:
             cut = min(cut, _bisect_crossing(margin_fn, lo, r_min))
     return cut
 
 
-def _ternary_min(f, lo: float, hi: float, iters: int = 50) -> float:
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Evaluations after which a golden-section bracket is no wider than 50
+# ternary-search rounds leave it, (2/3)^50 of the start: every evaluation
+# after the first shrinks the bracket by _INV_PHI.
+GOLDEN_EVALS = 1 + int(np.ceil(50.0 * np.log(2.0 / 3.0) / np.log(_INV_PHI)))
+
+
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search for a minimum of f on [lo, hi].
+
+    Returns ``(r, f(r))`` for the lowest point evaluated, or for the first
+    point where f is non-positive, at which the search stops.
+    """
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc = f(c)
+    fd = f(d) if fc > 0.0 else np.inf
+    for _ in range(GOLDEN_EVALS - 2):
+        if min(fc, fd) <= 0.0:
+            break
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
         else:
-            lo = m1
-    return 0.5 * (lo + hi)
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _bisect_crossing(f, lo: float, hi: float, rel: float = 1e-3) -> float:
@@ -854,13 +951,15 @@ def uniform_bound_check(
     kumar_samples: int = 32,
     seed: int = 0,
     quad_nodes: int = QUAD_NODES,
+    sing_tol: float = SING_TOL,
 ) -> UniformBoundReport:
     """Per-level operator norms of the family flats and their inverses.
 
     ``forward`` and ``inverse`` are gram-normalized operator norms of the
     flat at the base point, maximized over the time grid; ``kumar`` is the
     norm of the flat-inverse applied to the radial primitive, maximized over
-    time and a sampled ball around the base point.  The per-level table makes
+    time and a sampled ball around the base point, and is infinite once a
+    sampled flat is singular below ``sing_tol``.  The per-level table makes
     growth across levels visible; the three flags compare against K.
     """
     families = list(per_level_families)
@@ -891,7 +990,7 @@ def uniform_bound_check(
         for t in ts:
             oms = family.omega_t_many(t, pts)
             s = np.linalg.svd(oms, compute_uv=False)
-            singular = s[..., -1] <= SING_TOL * s[..., 0]
+            singular = s[..., -1] <= sing_tol * s[..., 0]
             if np.any(singular):
                 kumar = float("inf")
                 continue
@@ -927,9 +1026,7 @@ def assemble_projective_darboux(
     """Radii of chart balls pushed down the tower, with a decay diagnosis.
 
     For each base level the limiting radius is the smallest ball guaranteed
-    inside every projected higher-level chart domain (projection shrinks a
-    ball by the smallest positive singular value of the gram-normalized
-    composite).  A power-law fit across levels feeds the diagnosis when the
+    inside every projected higher-level chart domain (``Tower.radius_shrink``).  A power-law fit across levels feeds the diagnosis when the
     floor is missed.
     """
     reports = list(per_level_reports)
@@ -939,26 +1036,9 @@ def assemble_projective_darboux(
         )
     radii = [float(r.chart_radius) for r in reports]
 
-    def shrink_factor(i: int, j: int) -> float:
-        if i == j:
-            return 1.0
-        mat = tower.composite(i, j).matrix
-        src = tower.levels[j]
-        tgt = tower.levels[i]
-        normalized = mat
-        if not src.has_identity_gram:
-            normalized = normalized @ src.gram_inv_sqrt
-        if not tgt.has_identity_gram:
-            w, v = np.linalg.eigh(tgt.gram_matrix)
-            normalized = ((v * np.sqrt(w)) @ v.T) @ normalized
-        s = np.linalg.svd(normalized, compute_uv=False)
-        if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
-            return 0.0
-        return float(s[tgt.dim - 1])
-
     limiting = []
     for i in range(tower.depth + 1):
-        values = [radii[j] * shrink_factor(i, j) for j in range(i, tower.depth + 1)]
+        values = [radii[j] * tower.radius_shrink(i, j) for j in range(i, tower.depth + 1)]
         limiting.append(min(values))
     ok = all(v >= min_radius for v in limiting)
 

@@ -96,6 +96,27 @@ class Tower:
             raise ValueError("need 0 <= i <= j <= depth, got (%d, %d)" % (i, j))
         return LinearMap(self.levels[j], self.levels[i], self._composite_matrices[(i, j)])
 
+    def radius_shrink(self, i: int, j: int) -> float:
+        """Factor by which the composite levels[j] -> levels[i] shrinks a ball.
+
+        A ball of radius r in levels[j] maps onto a set containing the ball
+        of radius r times this factor: the smallest singular value of the
+        gram-normalized composite, or 0.0 when the composite is not onto.
+        """
+        if i == j:
+            return 1.0
+        src, tgt = self.levels[j], self.levels[i]
+        normalized = self.composite(i, j).matrix
+        if not src.has_identity_gram:
+            normalized = normalized @ src.gram_inv_sqrt
+        if not tgt.has_identity_gram:
+            w, v = np.linalg.eigh(tgt.gram_matrix)
+            normalized = ((v * np.sqrt(w)) @ v.T) @ normalized
+        s = np.linalg.svd(normalized, compute_uv=False)
+        if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
+            return 0.0
+        return float(s[tgt.dim - 1])
+
 
 def build_tower(
     levels,

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from symptower import cli
 from symptower.cli import ConfigError, load_run_config, main, validate_spec
+from symptower.moser import LeftValidityRegionError
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -251,6 +253,43 @@ class TestRunner:
         assert rc == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "exceeds the validity radius" in report["report"]["error"]["message"]
+
+    def test_left_validity_region_fields_serialized(self, tmp_path, monkeypatch):
+        def leaves_region(doc, cfg):
+            raise LeftValidityRegionError(0.5, [1.0, -2.0], 3e-9)
+
+        monkeypatch.setitem(cli._PIPELINES, "moser", leaves_region)
+        cfg = quick_moser_config(tmp_path)
+        rc = main(["moser", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert rc == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        error = report["report"]["error"]
+        assert error == {
+            "type": "LeftValidityRegionError",
+            "message": "left validity region at t=0.5 (sigma_min=3.000e-09)",
+            "t": 0.5,
+            "x": [1.0, -2.0],
+            "sigma_min": 3e-9,
+        }
+
+    def test_shrink_honours_sing_tol(self, tmp_path):
+        write_json(
+            tmp_path / "exp.json",
+            {"experiment": {"kind": "counterexample", "d": 2}, "n_max": 2,
+             "expect_uniform": False},
+        )
+        radii = {}
+        for sing_tol in (1e-8, 1e-3):
+            cfg = write_json(
+                tmp_path / "run.json",
+                {"command": "shrink", "input": "exp.json", "tolerances": {"sing_tol": sing_tol}},
+            )
+            out = tmp_path / ("out-%g" % sing_tol)
+            assert main(["shrink", "--config", str(cfg), "--output", str(out)]) == 0
+            rows = json.loads((out / "report.json").read_text())["report"]["rows"]
+            radii[sing_tol] = [row["r_validity"] for row in rows]
+        # The relative floor 1e-3 binds before the condition cap 1e6 does.
+        assert all(lo < hi for lo, hi in zip(radii[1e-3], radii[1e-8]))
 
     def test_shrink_small_is_deterministic(self, tmp_path):
         write_json(

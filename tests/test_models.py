@@ -217,6 +217,16 @@ class TestCounterexampleTower:
         _, fields = make_counterexample_tower(2, 2, a=np.array([1.0, 0.0]))
         assert exterior_derivative_residual(fields[1], samples=20, seed=2) < 1e-12
 
+    def test_fields_vanish_off_their_slot_blocks(self):
+        _, fields = make_counterexample_tower(2, 3, a=np.array([0.6, 0.8]))
+        assert fields[0].blocks is None
+        np.testing.assert_array_equal(fields[2].blocks, [[0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11]])
+        off = np.ones((12, 12), dtype=bool)
+        for idx in fields[2].blocks:
+            off[np.ix_(idx, idx)] = False
+        z = np.random.default_rng(3).standard_normal((6, 12))
+        assert not np.any(fields[2].omega_many(z)[:, off])
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError, match="depth"):
             make_counterexample_tower(2, 0)

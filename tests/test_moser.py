@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from symptower import moser
 from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form
 from symptower.moser import (
+    GOLDEN_EVALS,
     ChartConstructionError,
     FormField,
     IntegratorConfig,
@@ -202,6 +206,183 @@ def test_validity_radius_zero_when_base_fails():
     omega0 = SkewForm(ModelSpace(2), np.zeros((2, 2)))
     family = MoserFamily(omega0, constant_field(OMEGA2))
     assert validity_radius(family, np.zeros(2)) == 0.0
+
+
+def dip_field(depth=0.5, at=0.5, width=0.08):
+    """First Darboux block scaled by 1 - depth * bump(|x| - at): a margin dip, no zero."""
+
+    def eval_fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        bump = np.exp(-(((np.linalg.norm(pts, axis=-1) - at) / width) ** 2))
+        out = np.zeros(pts.shape[:-1] + (4, 4))
+        out[..., :2, :2] = (1.0 - depth * bump)[..., None, None] * OMEGA2
+        out[..., 2:, 2:] = OMEGA2
+        return out
+
+    return FormField(ModelSpace(4), np.zeros(4), 1.0, eval_fn=eval_fn)
+
+
+def full_svd_margins(family, pts, ts, sing_tol, cond_cap):
+    """Reference margins: one full SVD per (t, point), t = 0 included."""
+    oms = family.omega0.matrix + ts[:, None, None, None] * family.omega_bar.omega_many(pts)[None]
+    s = np.linalg.svd(oms, compute_uv=False)
+    m1 = s[..., -1] / np.maximum(sing_tol * s[..., 0], np.finfo(float).tiny) - 1.0
+    m2 = 1.0 - (s[..., 0] / np.maximum(s[..., -1], np.finfo(float).tiny)) / cond_cap
+    return np.minimum(m1, m2).min(axis=0)
+
+
+def block_skew(rng, blocks, scale):
+    """Skew matrix zero off the blocks, with Frobenius norm ``scale``."""
+    dim = blocks.size
+    out = np.zeros((dim, dim))
+    for idx in blocks:
+        a = rng.standard_normal((len(idx), len(idx)))
+        out[np.ix_(idx, idx)] = a - a.T
+    return scale * out / np.linalg.norm(out)
+
+
+def linear_block_field(rng, blocks, scale):
+    """x -> sum_k x_k C_k with every C_k zero off the blocks (closedness not needed)."""
+    dim = blocks.size
+    coeffs = np.stack([block_skew(rng, blocks, scale / np.sqrt(dim)) for _ in range(dim)])
+
+    def eval_fn(pts):
+        return np.einsum("...k,kij->...ij", np.asarray(pts, dtype=float), coeffs)
+
+    return FormField(ModelSpace(dim), np.zeros(dim), 1.0, eval_fn=eval_fn, blocks=blocks)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(min_value=2, max_value=4),
+    size=st.sampled_from([2, 4]),
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t_grid=st.integers(min_value=2, max_value=11),
+    sing_tol=st.floats(min_value=1e-8, max_value=0.9),
+    cond_cap=st.floats(min_value=1.01, max_value=1e6),
+)
+def test_block_margins_match_full_svd(count, size, draw_seed, t_grid, sing_tol, cond_cap):
+    rng = np.random.default_rng(draw_seed)
+    dim = count * size
+    blocks = rng.permutation(dim).reshape(count, size)
+    # omega0 has all singular values in [0.7, 1.3] and |omega_bar| <= 0.3 on
+    # the unit ball, so every flat has condition number below 4 and the
+    # margins are resolved far below the tolerance.
+    omega0 = np.zeros((dim, dim))
+    for idx in blocks:
+        omega0[np.ix_(idx, idx)] = darboux_constant_form(size // 2).matrix
+    omega0 += block_skew(rng, blocks, 0.3)
+    family = MoserFamily(SkewForm(ModelSpace(dim), omega0), linear_block_field(rng, blocks, 0.3))
+    assert family.blocks is not None
+    pts = rng.standard_normal((5, dim))
+    pts *= rng.random(5)[:, None] / np.linalg.norm(pts, axis=1, keepdims=True)
+    ts = np.linspace(0.0, 1.0, t_grid)
+    got = moser._validity_margins(family, pts, ts, sing_tol, cond_cap)
+    want = full_svd_margins(family, pts, ts, sing_tol, cond_cap)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def record_svd_shapes(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def test_block_margins_factor_only_blocks(monkeypatch):
+    rng = np.random.default_rng(4)
+    blocks = np.arange(8).reshape(2, 4)
+    family = MoserFamily.darboux_target(linear_block_field(rng, blocks, 0.3), 0.1 * np.ones(8))
+    np.testing.assert_array_equal(family.blocks, blocks)
+    np.testing.assert_array_equal(family.total_field.blocks, blocks)
+    shapes = record_svd_shapes(monkeypatch)
+    ts = np.linspace(0.0, 1.0, 6)
+    moser._validity_margins(family, rng.random((3, 8)), ts, 1e-8, 1e6)
+    moser._validity_margins(family, rng.random((1, 8)), ts, 1e-8, 1e6)
+    # The t > 0 blocks of each call, stacked block-major; omega0 once, on first use.
+    assert shapes == [(10, 3, 4, 4), (2, 4, 4), (10, 1, 4, 4)]
+
+
+def test_block_margins_fall_back_when_omega0_couples_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    blocks = np.arange(8).reshape(2, 4)
+    bar = linear_block_field(rng, blocks, 0.3)
+    omega0 = darboux_constant_form(4).matrix  # pairs coordinate k with k + 4
+    family = MoserFamily(SkewForm(ModelSpace(8), omega0), bar)
+    assert family.blocks is None
+    assert family.total_field.blocks is None
+    assert bar.shifted(np.zeros(8), omega0).blocks is None
+    shapes = record_svd_shapes(monkeypatch)
+    pts = 0.5 * rng.random((4, 8)) / np.sqrt(8)
+    ts = np.linspace(0.0, 1.0, 5)
+    got = moser._validity_margins(family, pts, ts, 1e-8, 1e6)
+    assert all(shape[-2:] == (8, 8) for shape in shapes)
+    np.testing.assert_allclose(got, full_svd_margins(family, pts, ts, 1e-8, 1e6),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_form_field_blocks_are_checked():
+    bar = linear_block_field(np.random.default_rng(6), np.arange(8).reshape(2, 4), 0.3)
+    for bad in ([[0, 1, 2], [3, 4, 5, 6, 7]], [[0, 1, 2, 3], [3, 4, 5, 6]], [[0, 1, 2, 3]]):
+        with pytest.raises(ValueError, match="partition"):
+            FormField(bar.space, bar.center, 1.0, eval_fn=bar.eval_fn, blocks=bad)
+    coupled = darboux_constant_form(4)
+    with pytest.raises(ValueError, match="zero off its blocks"):
+        FormField(coupled.space, np.zeros(8), 1.0, constant_value=coupled.matrix,
+                  blocks=[[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def test_golden_min_brackets_like_fifty_ternary_rounds():
+    calls = []
+
+    def vee(r):
+        calls.append(r)
+        return abs(r - 0.3) + 1.0
+
+    r, value = moser._golden_min(vee, 0.0, 1.0)
+    assert len(calls) == GOLDEN_EVALS == 44
+    assert abs(r - 0.3) <= (2.0 / 3.0) ** 50
+    assert value == vee(r)
+
+    calls.clear()
+    r, value = moser._golden_min(lambda x: vee(x) - 1.01, 0.0, 1.0)
+    assert value <= 0.0 and value == vee(r) - 1.01
+    assert len(calls) < 10  # stops at the first failing point
+
+
+def test_validity_radius_dip_search_probe_count(monkeypatch):
+    """Each dip that does not cross zero costs exactly GOLDEN_EVALS single-radius probes."""
+    family = MoserFamily.darboux_target(dip_field(), np.zeros(4))
+    margins_fn = moser._validity_margins
+    probes = []
+    dips = []
+
+    def counting(fam, pts, ts, sing_tol, cond_cap):
+        out = margins_fn(fam, pts, ts, sing_tol, cond_cap)
+        if len(pts) == 1:
+            probes.append(out[0])
+        else:
+            m = out
+            interior = np.arange(1, len(m) - 1)
+            local = (m[interior] < m[interior - 1]) & (m[interior] < m[interior + 1])
+            dips.append(min(int(np.count_nonzero(local)), 4))
+        return out
+
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    r = validity_radius(family, np.zeros(4), cond_cap=4.0)
+    assert r == pytest.approx(1.0)
+    assert min(probes) > 0.0  # the dip never crosses zero
+    assert len(dips) == 24  # 8 axis rays and 16 random ones
+    chased = sum(dips)
+    assert chased >= 16
+    # one probe checks the base point; the ternary search took 101 per dip
+    assert len(probes) == 1 + GOLDEN_EVALS * chased
 
 
 # ---------------------------------------------------------------------------
