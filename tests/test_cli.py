@@ -38,6 +38,593 @@ def quick_moser_config(tmp_path: Path, **doc_overrides) -> Path:
     )
 
 
+# Malformed documents of every section, kind and run-config key, with the
+# exact diagnostics each must produce (compared as sorted lists).
+MALFORMED = [
+    pytest.param(
+        {"command": "frobnicate", "input": "x.json", "verbose": True},
+        [
+            "command must be one of check-tower, moser, shrink, product-control, loop-check, "
+            "got 'frobnicate'",
+            "unknown config key 'verbose'",
+        ],
+        id="config-unknown-key-bad-command",
+    ),
+    pytest.param(
+        {"input": ""},
+        [
+            "input: required path string",
+            "no command given",
+        ],
+        id="config-empty-input-no-command",
+    ),
+    pytest.param(
+        {"command": "moser", "input": "x.json", "tolerances": [1]},
+        ["tolerances: must be an object"],
+        id="config-tolerances-not-object",
+    ),
+    pytest.param(
+        {
+            "command": "moser",
+            "input": "x.json",
+            "tolerances": {
+                "quad_nodes": 0,
+                "dt": 1.5,
+                "closed_tol": "tight",
+                "rank_tol": -1,
+                "bogus": 1,
+            },
+        },
+        [
+            "tolerances.closed_tol: must be strictly positive",
+            "tolerances.dt: must lie in (0, 1]",
+            "tolerances.quad_nodes: must be a positive integer",
+            "tolerances.rank_tol: must be strictly positive",
+            "tolerances: unknown key 'bogus'",
+        ],
+        id="config-tolerance-values",
+    ),
+    pytest.param(
+        {
+            "command": "shrink",
+            "input": "x.json",
+            "tolerances": {"quad_nodes": 2.0, "sing_tol": True, "cond_cap": 0},
+        },
+        [
+            "tolerances.cond_cap: must be strictly positive",
+            "tolerances.quad_nodes: must be a positive integer",
+            "tolerances.sing_tol: must be strictly positive",
+        ],
+        id="config-tolerance-types",
+    ),
+    pytest.param(
+        {
+            "command": "shrink",
+            "input": "x.json",
+            "seed": -1,
+            "output": "",
+            "formats": ["csv", "csv"],
+        },
+        [
+            "formats: must be a non-empty subset of csv, json, text",
+            "output: must be a path string",
+            "seed: must be a non-negative integer",
+        ],
+        id="config-seed-output-formats",
+    ),
+    pytest.param(
+        {"command": "loop-check", "input": 5, "seed": True, "output": 3, "formats": []},
+        [
+            "formats: must be a non-empty subset of csv, json, text",
+            "input: required path string",
+            "output: must be a path string",
+            "seed: must be a non-negative integer",
+        ],
+        id="config-bool-seed-empty-formats",
+    ),
+    pytest.param(
+        {"command": None, "input": "x.json", "formats": "csv", "tolerances": None},
+        [
+            "formats: must be a non-empty subset of csv, json, text",
+            "no command given",
+            "tolerances: must be an object",
+        ],
+        id="config-formats-not-list-null-command",
+    ),
+    pytest.param(
+        {"tower": 3},
+        ["tower: must be an object"],
+        id="tower-not-object",
+    ),
+    pytest.param(
+        {"tower": {"kind": "spiral", "extra": 1}},
+        ["tower.kind: must be one of product, loop, counterexample, explicit; got 'spiral'"],
+        id="tower-unknown-kind",
+    ),
+    pytest.param(
+        {"tower": {"factors": []}, "field": {}},
+        [
+            "tower.kind: must be one of product, loop, counterexample, explicit; got None",
+            "unknown key 'field'",
+        ],
+        id="tower-missing-kind-and-extra-key",
+    ),
+    pytest.param(
+        {"tower": {"kind": "product", "factors": [], "extra": 1}},
+        [
+            "tower.factors: must be a non-empty list",
+            "tower: unknown key 'extra'",
+        ],
+        id="product-empty-factors",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "product",
+                "factors": [
+                    3,
+                    {},
+                    {"l": 0},
+                    {"l": 1, "gram": [[0.0, -1.0], [1.0, 0.0]]},
+                    {"l": 1, "matrix": [[0.0, -1.0], [1.0, 0.0]]},
+                    {"matrix": [[0.0, -1.0], [1.0, 0.0]], "gram": [[1.0]]},
+                    {"matrix": [[0.0, 1.0, 2.0]], "gram": "x"},
+                    {"matrix": [[1.0, "a"]]},
+                    {
+                        "matrix": [[0.0, 1.0], [1.0, 0.0]],
+                        "gram": [[1.0, 0.0], [0.0]],
+                        "z": 0,
+                    },
+                ],
+            },
+        },
+        [
+            "tower.factors[0]: must be an object",
+            "tower.factors[1]: provide exactly one of 'l' or 'matrix'",
+            "tower.factors[2].l: must be a positive integer",
+            "tower.factors[3]: unknown key 'gram'",
+            "tower.factors[4]: provide exactly one of 'l' or 'matrix'",
+            "tower.factors[5].gram: shape does not match the matrix",
+            "tower.factors[6].matrix: must be square",
+            "tower.factors[7].matrix: must be a rectangular matrix of numbers",
+            "tower.factors[8].gram: must be a rectangular matrix of numbers",
+            "tower.factors[8].matrix: matrix is not skew (symmetry defect 2.000e+00)",
+            "tower.factors[8]: unknown key 'z'",
+        ],
+        id="product-bad-factors",
+    ),
+    pytest.param(
+        {"tower": {"kind": "loop", "m": 0, "modes": -1, "orders": [2, 1], "z": 1}},
+        [
+            "tower.m: must be a positive integer",
+            "tower.modes: must be a non-negative integer",
+            "tower.orders: must be strictly increasing",
+            "tower: unknown key 'z'",
+        ],
+        id="loop-tower-values",
+    ),
+    pytest.param(
+        {"tower": {"kind": "loop", "m": 1.5, "modes": True, "orders": "x"}},
+        [
+            "tower.m: must be a positive integer",
+            "tower.modes: must be a non-negative integer",
+            "tower.orders: must be a non-empty list of non-negative integers",
+        ],
+        id="loop-tower-types",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "counterexample",
+                "d": 2,
+                "depth": 2,
+                "a": [1.0],
+                "s_eigs": [1.0, "x"],
+                "region_radius": 0,
+                "thread_top": [0.0, 0.0, 0.0],
+                "foo": 1,
+            },
+        },
+        [
+            "tower.a: expected 2 entries, got 1",
+            "tower.region_radius: must be strictly positive",
+            "tower.s_eigs: must be a list of numbers",
+            "tower.thread_top: expected 8 entries, got 3",
+            "tower: unknown key 'foo'",
+        ],
+        id="counterexample-tower-vectors",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "counterexample",
+                "d": 0,
+                "depth": "x",
+                "a": [1.0],
+                "thread_top": [1.0],
+            },
+        },
+        [
+            "tower.d: must be a positive integer",
+            "tower.depth: must be a positive integer",
+        ],
+        id="counterexample-tower-bad-d",
+    ),
+    pytest.param(
+        {"tower": {"kind": "counterexample", "d": 1, "thread_top": [1.0], "s_eigs": 2}},
+        [
+            "tower.depth: must be a positive integer",
+            "tower.s_eigs: must be a list of numbers",
+        ],
+        id="counterexample-tower-missing-depth",
+    ),
+    pytest.param(
+        {"tower": {"kind": "explicit", "levels": [], "bondings": 1, "forms": 2, "q": 0}},
+        [
+            "tower.levels: must be a non-empty list",
+            "tower: unknown key 'q'",
+        ],
+        id="explicit-empty-levels",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "explicit",
+                "levels": [
+                    {
+                        "dim": 2,
+                        "gram": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                        "label": "a",
+                        "q": 1,
+                    },
+                    {"dim": 0, "q": 1},
+                    5,
+                    {"dim": 1, "gram": [[1, "x"]]},
+                ],
+                "bondings": "x",
+                "forms": [[[0.0, -1.0], [1.0, 0.0]]],
+            },
+        },
+        [
+            "tower.bondings: need 3 matrices, got none",
+            "tower.forms: need 4 matrices, got 1",
+            "tower.levels[0].gram: expected shape (2, 2)",
+            "tower.levels[0]: unknown key 'q'",
+            "tower.levels[1].dim: must be a positive integer",
+            "tower.levels[2].dim: must be a positive integer",
+            "tower.levels[3].gram: must be a rectangular matrix of numbers",
+        ],
+        id="explicit-bad-levels",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "explicit",
+                "levels": [{"dim": 2}, {"dim": 2}, {"dim": 4}],
+                "bondings": [[[1.0, 0.0]], "x"],
+                "forms": [[[0.0, -1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0]]],
+            },
+        },
+        [
+            "tower.bondings[0]: expected shape (2, 2) mapping level 1 -> level 0, got (1, 2)",
+            "tower.bondings[1]: must be a rectangular matrix of numbers",
+            "tower.forms[1]: matrix is not skew (symmetry defect 2.000e+00)",
+            "tower.forms[2]: expected shape (4, 4), got (1, 1)",
+        ],
+        id="explicit-shapes",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "explicit",
+                "levels": [{"dim": 2}, {"label": "x"}],
+                "bondings": [[[1.0, 0.0], [0.0, 1.0]]],
+                "forms": [[[0.0]], "x"],
+            },
+        },
+        [
+            "tower.forms[0]: expected shape (2, 2), got (1, 1)",
+            "tower.forms[1]: must be a rectangular matrix of numbers",
+            "tower.levels[1].dim: must be a positive integer",
+        ],
+        id="explicit-missing-forms",
+    ),
+    pytest.param(
+        {"field": [], "base_point": [0.0, "x"], "q": 1},
+        [
+            "base_point: must be a list of numbers",
+            "field: must be an object",
+            "r_start: must be strictly positive",
+            "unknown key 'q'",
+        ],
+        id="field-not-object",
+    ),
+    pytest.param(
+        {"field": {"kind": "cubic"}, "r_start": 1.0, "base_point": "x"},
+        [
+            "base_point: must be a list of numbers",
+            "field.kind: must be one of quadratic, constant, marsden; got 'cubic'",
+        ],
+        id="field-unknown-kind",
+    ),
+    pytest.param(
+        {
+            "field": {"kind": "quadratic", "l": 0, "epsilon": "x", "q": 1},
+            "r_start": 0.5,
+            "residual_tol": 0,
+            "verify_samples": 0,
+            "base_point": [0.0, 0.0, 0.0],
+        },
+        [
+            "field.l: must be a positive integer",
+            "field: unknown key 'q'",
+            "residual_tol: must be strictly positive",
+            "verify_samples: must be a positive integer",
+        ],
+        id="quadratic-bad-l",
+    ),
+    pytest.param(
+        {
+            "field": {
+                "kind": "quadratic",
+                "l": 1,
+                "epsilon": "x",
+                "seed": 1.5,
+                "radius": -1,
+                "foo": 1,
+            },
+            "base_point": [0.0, 0.0, 0.0],
+            "r_start": 0,
+            "verify_samples": 2.0,
+        },
+        [
+            "base_point: expected 2 entries, got 3",
+            "field.epsilon: must be a number",
+            "field.radius: must be strictly positive",
+            "field.seed: must be an integer",
+            "field: unknown key 'foo'",
+            "r_start: must be strictly positive",
+            "verify_samples: must be a positive integer",
+        ],
+        id="quadratic-values",
+    ),
+    pytest.param(
+        {
+            "field": {"kind": "quadratic", "l": 2, "seed": True},
+            "base_point": [0.0, 0.0, 0.0, 0.0],
+            "r_start": "x",
+            "residual_tol": None,
+        },
+        [
+            "field.epsilon: must be a number",
+            "field.seed: must be an integer",
+            "r_start: must be strictly positive",
+            "residual_tol: must be strictly positive",
+        ],
+        id="quadratic-missing-epsilon",
+    ),
+    pytest.param(
+        {
+            "field": {
+                "kind": "constant",
+                "matrix": [[0.0, 1.0], [1.0, 0.0]],
+                "gram": [[1.0]],
+                "radius": 0,
+                "center": [0.0],
+                "x": 1,
+            },
+            "r_start": 1.0,
+            "base_point": [0.0],
+        },
+        [
+            "base_point: expected 2 entries, got 1",
+            "field.center: expected 2 entries, got 1",
+            "field.gram: shape does not match the matrix",
+            "field.matrix: matrix is not skew (symmetry defect 2.000e+00)",
+            "field.radius: must be strictly positive",
+            "field: unknown key 'x'",
+        ],
+        id="constant-values",
+    ),
+    pytest.param(
+        {
+            "field": {
+                "kind": "constant",
+                "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]],
+                "gram": "x",
+                "center": "y",
+            },
+            "r_start": 1.0,
+            "base_point": [0.0],
+        },
+        ["field.matrix: must be square"],
+        id="constant-not-square",
+    ),
+    pytest.param(
+        {"field": {"kind": "constant", "radius": "x"}, "r_start": 1.0},
+        ["field.matrix: must be a rectangular matrix of numbers"],
+        id="constant-missing-matrix",
+    ),
+    pytest.param(
+        {
+            "field": {
+                "kind": "marsden",
+                "d": 2,
+                "a": [0.0, 0.0],
+                "shift_k": 0,
+                "s_eigs": [1.0],
+                "radius": "r",
+                "k": 1,
+            },
+            "r_start": 0.1,
+            "base_point": [0.0, 0.0, 0.0, 0.0, 0.0],
+        },
+        [
+            "base_point: expected 4 entries, got 5",
+            "field.a: must be nonzero",
+            "field.radius: must be strictly positive",
+            "field.s_eigs: expected 2 entries, got 1",
+            "field.shift_k: must be a positive integer",
+            "field: unknown key 'k'",
+        ],
+        id="marsden-values",
+    ),
+    pytest.param(
+        {
+            "field": {"kind": "marsden", "d": -1, "a": "x", "radius": 0},
+            "r_start": 0.1,
+            "base_point": [0.0],
+        },
+        ["field.d: must be a positive integer"],
+        id="marsden-bad-d",
+    ),
+    pytest.param(
+        {
+            "field": {"kind": "marsden", "d": 2, "a": [1.0], "s_eigs": "x", "shift_k": 1.0},
+            "r_start": 0.1,
+        },
+        [
+            "field.a: expected 2 entries, got 1",
+            "field.s_eigs: must be a list of numbers",
+            "field.shift_k: must be a positive integer",
+        ],
+        id="marsden-short-a",
+    ),
+    pytest.param(
+        {"field": {"kind": "marsden", "d": 1}, "r_start": 0.1},
+        ["field.a: must be a list of numbers"],
+        id="marsden-missing-a",
+    ),
+    pytest.param(
+        {"experiment": 1, "n_max": 0, "expect_uniform": 1, "zz": 1},
+        [
+            "experiment: must be an object",
+            "unknown key 'zz'",
+        ],
+        id="experiment-not-object",
+    ),
+    pytest.param(
+        {
+            "experiment": {"d": 0, "a": [1.0], "q": 1},
+            "n_max": 1.5,
+            "expect_uniform": "yes",
+            "zz": 1,
+        },
+        [
+            "expect_uniform: must be a boolean",
+            "experiment.d: must be a positive integer",
+            "experiment: unknown key 'q'",
+            "n_max: must be a positive integer",
+            "unknown key 'zz'",
+        ],
+        id="experiment-defaults",
+    ),
+    pytest.param(
+        {
+            "experiment": {
+                "kind": "counterexample",
+                "a": [1.0, 2.0],
+                "s_eigs": [1.0, 2.0, 3.0, 4.0, 5.0],
+                "region_radius": 0,
+                "q": 1,
+            },
+            "n_max": 2,
+        },
+        [
+            "experiment.a: expected 4 entries, got 2",
+            "experiment.region_radius: must be strictly positive",
+            "experiment.s_eigs: expected 4 entries, got 5",
+            "experiment: unknown key 'q'",
+        ],
+        id="experiment-default-d",
+    ),
+    pytest.param(
+        {
+            "experiment": {"kind": "product", "factor_dim": 0, "radius": 0, "d": 1},
+            "n_max": True,
+        },
+        [
+            "experiment.factor_dim: must be a positive integer",
+            "experiment.radius: must be strictly positive",
+            "experiment: unknown key 'd'",
+            "n_max: must be a positive integer",
+        ],
+        id="experiment-product",
+    ),
+    pytest.param(
+        {"experiment": {"kind": "torus", "q": 1}},
+        [
+            "experiment.kind: must be counterexample or product, got 'torus'",
+            "n_max: must be a positive integer",
+        ],
+        id="experiment-unknown-kind",
+    ),
+    pytest.param(
+        {"experiment": {"kind": None}, "n_max": 3},
+        ["experiment.kind: must be counterexample or product, got None"],
+        id="experiment-null-kind",
+    ),
+    pytest.param(
+        {"loop": "x", "r_start": 0, "zz": 1},
+        [
+            "loop: must be an object",
+            "unknown key 'zz'",
+        ],
+        id="loop-not-object",
+    ),
+    pytest.param(
+        {
+            "loop": {"m": 1, "modes": 0, "orders": [0, 0], "k": 1},
+            "r_start": -1,
+            "kappa_rel_tol": 0,
+            "zz": 1,
+        },
+        [
+            "kappa_rel_tol: must be strictly positive",
+            "loop.orders: must be strictly increasing",
+            "loop: unknown key 'k'",
+            "r_start: must be strictly positive",
+            "unknown key 'zz'",
+        ],
+        id="loop-values",
+    ),
+    pytest.param(
+        {"loop": {"orders": [-1]}, "kappa_rel_tol": "x"},
+        [
+            "kappa_rel_tol: must be strictly positive",
+            "loop.m: must be a positive integer",
+            "loop.modes: must be a non-negative integer",
+            "loop.orders: must be a non-empty list of non-negative integers",
+        ],
+        id="loop-missing-keys",
+    ),
+    pytest.param(
+        {"loop": {"m": 2, "modes": 1, "orders": []}},
+        ["loop.orders: must be a non-empty list of non-negative integers"],
+        id="loop-empty-orders",
+    ),
+    pytest.param(
+        {"widget": 1},
+        [
+            "unrecognized document: expected a 'tower', 'field', 'experiment', or 'loop' "
+            "section, or a run config with 'input'",
+        ],
+        id="unrecognized",
+    ),
+    pytest.param(
+        [1, 2],
+        ["document must be a JSON object"],
+        id="not-an-object",
+    ),
+    pytest.param(
+        {"field": {"kind": "quadratic", "l": 1, "epsilon": 0.1}, "loop": {}, "r_start": 1.0},
+        ["unknown key 'loop'"],
+        id="field-and-loop",
+    ),
+
+]
+
+
 class TestLoadRunConfig:
     def test_bundled_shrink_config(self):
         cfg = load_run_config(SPECS / "shrink.json")
@@ -111,6 +698,11 @@ class TestValidateSpec:
     def test_bundled_specs_are_clean(self, name):
         report = validate_spec(SPECS / name)
         assert report.ok, report.errors
+
+    @pytest.mark.parametrize("doc, errors", MALFORMED)
+    def test_malformed_documents(self, tmp_path, doc, errors):
+        report = validate_spec(write_json(tmp_path / "doc.json", doc))
+        assert sorted(report.errors) == errors
 
     def test_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
