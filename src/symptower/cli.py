@@ -7,6 +7,17 @@ directory.  Exit codes: 0 when the pipeline's assertion passes, 1 when a
 check fails or a pipeline raises one of the library's numerical errors,
 2 for unreadable or invalid input.  All outputs are byte-reproducible
 for a fixed seed and tolerance set.
+
+Inputs are checked against one schema table: ``_DOCUMENTS`` holds the
+input documents by the section that names them, ``_RUN_CONFIG`` the run
+config.  Each section lists its allowed keys, which are required, their
+defaults and one rule per key (positive integer, strictly positive
+number, a vector whose length a sibling key fixes, a nested section, and
+so on); a section with a ``kind`` lists the keys of each kind.
+``_Section.walk`` checks a document against the table and reports every
+violation with its location.  Only relations the per-key rules cannot
+express are code: the explicit tower's shapes and the run config's
+command-line overrides.
 """
 
 from __future__ import annotations
@@ -45,7 +56,6 @@ from .moser import (
     SING_TOL,
     FormField,
     IntegratorConfig,
-    LeftValidityRegionError,
     MoserFamily,
     moser_flow,
 )
@@ -61,9 +71,18 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 SCHEMA_VERSION = "1"
-COMMANDS = ("check-tower", "moser", "shrink", "product-control", "loop-check")
+# Each command, with the section of the input document it reads.
+COMMANDS = {
+    "check-tower": "tower",
+    "moser": "field",
+    "shrink": "experiment",
+    "product-control": "experiment",
+    "loop-check": "loop",
+}
 FORMATS = ("csv", "json", "text")
 TOLERANCE_KEYS = ("rank_tol", "closed_tol", "sing_tol", "cond_cap", "dt", "quad_nodes")
+# The moser command passes only when the chart fixes its base point this well.
+_FIXED_POINT_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -116,6 +135,367 @@ def _load_json(path: Path):
         )
 
 
+# ---------------------------------------------------------------------------
+# Input schema: the tables _DOCUMENTS and _RUN_CONFIG, walked by _Section.walk.
+
+
+class _Invalid(ValueError):
+    """A rule's verdict on one value; ``kept`` still serves the sibling rules."""
+
+    def __init__(self, message: str, kept=None):
+        super().__init__(message)
+        self.kept = kept
+
+
+@dataclass(frozen=True)
+class _Key:
+    """An allowed key of a section.
+
+    An absent required key is checked as null, so it fails with its rule's
+    message; ``default`` stands in for an absent value.  When a ``stop`` key
+    fails, the rest of its section is not checked.
+    """
+
+    rule: object
+    required: bool = False
+    default: object = None
+    stop: bool = False
+
+
+def _apply(rule, value, ok: dict, where: str, errors: list):
+    """The value ``rule`` keeps, or None once the reason is in ``errors``.
+
+    A plain rule is ``rule(value, ok) -> kept`` and raises ``_Invalid``; ``ok``
+    holds the kept values of the section's earlier keys, and a rule that reads
+    one which was not kept (a KeyError) is skipped.
+    """
+    try:
+        if isinstance(rule, (_Section, _Choice, _ListOf)):
+            return rule.walk(value, where, errors)
+        try:
+            return rule(value, ok)
+        except KeyError:
+            return None
+    except _Invalid as bad:
+        errors.append("%s: %s" % (where, bad))
+        return bad.kept
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A JSON object with a fixed set of keys, checked in table order.
+
+    ``check(ok, where, errors)``, if given, adds the relations between keys
+    that no single rule sees.
+    """
+
+    keys: dict
+    check: object = None
+    unknown: str = "unknown key %r"
+
+    def walk(self, value, where: str, errors: list, extra=()) -> dict:
+        if not isinstance(value, dict):
+            raise _Invalid("must be an object")
+        prefix = where + ": " if where else ""
+        for key in sorted(set(value) - set(self.keys) - set(extra)):
+            errors.append(prefix + self.unknown % key)
+        ok = {}
+        for key, spec in self.keys.items():
+            if key in value or spec.required or spec.default is not None:
+                at = "%s.%s" % (where, key) if where else key
+                kept = _apply(spec.rule, value.get(key, spec.default), ok, at, errors)
+                if kept is not None:
+                    ok[key] = kept
+                elif spec.stop:
+                    break
+        if self.check is not None:
+            self.check(ok, where, errors)
+        return ok
+
+
+@dataclass(frozen=True)
+class _Choice:
+    """A section whose keys depend on its ``kind``.
+
+    With ``tag=None`` they depend instead on which one of the variant names
+    the section has as a key.
+    """
+
+    variants: dict
+    tag: str | None = "kind"
+    default: str | None = None
+    message: str = ""
+
+    def walk(self, value, where: str, errors: list) -> dict:
+        if not isinstance(value, dict):
+            raise _Invalid("must be an object")
+        if self.tag is None:
+            present = [name for name in self.variants if name in value]
+            if len(present) != 1:
+                raise _Invalid("provide exactly one of %s" % " or ".join(map(repr, self.variants)))
+            return self.variants[present[0]].walk(value, where, errors)
+        kind = value.get(self.tag, self.default)
+        if not isinstance(kind, str) or kind not in self.variants:
+            message = self.message or "must be one of %s; got %%r" % ", ".join(self.variants)
+            errors.append("%s.%s: %s" % (where, self.tag, message % (kind,)))
+            return {}
+        return self.variants[kind].walk(value, where, errors, extra=(self.tag,))
+
+
+@dataclass(frozen=True)
+class _ListOf:
+    """A non-empty JSON list whose entries all follow ``item``."""
+
+    item: object
+
+    def walk(self, value, where: str, errors: list) -> list:
+        if not isinstance(value, list) or not value:
+            raise _Invalid("must be a non-empty list")
+        return [_apply(self.item, v, {}, "%s[%d]" % (where, i), errors)
+                for i, v in enumerate(value)]
+
+
+def _rule(message: str, test):
+    def rule(value, ok):
+        if not test(value):
+            raise _Invalid(message)
+        return value
+
+    return rule
+
+
+_POSITIVE_INT = _rule("must be a positive integer", lambda v: _is_int(v) and v >= 1)
+_NON_NEGATIVE_INT = _rule("must be a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_INTEGER = _rule("must be an integer", _is_int)
+_NUMBER = _rule("must be a number", _is_number)
+_POSITIVE = _rule("must be strictly positive", lambda v: _is_number(v) and v > 0)
+_BOOLEAN = _rule("must be a boolean", lambda v: isinstance(v, bool))
+_PATH = _rule("must be a path string", lambda v: isinstance(v, str) and v != "")
+_INPUT = _rule("required path string", lambda v: isinstance(v, str) and v != "")
+_ANY = _rule("", lambda v: True)
+_FORMATS = _rule(
+    "must be a non-empty subset of %s" % ", ".join(FORMATS),
+    lambda v: isinstance(v, list) and v and all(f in FORMATS for f in v)
+    and len(set(v)) == len(v),
+)
+
+
+def _step(value, ok):
+    if _POSITIVE(value, ok) > 1.0:
+        raise _Invalid("must lie in (0, 1]")
+    return value
+
+
+def _orders(value, ok):
+    if not isinstance(value, list) or not value or any(not _is_int(k) or k < 0 for k in value):
+        raise _Invalid("must be a non-empty list of non-negative integers")
+    if any(b <= a for a, b in zip(value, value[1:])):
+        raise _Invalid("must be strictly increasing")
+    return value
+
+
+def _vector(length=None, nonzero: bool = False):
+    """A list of numbers; ``length(ok)`` reads the siblings that fix its size."""
+
+    def rule(value, ok):
+        n = None if length is None else length(ok)
+        if not isinstance(value, list) or any(not _is_number(v) for v in value):
+            raise _Invalid("must be a list of numbers")
+        if n is not None and len(value) != n:
+            raise _Invalid("expected %d entries, got %d" % (n, len(value)))
+        if nonzero and not np.linalg.norm(value) > 0:
+            raise _Invalid("must be nonzero")
+        return value
+
+    return rule
+
+
+def _matrix(value, ok=None) -> np.ndarray:
+    if (
+        not isinstance(value, list)
+        or not value
+        or any(not isinstance(row, list) for row in value)
+        or len({len(row) for row in value}) != 1
+        or any(not _is_number(v) for row in value for v in row)
+    ):
+        raise _Invalid("must be a rectangular matrix of numbers")
+    return np.array(value, dtype=float)
+
+
+def _skew(m: np.ndarray, ok=None) -> np.ndarray:
+    defect = float(np.linalg.norm(m + m.T) / max(1.0, np.linalg.norm(m)))
+    if defect > SKEW_TOL:
+        # Kept anyway: its shape still sizes the sibling keys.
+        raise _Invalid("matrix is not skew (symmetry defect %.3e)" % defect, kept=m)
+    return m
+
+
+def _skew_matrix(value, ok) -> np.ndarray:
+    m = _matrix(value)
+    if m.shape[0] != m.shape[1]:
+        raise _Invalid("must be square")
+    return _skew(m)
+
+
+def _gram(value, ok) -> np.ndarray:
+    if _matrix(value).shape != ok["matrix"].shape:
+        raise _Invalid("shape does not match the matrix")
+    return value
+
+
+def _phase_dim(field: dict) -> int | None:
+    """The phase dimension a checked field section fixes, if it fixes one."""
+    if "matrix" in field:  # constant
+        return field["matrix"].shape[0]
+    for key in ("l", "d"):  # quadratic, marsden
+        if key in field:
+            return 2 * field[key]
+    return None
+
+
+def _explicit_tower(ok: dict, where: str, errors: list) -> None:
+    """Level dimensions, then the bonding and form shapes they fix."""
+    levels = ok.get("levels")
+    if not isinstance(levels, list) or not levels:
+        errors.append(where + ".levels: must be a non-empty list")
+        return
+    dims = []
+    for i, level in enumerate(levels):
+        at = "%s.levels[%d]" % (where, i)
+        dim = level.get("dim") if isinstance(level, dict) else None
+        dims.append(dim if _is_int(dim) and dim >= 1 else None)
+        if dims[-1] is None:
+            errors.append(at + ".dim: must be a positive integer")
+            continue
+        for key in sorted(set(level) - {"dim", "gram", "label"}):
+            errors.append("%s: unknown key %r" % (at, key))
+        if "gram" in level:
+            gram = _apply(_matrix, level["gram"], ok, at + ".gram", errors)
+            if gram is not None and gram.shape != (dim, dim):
+                errors.append("%s.gram: expected shape (%d, %d)" % (at, dim, dim))
+    for key, count in (("bondings", len(dims) - 1), ("forms", len(dims))):
+        items = ok.get(key)
+        if not isinstance(items, list) or len(items) != count:
+            got = len(items) if isinstance(items, list) else "none"
+            errors.append("%s.%s: need %d matrices, got %s" % (where, key, count, got))
+            continue
+        for i, item in enumerate(items):
+            at = "%s.%s[%d]" % (where, key, i)
+            m = _apply(_matrix, item, ok, at, errors)
+            if m is None:
+                continue
+            if key == "bondings":
+                if None not in dims[i : i + 2] and m.shape != (dims[i], dims[i + 1]):
+                    errors.append(
+                        "%s: expected shape (%d, %d) mapping level %d -> level %d, got (%d, %d)"
+                        % (at, dims[i], dims[i + 1], i + 1, i, *m.shape)
+                    )
+            elif dims[i] is not None and m.shape != (dims[i], dims[i]):
+                errors.append(
+                    "%s: expected shape (%d, %d), got (%d, %d)" % (at, dims[i], dims[i], *m.shape)
+                )
+            else:
+                _apply(_skew, m, ok, at, errors)
+
+
+_LOOP = {
+    "m": _Key(_POSITIVE_INT, required=True),
+    "modes": _Key(_NON_NEGATIVE_INT, required=True),
+    "orders": _Key(_orders, required=True),
+}
+# Shared by the counterexample tower and experiment; both declare "d" first.
+_COUNTEREXAMPLE = {
+    "a": _Key(_vector(lambda ok: ok["d"])),
+    "s_eigs": _Key(_vector(lambda ok: ok["d"])),
+    "region_radius": _Key(_POSITIVE),
+}
+_FACTOR = _Choice({
+    "l": _Section({"l": _Key(_POSITIVE_INT, required=True)}),
+    "matrix": _Section({
+        "matrix": _Key(_skew_matrix, required=True, stop=True), "gram": _Key(_gram),
+    }),
+}, tag=None)
+_TOWER = _Choice({
+    "product": _Section({"factors": _Key(_ListOf(_FACTOR), required=True)}),
+    "loop": _Section(_LOOP),
+    "counterexample": _Section({
+        "d": _Key(_POSITIVE_INT, required=True),
+        "depth": _Key(_POSITIVE_INT, required=True),
+        **_COUNTEREXAMPLE,
+        "thread_top": _Key(_vector(lambda ok: 2 * ok["d"] * ok["depth"])),
+    }),
+    "explicit": _Section(
+        dict.fromkeys(("levels", "bondings", "forms"), _Key(_ANY, required=True)),
+        check=_explicit_tower,
+    ),
+})
+_FIELD = _Choice({
+    "quadratic": _Section({
+        "l": _Key(_POSITIVE_INT, required=True, stop=True),
+        "epsilon": _Key(_NUMBER, required=True),
+        "seed": _Key(_INTEGER),
+        "radius": _Key(_POSITIVE),
+    }),
+    "constant": _Section({
+        "matrix": _Key(_skew_matrix, required=True, stop=True),
+        "gram": _Key(_gram),
+        "radius": _Key(_POSITIVE),
+        "center": _Key(_vector(lambda ok: ok["matrix"].shape[0])),
+    }),
+    "marsden": _Section({
+        "d": _Key(_POSITIVE_INT, required=True, stop=True),
+        "a": _Key(_vector(lambda ok: ok["d"], nonzero=True), required=True),
+        "shift_k": _Key(_POSITIVE_INT),
+        "s_eigs": _Key(_vector(lambda ok: ok["d"])),
+        "radius": _Key(_POSITIVE),
+    }),
+})
+_EXPERIMENT = _Choice(
+    {
+        "counterexample": _Section({"d": _Key(_POSITIVE_INT, default=4), **_COUNTEREXAMPLE}),
+        "product": _Section({"factor_dim": _Key(_POSITIVE_INT), "radius": _Key(_POSITIVE)}),
+    },
+    default="counterexample",
+    message="must be counterexample or product, got %r",
+)
+# Input documents by the section that names them; a document without a
+# command is read as the first of these sections it has.
+_DOCUMENTS = {
+    "tower": _Section({"tower": _Key(_TOWER, required=True)}),
+    "field": _Section({
+        "field": _Key(_FIELD, required=True),
+        "base_point": _Key(_vector(lambda ok: _phase_dim(ok.get("field", {})))),
+        "r_start": _Key(_POSITIVE, required=True),
+        "residual_tol": _Key(_POSITIVE),
+        "verify_samples": _Key(_POSITIVE_INT),
+    }),
+    "experiment": _Section({
+        "experiment": _Key(_EXPERIMENT, required=True, stop=True),
+        "n_max": _Key(_POSITIVE_INT, required=True),
+        "expect_uniform": _Key(_BOOLEAN),
+    }),
+    "loop": _Section({
+        "loop": _Key(_Section(_LOOP), required=True, stop=True),
+        "r_start": _Key(_POSITIVE),
+        "kappa_rel_tol": _Key(_POSITIVE),
+    }),
+}
+_TOLERANCE_RULES = {"dt": _step, "quad_nodes": _POSITIVE_INT}
+_RUN_CONFIG = _Section(
+    {
+        "command": _Key(_ANY),
+        "input": _Key(_INPUT, required=True),
+        "tolerances": _Key(_Section({
+            key: _Key(_TOLERANCE_RULES.get(key, _POSITIVE)) for key in TOLERANCE_KEYS
+        })),
+        "seed": _Key(_NON_NEGATIVE_INT),
+        "output": _Key(_PATH),
+        "formats": _Key(_FORMATS),
+    },
+    unknown="unknown config key %r",
+)
+
+
 def load_run_config(
     path: Path,
     command: str | None = None,
@@ -128,499 +508,65 @@ def load_run_config(
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(["%s: run config must be a JSON object" % path])
-    return _parse_runconfig(
-        doc,
-        base_dir=path.parent,
-        command=command,
-        output=output,
-        seed=seed,
-        formats=formats,
-        dump_trajectories=dump_trajectories,
-    )
-
-
-def _parse_runconfig(
-    doc: dict,
-    base_dir: Path,
-    command: str | None = None,
-    output: str | None = None,
-    seed: int | None = None,
-    formats=None,
-    dump_trajectories: bool = False,
-) -> RunConfig:
-    errors = []
-    allowed = {"command", "input", "tolerances", "seed", "output", "formats"}
-    for key in sorted(set(doc) - allowed):
-        errors.append("unknown config key %r" % key)
+    if formats is not None:
+        doc = dict(doc, formats=list(formats))
+    errors: list = []
+    ok = _RUN_CONFIG.walk(doc, "", errors)
 
     doc_command = doc.get("command")
     if doc_command is not None and doc_command not in COMMANDS:
         errors.append("command must be one of %s, got %r" % (", ".join(COMMANDS), doc_command))
     if command is not None and doc_command is not None and command != doc_command:
-        errors.append(
-            "config names command %r but %r was invoked" % (doc_command, command)
-        )
-    final_command = command or doc_command
-    if final_command is None:
+        errors.append("config names command %r but %r was invoked" % (doc_command, command))
+    command = command or doc_command
+    if command is None:
         errors.append("no command given")
-
-    input_value = doc.get("input")
-    if not isinstance(input_value, str) or not input_value:
-        errors.append("input: required path string")
-        input_path = Path(".")
-    else:
-        input_path = (base_dir / input_value).resolve()
-
-    tolerances = {}
-    tol_doc = doc.get("tolerances", {})
-    if not isinstance(tol_doc, dict):
-        errors.append("tolerances: must be an object")
-    else:
-        for key in sorted(set(tol_doc) - set(TOLERANCE_KEYS)):
-            errors.append("tolerances: unknown key %r" % key)
-        for key in TOLERANCE_KEYS:
-            if key not in tol_doc:
-                continue
-            value = tol_doc[key]
-            if key == "quad_nodes":
-                if not _is_int(value) or value < 1:
-                    errors.append("tolerances.quad_nodes: must be a positive integer")
-                    continue
-            elif not _is_number(value) or value <= 0:
-                errors.append("tolerances.%s: must be strictly positive" % key)
-                continue
-            if key == "dt" and value > 1.0:
-                errors.append("tolerances.dt: must lie in (0, 1]")
-                continue
-            tolerances[key] = value
-
-    seed_value = doc.get("seed", 0)
-    if not _is_int(seed_value) or seed_value < 0:
+    if seed is not None and seed < 0:
         errors.append("seed: must be a non-negative integer")
-        seed_value = 0
-    if seed is not None:
-        if seed < 0:
-            errors.append("seed: must be a non-negative integer")
-        else:
-            seed_value = seed
-
-    output_value = doc.get("output", ".")
-    if not isinstance(output_value, str) or not output_value:
-        errors.append("output: must be a path string")
-        output_value = "."
-    if output is not None:
-        output_value = output
-
-    formats_value = doc.get("formats", list(FORMATS))
-    if formats is not None:
-        formats_value = list(formats)
-    if (
-        not isinstance(formats_value, list)
-        or not formats_value
-        or len(set(formats_value)) != len(formats_value)
-        or any(f not in FORMATS for f in formats_value)
-    ):
-        errors.append("formats: must be a non-empty subset of %s" % (", ".join(FORMATS)))
-        formats_value = list(FORMATS)
-
-    if dump_trajectories and final_command != "moser":
+    if dump_trajectories and command != "moser":
         errors.append("--dump-trajectories only applies to the moser command")
-
     if errors:
         raise ConfigError(errors)
     return RunConfig(
-        command=final_command,
-        input=input_path,
-        tolerances=tolerances,
-        seed=int(seed_value),
-        output=Path(output_value),
-        formats=tuple(formats_value),
+        command=command,
+        input=(path.parent / ok["input"]).resolve(),
+        tolerances=ok.get("tolerances", {}),
+        seed=ok.get("seed", 0) if seed is None else seed,
+        output=Path(ok.get("output", ".") if output is None else output),
+        formats=tuple(ok.get("formats", FORMATS)),
         dump_trajectories=dump_trajectories,
     )
 
 
-def _matrix_at(obj, where: str, errors: list) -> np.ndarray | None:
-    if (
-        not isinstance(obj, list)
-        or not obj
-        or any(not isinstance(row, list) for row in obj)
-        or len({len(row) for row in obj}) != 1
-        or any(not _is_number(v) for row in obj for v in row)
-    ):
-        errors.append("%s: must be a rectangular matrix of numbers" % where)
-        return None
-    return np.array(obj, dtype=float)
+def _document_errors(doc, command: str | None = None) -> list:
+    """Every schema violation of an input document, each with its location.
 
-
-def _vector_at(obj, where: str, errors: list, length: int | None = None) -> np.ndarray | None:
-    if not isinstance(obj, list) or any(not _is_number(v) for v in obj):
-        errors.append("%s: must be a list of numbers" % where)
-        return None
-    if length is not None and len(obj) != length:
-        errors.append("%s: expected %d entries, got %d" % (where, length, len(obj)))
-        return None
-    return np.array(obj, dtype=float)
-
-
-def _skew_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m + m.T) / max(1.0, np.linalg.norm(m)))
-
-
-def _check_skew(m: np.ndarray, where: str, errors: list) -> None:
-    defect = _skew_defect(m)
-    if defect > SKEW_TOL:
-        errors.append("%s: matrix is not skew (symmetry defect %.3e)" % (where, defect))
-
-
-def _validate_factor(factor, where: str, errors: list) -> int | None:
-    """Returns the factor dimension when determinable."""
-    if not isinstance(factor, dict):
-        errors.append("%s: must be an object" % where)
-        return None
-    if ("l" in factor) == ("matrix" in factor):
-        errors.append("%s: provide exactly one of 'l' or 'matrix'" % where)
-        return None
-    if "l" in factor:
-        for key in sorted(set(factor) - {"l"}):
-            errors.append("%s: unknown key %r" % (where, key))
-        if not _is_int(factor["l"]) or factor["l"] < 1:
-            errors.append("%s.l: must be a positive integer" % where)
-            return None
-        return 2 * factor["l"]
-    for key in sorted(set(factor) - {"matrix", "gram"}):
-        errors.append("%s: unknown key %r" % (where, key))
-    m = _matrix_at(factor["matrix"], where + ".matrix", errors)
-    if m is None:
-        return None
-    if m.shape[0] != m.shape[1]:
-        errors.append("%s.matrix: must be square" % where)
-        return None
-    _check_skew(m, where + ".matrix", errors)
-    if "gram" in factor:
-        g = _matrix_at(factor["gram"], where + ".gram", errors)
-        if g is not None and g.shape != m.shape:
-            errors.append("%s.gram: shape does not match the matrix" % where)
-    return m.shape[0]
-
-
-def _validate_tower_section(tower, errors: list) -> None:
-    if not isinstance(tower, dict):
-        errors.append("tower: must be an object")
-        return
-    kind = tower.get("kind")
-    if kind == "product":
-        for key in sorted(set(tower) - {"kind", "factors"}):
-            errors.append("tower: unknown key %r" % key)
-        factors = tower.get("factors")
-        if not isinstance(factors, list) or not factors:
-            errors.append("tower.factors: must be a non-empty list")
-            return
-        for i, factor in enumerate(factors):
-            _validate_factor(factor, "tower.factors[%d]" % i, errors)
-    elif kind == "loop":
-        for key in sorted(set(tower) - {"kind", "m", "modes", "orders"}):
-            errors.append("tower: unknown key %r" % key)
-        _validate_loop_section(tower, "tower", errors)
-    elif kind == "counterexample":
-        allowed = {"kind", "d", "depth", "a", "s_eigs", "region_radius", "thread_top"}
-        for key in sorted(set(tower) - allowed):
-            errors.append("tower: unknown key %r" % key)
-        d = tower.get("d")
-        depth = tower.get("depth")
-        if not _is_int(d) or d < 1:
-            errors.append("tower.d: must be a positive integer")
-            d = None
-        if not _is_int(depth) or depth < 1:
-            errors.append("tower.depth: must be a positive integer")
-            depth = None
-        if "a" in tower and d is not None:
-            _vector_at(tower["a"], "tower.a", errors, length=d)
-        if "s_eigs" in tower and d is not None:
-            _vector_at(tower["s_eigs"], "tower.s_eigs", errors, length=d)
-        if "region_radius" in tower and (
-            not _is_number(tower["region_radius"]) or tower["region_radius"] <= 0
-        ):
-            errors.append("tower.region_radius: must be strictly positive")
-        if "thread_top" in tower and d is not None and depth is not None:
-            _vector_at(tower["thread_top"], "tower.thread_top", errors, length=2 * d * depth)
-    elif kind == "explicit":
-        for key in sorted(set(tower) - {"kind", "levels", "bondings", "forms"}):
-            errors.append("tower: unknown key %r" % key)
-        _validate_explicit_tower(tower, errors)
-    else:
-        errors.append(
-            "tower.kind: must be one of product, loop, counterexample, explicit; got %r"
-            % (kind,)
-        )
-
-
-def _validate_explicit_tower(tower, errors: list) -> None:
-    levels = tower.get("levels")
-    dims = []
-    if not isinstance(levels, list) or not levels:
-        errors.append("tower.levels: must be a non-empty list")
-        return
-    for i, lv in enumerate(levels):
-        where = "tower.levels[%d]" % i
-        if not isinstance(lv, dict) or not _is_int(lv.get("dim")) or lv.get("dim", 0) < 1:
-            errors.append("%s.dim: must be a positive integer" % where)
-            dims.append(None)
-            continue
-        dims.append(lv["dim"])
-        for key in sorted(set(lv) - {"dim", "gram", "label"}):
-            errors.append("%s: unknown key %r" % (where, key))
-        if "gram" in lv:
-            g = _matrix_at(lv["gram"], where + ".gram", errors)
-            if g is not None and g.shape != (lv["dim"], lv["dim"]):
-                errors.append("%s.gram: expected shape (%d, %d)" % (where, lv["dim"], lv["dim"]))
-
-    bondings = tower.get("bondings")
-    if not isinstance(bondings, list) or len(bondings) != len(levels) - 1:
-        errors.append(
-            "tower.bondings: need %d matrices, got %s"
-            % (len(levels) - 1, len(bondings) if isinstance(bondings, list) else "none")
-        )
-    else:
-        for i, b in enumerate(bondings):
-            m = _matrix_at(b, "tower.bondings[%d]" % i, errors)
-            if m is None or dims[i] is None or dims[i + 1] is None:
-                continue
-            if m.shape != (dims[i], dims[i + 1]):
-                errors.append(
-                    "tower.bondings[%d]: expected shape (%d, %d) mapping level %d -> level %d, got (%d, %d)"
-                    % (i, dims[i], dims[i + 1], i + 1, i, m.shape[0], m.shape[1])
-                )
-
-    forms = tower.get("forms")
-    if not isinstance(forms, list) or len(forms) != len(levels):
-        errors.append(
-            "tower.forms: need %d matrices, got %s"
-            % (len(levels), len(forms) if isinstance(forms, list) else "none")
-        )
-    else:
-        for i, f in enumerate(forms):
-            m = _matrix_at(f, "tower.forms[%d]" % i, errors)
-            if m is None:
-                continue
-            if dims[i] is not None and m.shape != (dims[i], dims[i]):
-                errors.append(
-                    "tower.forms[%d]: expected shape (%d, %d), got (%d, %d)"
-                    % (i, dims[i], dims[i], m.shape[0], m.shape[1])
-                )
-                continue
-            _check_skew(m, "tower.forms[%d]" % i, errors)
-
-
-def _validate_loop_section(loop, where: str, errors: list) -> None:
-    if not _is_int(loop.get("m")) or loop.get("m", 0) < 1:
-        errors.append("%s.m: must be a positive integer" % where)
-    if not _is_int(loop.get("modes")) or loop.get("modes", -1) < 0:
-        errors.append("%s.modes: must be a non-negative integer" % where)
-    orders = loop.get("orders")
-    if (
-        not isinstance(orders, list)
-        or not orders
-        or any(not _is_int(k) or k < 0 for k in orders)
-    ):
-        errors.append("%s.orders: must be a non-empty list of non-negative integers" % where)
-    elif any(b <= a for a, b in zip(orders, orders[1:])):
-        errors.append("%s.orders: must be strictly increasing" % where)
-
-
-def _validate_field_section(fobj, errors: list) -> int | None:
-    """Returns the phase dimension when determinable."""
-    if not isinstance(fobj, dict):
-        errors.append("field: must be an object")
-        return None
-    kind = fobj.get("kind")
-    if kind == "quadratic":
-        allowed = {"kind", "l", "epsilon", "seed", "radius"}
-        for key in sorted(set(fobj) - allowed):
-            errors.append("field: unknown key %r" % key)
-        if not _is_int(fobj.get("l")) or fobj.get("l", 0) < 1:
-            errors.append("field.l: must be a positive integer")
-            return None
-        if not _is_number(fobj.get("epsilon")):
-            errors.append("field.epsilon: must be a number")
-        if "seed" in fobj and not _is_int(fobj["seed"]):
-            errors.append("field.seed: must be an integer")
-        if "radius" in fobj and (not _is_number(fobj["radius"]) or fobj["radius"] <= 0):
-            errors.append("field.radius: must be strictly positive")
-        return 2 * fobj["l"]
-    if kind == "constant":
-        allowed = {"kind", "matrix", "gram", "radius", "center"}
-        for key in sorted(set(fobj) - allowed):
-            errors.append("field: unknown key %r" % key)
-        m = _matrix_at(fobj.get("matrix"), "field.matrix", errors)
-        if m is None:
-            return None
-        if m.shape[0] != m.shape[1]:
-            errors.append("field.matrix: must be square")
-            return None
-        _check_skew(m, "field.matrix", errors)
-        if "gram" in fobj:
-            g = _matrix_at(fobj["gram"], "field.gram", errors)
-            if g is not None and g.shape != m.shape:
-                errors.append("field.gram: shape does not match the matrix")
-        if "radius" in fobj and (not _is_number(fobj["radius"]) or fobj["radius"] <= 0):
-            errors.append("field.radius: must be strictly positive")
-        if "center" in fobj:
-            _vector_at(fobj["center"], "field.center", errors, length=m.shape[0])
-        return m.shape[0]
-    if kind == "marsden":
-        allowed = {"kind", "d", "a", "shift_k", "s_eigs", "radius"}
-        for key in sorted(set(fobj) - allowed):
-            errors.append("field: unknown key %r" % key)
-        d = fobj.get("d")
-        if not _is_int(d) or d < 1:
-            errors.append("field.d: must be a positive integer")
-            return None
-        a = _vector_at(fobj.get("a"), "field.a", errors, length=d)
-        if a is not None and not np.linalg.norm(a) > 0:
-            errors.append("field.a: must be nonzero")
-        if "shift_k" in fobj and (not _is_int(fobj["shift_k"]) or fobj["shift_k"] < 1):
-            errors.append("field.shift_k: must be a positive integer")
-        if "s_eigs" in fobj:
-            _vector_at(fobj["s_eigs"], "field.s_eigs", errors, length=d)
-        if "radius" in fobj and (not _is_number(fobj["radius"]) or fobj["radius"] <= 0):
-            errors.append("field.radius: must be strictly positive")
-        return 2 * d
-    errors.append(
-        "field.kind: must be one of quadratic, constant, marsden; got %r" % (kind,)
-    )
-    return None
-
-
-def _validate_experiment_doc(doc, errors: list) -> None:
-    for key in sorted(set(doc) - {"experiment", "n_max", "expect_uniform"}):
-        errors.append("unknown key %r" % key)
-    exp = doc.get("experiment")
-    if not isinstance(exp, dict):
-        errors.append("experiment: must be an object")
-        return
-    kind = exp.get("kind", "counterexample")
-    if kind == "counterexample":
-        allowed = {"kind", "d", "a", "s_eigs", "region_radius"}
-        for key in sorted(set(exp) - allowed):
-            errors.append("experiment: unknown key %r" % key)
-        d = exp.get("d", 4)
-        if not _is_int(d) or d < 1:
-            errors.append("experiment.d: must be a positive integer")
-            d = None
-        if "a" in exp and d is not None:
-            _vector_at(exp["a"], "experiment.a", errors, length=d)
-        if "s_eigs" in exp and d is not None:
-            _vector_at(exp["s_eigs"], "experiment.s_eigs", errors, length=d)
-        if "region_radius" in exp and (
-            not _is_number(exp["region_radius"]) or exp["region_radius"] <= 0
-        ):
-            errors.append("experiment.region_radius: must be strictly positive")
-    elif kind == "product":
-        for key in sorted(set(exp) - {"kind", "factor_dim", "radius"}):
-            errors.append("experiment: unknown key %r" % key)
-        if "factor_dim" in exp and (not _is_int(exp["factor_dim"]) or exp["factor_dim"] < 1):
-            errors.append("experiment.factor_dim: must be a positive integer")
-        if "radius" in exp and (not _is_number(exp["radius"]) or exp["radius"] <= 0):
-            errors.append("experiment.radius: must be strictly positive")
-    else:
-        errors.append("experiment.kind: must be counterexample or product, got %r" % (kind,))
-    n_max = doc.get("n_max")
-    if not _is_int(n_max) or n_max < 1:
-        errors.append("n_max: must be a positive integer")
-    if "expect_uniform" in doc and not isinstance(doc["expect_uniform"], bool):
-        errors.append("expect_uniform: must be a boolean")
-
-
-def _validate_moser_doc(doc, errors: list) -> None:
-    allowed = {"field", "base_point", "r_start", "residual_tol", "verify_samples"}
-    for key in sorted(set(doc) - allowed):
-        errors.append("unknown key %r" % key)
-    dim = _validate_field_section(doc.get("field"), errors)
-    if "base_point" in doc:
-        _vector_at(doc["base_point"], "base_point", errors, length=dim)
-    if not _is_number(doc.get("r_start")) or doc.get("r_start", 0) <= 0:
-        errors.append("r_start: must be strictly positive")
-    if "residual_tol" in doc and (
-        not _is_number(doc["residual_tol"]) or doc["residual_tol"] <= 0
-    ):
-        errors.append("residual_tol: must be strictly positive")
-    if "verify_samples" in doc and (
-        not _is_int(doc["verify_samples"]) or doc["verify_samples"] < 1
-    ):
-        errors.append("verify_samples: must be a positive integer")
-
-
-def _validate_loop_doc(doc, errors: list) -> None:
-    for key in sorted(set(doc) - {"loop", "r_start", "kappa_rel_tol"}):
-        errors.append("unknown key %r" % key)
-    loop = doc.get("loop")
-    if not isinstance(loop, dict):
-        errors.append("loop: must be an object")
-        return
-    for key in sorted(set(loop) - {"m", "modes", "orders"}):
-        errors.append("loop: unknown key %r" % key)
-    _validate_loop_section(loop, "loop", errors)
-    if "r_start" in doc and (not _is_number(doc["r_start"]) or doc["r_start"] <= 0):
-        errors.append("r_start: must be strictly positive")
-    if "kappa_rel_tol" in doc and (
-        not _is_number(doc["kappa_rel_tol"]) or doc["kappa_rel_tol"] <= 0
-    ):
-        errors.append("kappa_rel_tol: must be strictly positive")
-
-
-def _validate_tower_doc(doc, errors: list) -> None:
-    for key in sorted(set(doc) - {"tower"}):
-        errors.append("unknown key %r" % key)
-    _validate_tower_section(doc.get("tower"), errors)
-
-
-_DOC_VALIDATORS = {
-    "tower": _validate_tower_doc,
-    "field": _validate_moser_doc,
-    "experiment": _validate_experiment_doc,
-    "loop": _validate_loop_doc,
-}
-
-_COMMAND_DOC_KEY = {
-    "check-tower": "tower",
-    "moser": "field",
-    "shrink": "experiment",
-    "product-control": "experiment",
-    "loop-check": "loop",
-}
-
-
-def _document_errors(doc) -> list:
-    """Validate any input document, inferring its type from its keys."""
-    errors: list = []
+    ``command`` names the pipeline that will read the document; without it
+    the document's section is inferred from its keys.
+    """
     if not isinstance(doc, dict):
         return ["document must be a JSON object"]
-    if "input" in doc or "command" in doc:
-        # Run configs are validated by load_run_config; re-run its checks.
-        try:
-            _validate_runconfig_dict(doc)
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-        return errors
-    for key, validator in _DOC_VALIDATORS.items():
-        if key in doc:
-            validator(doc, errors)
-            return errors
-    return [
-        "unrecognized document: expected a 'tower', 'field', 'experiment', or 'loop' "
-        "section, or a run config with 'input'"
-    ]
-
-
-def _validate_runconfig_dict(doc) -> None:
-    _parse_runconfig(doc, base_dir=Path("."))
+    section = COMMANDS.get(command) or next((key for key in _DOCUMENTS if key in doc), None)
+    if command is not None and section not in doc:
+        return ["document for %s must have a %r section" % (command, section)]
+    if section is None:
+        return [
+            "unrecognized document: expected a 'tower', 'field', 'experiment', or "
+            "'loop' section, or a run config with 'input'"
+        ]
+    errors: list = []
+    _DOCUMENTS[section].walk(doc, "", errors)
+    return errors
 
 
 def validate_spec(path) -> ParseReport:
-    """Schema-check a document, listing every violation with its location."""
+    """Schema-check a document or run config, listing every violation with its location."""
     path = Path(path)
     try:
         doc = _load_json(path)
+        if isinstance(doc, dict) and ("input" in doc or "command" in doc):
+            load_run_config(path)
+            return ParseReport(path=str(path), errors=())
     except ConfigError as exc:
         return ParseReport(path=str(path), errors=exc.errors)
     return ParseReport(path=str(path), errors=tuple(_document_errors(doc)))
@@ -634,37 +580,31 @@ def _build_checked(builder, *args, **kwargs):
     """Constructor failures are input problems, not pipeline failures."""
     try:
         return builder(*args, **kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError([str(exc)])
 
 
-def _build_factor(factor) -> SkewForm:
-    if "l" in factor:
-        return darboux_constant_form(factor["l"])
-    matrix = np.array(factor["matrix"], dtype=float)
-    gram = np.array(factor["gram"], dtype=float) if "gram" in factor else None
+def _skew_form(section) -> SkewForm:
+    """The form of a section with a 'matrix' and an optional 'gram'."""
+    matrix = np.array(section["matrix"], dtype=float)
+    gram = np.array(section["gram"], dtype=float) if "gram" in section else None
     return SkewForm(ModelSpace(matrix.shape[0], gram), matrix)
 
 
 def _build_tower_doc(tower):
     kind = tower["kind"]
     if kind == "product":
-        return make_product_tower([_build_factor(f) for f in tower["factors"]])
+        return make_product_tower([
+            darboux_constant_form(f["l"]) if "l" in f else _skew_form(f) for f in tower["factors"]
+        ])
     if kind == "loop":
         return make_loop_tower(tower["m"], tower["modes"], tower["orders"])
     if kind == "counterexample":
         built, fields = make_counterexample_tower(
-            tower["d"],
-            tower["depth"],
-            a=tower.get("a"),
-            s_eigs=tower.get("s_eigs"),
+            tower["d"], tower["depth"], a=tower.get("a"), s_eigs=tower.get("s_eigs"),
             region_radius=tower.get("region_radius"),
         )
-        top = tower.get("thread_top")
-        if top is None:
-            top = np.zeros(built.levels[-1].dim)
+        top = tower.get("thread_top", np.zeros(built.levels[-1].dim))
         thread = Thread.from_top(built, np.asarray(top, dtype=float))
         return built, field_sequence_at(built, fields, thread)
     levels = [
@@ -687,17 +627,12 @@ def _build_field(fobj) -> FormField:
     kind = fobj["kind"]
     if kind == "quadratic":
         return make_quadratic_field(
-            fobj["l"],
-            fobj["epsilon"],
-            seed=fobj.get("seed", 0),
-            radius=fobj.get("radius", 1.0),
+            fobj["l"], fobj["epsilon"], seed=fobj.get("seed", 0), radius=fobj.get("radius", 1.0)
         )
     if kind == "constant":
-        matrix = np.array(fobj["matrix"], dtype=float)
-        gram = np.array(fobj["gram"], dtype=float) if "gram" in fobj else None
-        space = ModelSpace(matrix.shape[0], gram)
-        center = np.array(fobj.get("center", np.zeros(space.dim)), dtype=float)
-        return FormField.constant(SkewForm(space, matrix), center, fobj.get("radius", 1.0))
+        form = _skew_form(fobj)
+        center = np.array(fobj.get("center", np.zeros(form.space.dim)), dtype=float)
+        return FormField.constant(form, center, fobj.get("radius", 1.0))
     spec = MarsdenSpec(
         d=fobj["d"],
         a=np.array(fobj["a"], dtype=float),
@@ -708,51 +643,50 @@ def _build_field(fobj) -> FormField:
 
 
 # ---------------------------------------------------------------------------
-# Pipelines: (doc, config) -> (passed, payload, csv table or None, text lines).
+# Pipelines: (doc, config) -> _Result.
+
+
+@dataclass(frozen=True)
+class _Result:
+    """What a pipeline hands to the report writers."""
+
+    passed: bool
+    payload: dict
+    table: tuple | None  # (csv header, rows)
+    text: list
+    trajectories: np.ndarray | None = None
+
+
+def _table(columns: str, records) -> tuple:
+    """A csv table: the header, and each record's values in column order."""
+    keys = columns.split(",")
+    return columns, [tuple(record[key] for key in keys) for record in records]
 
 
 def _pipeline_check_tower(doc, cfg: RunConfig):
     tower, fs = _build_checked(_build_tower_doc, doc["tower"])
     tol = float(cfg.tolerances.get("rank_tol", RANK_TOL))
     comp = check_compatible_sequence(fs, tol=tol)
-    cls = classify_tower(tower)
-    bonding_rows = []
-    for i, per in enumerate(comp.per_level):
-        bonding_rows.append(
-            {
-                "bonding": i,
-                "ok": per.ok,
-                "ker_dim": per.ker_dim,
-                "pullback_residual": per.pullback_residual,
-                "transversality_defect": per.transversality_defect,
-                "dense_range": per.dense_range,
-                "direct_sum_defect": per.direct_sum_defect,
-            }
-        )
+    cls = classify_tower(tower, rank_tol=tol)
+    bonding_rows = [dict(bonding=i, **asdict(per)) for i, per in enumerate(comp.per_level)]
     payload = {
         "levels": [
-            {"level": i, "dim": lv.dim, "label": lv.label}
-            for i, lv in enumerate(tower.levels)
+            {"level": i, "dim": lv.dim, "label": lv.label} for i, lv in enumerate(tower.levels)
         ],
         "bondings": bonding_rows,
         "failed_composites": [list(pair) for pair in comp.failed_composites],
         "compatible": comp.ok,
         "classification": asdict(cls),
     }
-    table = (
-        "bonding,ok,ker_dim,pullback_residual,transversality_defect,dense_range",
-        [
-            (r["bonding"], r["ok"], r["ker_dim"], r["pullback_residual"],
-             r["transversality_defect"], r["dense_range"])
-            for r in bonding_rows
-        ],
+    table = _table(
+        "bonding,ok,ker_dim,pullback_residual,transversality_defect,dense_range", bonding_rows
     )
     text = [
         "levels: %d (top dim %d)" % (len(tower.levels), tower.levels[-1].dim),
         "compatible: %s" % comp.ok,
         "reduced: %s  surjective: %s" % (cls.reduced, cls.surjective),
     ]
-    return comp.ok, payload, table, text
+    return _Result(comp.ok, payload, table, text)
 
 
 def _pipeline_moser(doc, cfg: RunConfig):
@@ -776,33 +710,14 @@ def _pipeline_moser(doc, cfg: RunConfig):
         sing_tol=float(cfg.tolerances.get("sing_tol", SING_TOL)),
     )
     tol = float(doc.get("residual_tol", 1e-5))
-    passed = report.pullback_residual <= tol and report.fixed_point_error <= 1e-8
-    payload = {
-        "base_point": list(report.base_point),
-        "validity_radius": report.validity_radius,
-        "chart_radius": report.chart_radius,
-        "pullback_residual": report.pullback_residual,
-        "residual_tol": tol,
-        "steps": report.steps,
-        "step_size": report.step_size,
-        "fixed_point_error": report.fixed_point_error,
-        "lipschitz_estimate": report.lipschitz_estimate,
-    }
-    table = (
+    passed = report.pullback_residual <= tol and report.fixed_point_error <= _FIXED_POINT_TOL
+    columns = (
         "validity_radius,chart_radius,pullback_residual,steps,step_size,"
-        "fixed_point_error,lipschitz_estimate",
-        [
-            (
-                report.validity_radius,
-                report.chart_radius,
-                report.pullback_residual,
-                report.steps,
-                report.step_size,
-                report.fixed_point_error,
-                report.lipschitz_estimate,
-            )
-        ],
+        "fixed_point_error,lipschitz_estimate"
     )
+    payload = {key: getattr(report, key) for key in columns.split(",")}
+    payload.update(base_point=list(report.base_point), residual_tol=tol)
+    table = _table(columns, [payload])
     text = [
         "validity_radius: %s" % repr(float(report.validity_radius)),
         "chart_radius: %s" % repr(float(report.chart_radius)),
@@ -810,11 +725,14 @@ def _pipeline_moser(doc, cfg: RunConfig):
         "fixed_point_error: %s" % repr(float(report.fixed_point_error)),
         "steps: %d at dt %s" % (report.steps, repr(float(report.step_size))),
     ]
-    trajectories = report.trajectories if cfg.dump_trajectories else None
-    return passed, payload, table, text, trajectories
+    return _Result(passed, payload, table, text, report.trajectories)
 
 
-def _run_shrink(doc, cfg: RunConfig):
+def _pipeline_shrink(doc, cfg: RunConfig):
+    """shrink and product-control: one experiment, judged two ways."""
+    control = cfg.command == "product-control"
+    if control and doc["experiment"].get("kind", "counterexample") != "product":
+        raise ConfigError(["experiment.kind: product-control requires kind 'product'"])
     result = shrink_experiment(
         doc["experiment"],
         int(doc["n_max"]),
@@ -822,19 +740,8 @@ def _run_shrink(doc, cfg: RunConfig):
         sing_tol=float(cfg.tolerances.get("sing_tol", SING_TOL)),
         seed=cfg.seed,
     )
-    payload = {
-        "rows": [asdict(row) for row in result.rows],
-        "level1_radii": list(result.level1_radii),
-        "fitted_exponent": result.fitted_exponent,
-        "uniform_radius_ok": result.uniform_radius_ok,
-        "diagnosis": result.diagnosis,
-        "assembly": asdict(result.assembly),
-        "bounds": asdict(result.bounds),
-    }
-    table = (
-        "n,dim,r_validity,bound,cond_at_base",
-        [(row.n, row.dim, row.r_validity, row.bound, row.cond_at_base) for row in result.rows],
-    )
+    payload = asdict(result)
+    table = _table("n,dim,r_validity,bound,cond_at_base", payload["rows"])
     text = [
         "levels: %d" % len(result.rows),
         "fitted_exponent: %s"
@@ -843,22 +750,12 @@ def _run_shrink(doc, cfg: RunConfig):
         "assembly_ok: %s" % result.assembly.ok,
         "diagnosis: %s" % result.diagnosis,
     ]
-    return result, payload, table, text
-
-
-def _pipeline_shrink(doc, cfg: RunConfig):
-    result, payload, table, text = _run_shrink(doc, cfg)
-    expect = doc.get("expect_uniform")
-    passed = True if expect is None else result.uniform_radius_ok == expect
-    return passed, payload, table, text
-
-
-def _pipeline_product_control(doc, cfg: RunConfig):
-    if doc["experiment"].get("kind", "counterexample") != "product":
-        raise ConfigError(["experiment.kind: product-control requires kind 'product'"])
-    result, payload, table, text = _run_shrink(doc, cfg)
-    passed = result.uniform_radius_ok and result.assembly.ok
-    return passed, payload, table, text
+    if control:
+        passed = result.uniform_radius_ok and result.assembly.ok
+    else:
+        expect = doc.get("expect_uniform")
+        passed = expect is None or result.uniform_radius_ok == expect
+    return _Result(passed, payload, table, text)
 
 
 def _pipeline_loop_check(doc, cfg: RunConfig):
@@ -909,7 +806,7 @@ def _pipeline_loop_check(doc, cfg: RunConfig):
         "kappa_max_rel_error: %s" % repr(float(rel)),
         "identity_charts: %s" % identity_ok,
     ]
-    return passed, payload, table, text
+    return _Result(passed, payload, table, text)
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +840,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_reports(cfg: RunConfig, passed: bool, payload, table, text, trajectories=None):
+def _write_reports(cfg: RunConfig, result: _Result):
     out = cfg.output
     out.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
@@ -951,21 +848,22 @@ def _write_reports(cfg: RunConfig, passed: bool, payload, table, text, trajector
             "schema_version": SCHEMA_VERSION,
             "command": cfg.command,
             "seed": cfg.seed,
-            "passed": bool(passed),
-            "report": _json_safe(payload),
+            "passed": bool(result.passed),
+            "report": _json_safe(result.payload),
         }
         (out / "report.json").write_text(
             json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
-    if "csv" in cfg.formats and table is not None:
-        header, rows = table
+    if "csv" in cfg.formats and result.table is not None:
+        header, rows = result.table
         lines = [header]
         lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
         (out / "report.csv").write_text("\n".join(lines) + "\n")
     if "text" in cfg.formats:
-        lines = ["%s: %s" % (cfg.command, "PASS" if passed else "FAIL")]
-        lines.extend(text)
+        lines = ["%s: %s" % (cfg.command, "PASS" if result.passed else "FAIL")]
+        lines.extend(result.text)
         (out / "report.txt").write_text("\n".join(lines) + "\n")
+    trajectories = result.trajectories
     if trajectories is not None:
         dim = trajectories.shape[-1]
         lines = ["seed,step," + ",".join("x%d" % i for i in range(dim))]
@@ -980,7 +878,7 @@ _PIPELINES = {
     "check-tower": _pipeline_check_tower,
     "moser": _pipeline_moser,
     "shrink": _pipeline_shrink,
-    "product-control": _pipeline_product_control,
+    "product-control": _pipeline_shrink,
     "loop-check": _pipeline_loop_check,
 }
 
@@ -989,60 +887,29 @@ def run(config: RunConfig) -> int:
     """Execute one pipeline and write its reports; returns the exit status."""
     try:
         doc = _load_json(config.input)
-    except ConfigError as exc:
-        for line in exc.errors:
-            print("input error: %s" % line, file=sys.stderr)
-        return EXIT_INPUT
-
-    errors: list = []
-    if not isinstance(doc, dict):
-        errors = ["document must be a JSON object"]
-    else:
-        key = _COMMAND_DOC_KEY[config.command]
-        if key not in doc:
-            errors = [
-                "document for %s must have a %r section" % (config.command, key)
-            ]
-        else:
-            _DOC_VALIDATORS[key](doc, errors)
-    if errors:
-        for line in errors:
-            print("input error: %s: %s" % (config.input, line), file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        outcome = _PIPELINES[config.command](doc, config)
+        errors = _document_errors(doc, config.command)
+        if errors:
+            raise ConfigError(["%s: %s" % (config.input, line) for line in errors])
+        result = _PIPELINES[config.command](doc, config)
     except ConfigError as exc:
         for line in exc.errors:
             print("input error: %s" % line, file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
-        payload = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, LeftValidityRegionError):
-            payload.update(t=exc.t, x=exc.x, sigma_min=exc.sigma_min)
+        # A library error's own attributes (t, x, sigma_min, ...) are its data.
+        payload = {**vars(exc), "type": type(exc).__name__, "message": str(exc)}
         # The error payload must land on disk even if only csv was asked for.
-        error_formats = [f for f in config.formats if f != "csv"]
-        if "json" not in error_formats:
-            error_formats.append("json")
+        error_formats = tuple(f for f in config.formats if f == "text") + ("json",)
         _write_reports(
-            replace(config, formats=tuple(error_formats)),
-            False,
-            {"error": payload},
-            None,
-            ["error: %s" % exc],
+            replace(config, formats=error_formats),
+            _Result(False, {"error": payload}, None, ["error: %s" % exc]),
         )
         print("pipeline error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
 
-    if len(outcome) == 5:
-        passed, payload, table, text, trajectories = outcome
-    else:
-        passed, payload, table, text = outcome
-        trajectories = None
-    _write_reports(config, passed, payload, table, text, trajectories)
-    status = "PASS" if passed else "FAIL"
-    print("%s: %s" % (config.command, status))
-    return EXIT_PASS if passed else EXIT_FAIL
+    _write_reports(config, result)
+    print("%s: %s" % (config.command, "PASS" if result.passed else "FAIL"))
+    return EXIT_PASS if result.passed else EXIT_FAIL
 
 
 def main(argv=None) -> int:
@@ -1077,9 +944,9 @@ def main(argv=None) -> int:
         print("%d errors" % len(report.errors))
         return EXIT_PASS if report.ok else EXIT_INPUT
 
-    formats = None
-    if args.format is not None:
-        formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    formats = None if args.format is None else [
+        f.strip() for f in args.format.split(",") if f.strip()
+    ]
     try:
         config = load_run_config(
             Path(args.config),

@@ -29,8 +29,8 @@ from .moser import (
     AssemblyReport,
     FormField,
     MoserFamily,
-    MoserReport,
     UniformBoundReport,
+    _power_law_exponent,
     assemble_projective_darboux,
     uniform_bound_check,
     validity_radius,
@@ -502,7 +502,6 @@ def shrink_experiment(
 
     rows = []
     projected = []
-    reports = []
     for i, family in enumerate(families):
         base = family.base_point
         if family.omega_bar.is_zero:
@@ -532,26 +531,8 @@ def shrink_experiment(
             )
         )
         projected.append(float(r) * tower.radius_shrink(0, i))
-        reports.append(
-            MoserReport(
-                base_point=base,
-                chart=None,
-                validity_radius=float(r),
-                chart_radius=projected[-1],
-                pullback_residual=float("nan"),
-                steps=0,
-                step_size=0.0,
-                fixed_point_error=float("nan"),
-                lipschitz_estimate=float("nan"),
-            )
-        )
 
-    fitted = None
-    alive = [(i + 1, r) for i, r in enumerate(projected) if r > 0.0]
-    if len(alive) >= 2:
-        xs = np.log([n for n, _ in alive])
-        ys = np.log([r for _, r in alive])
-        fitted = float(np.polyfit(xs, ys, 1)[0])
+    fitted = _power_law_exponent(range(1, n_max + 1), projected)
     decreasing = all(b < a for a, b in zip(projected, projected[1:]))
     failing = fitted is not None and fitted <= -0.5 and decreasing
     if failing:
@@ -570,7 +551,7 @@ def shrink_experiment(
     floor = min_radius
     if floor is None:
         floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
-    assembly = assemble_projective_darboux(reports, tower, min_radius=floor)
+    assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
     bounds_report = uniform_bound_check(
         families,
         [f.base_point for f in families],

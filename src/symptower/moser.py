@@ -12,14 +12,15 @@ Conventions:
 
 * flats follow the linalg module (matrix = omega.T);
 * a point is valid for the family at time t when the flat at (t, x) has
-  sigma_min > SING_TOL * sigma_max and condition number <= the cap;
+  sigma_min > sing_tol * sigma_max and condition number <= cond_cap
+  (by default SING_TOL and COND_CAP);
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
   reported domain ball.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -53,6 +54,15 @@ class LeftValidityRegionError(ValueError):
 
 class StabilityError(ValueError):
     """Step size too large for the measured Lipschitz constant."""
+
+    def __init__(self, lipschitz: float, dt: float, cap: float):
+        self.lipschitz = float(lipschitz)
+        self.dt = float(dt)
+        self.cap = float(cap)
+        super().__init__(
+            "measured Lipschitz constant %.3g times dt %.3g exceeds %.2g; "
+            "shrink the step" % (lipschitz, dt, cap)
+        )
 
 
 class ChartConstructionError(ValueError):
@@ -554,16 +564,12 @@ def _bisect_crossing(f, lo: float, hi: float, rel: float = 1e-3) -> float:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings; ``tol`` gates the base-point drift check."""
+    """Fixed-step RK4 settings."""
 
-    method: str = "rk4"
     dt: float = 1e-3
-    tol: float = 1e-8
     record_trajectories: bool = False
 
     def __post_init__(self) -> None:
-        if self.method.lower() != "rk4":
-            raise ValueError("only the rk4 integrator is available")
         if not 0.0 < self.dt <= 1.0:
             raise ValueError("dt must lie in (0, 1]")
 
@@ -580,27 +586,22 @@ class IntegratorConfig:
 class ChartMap:
     """Time-1 Moser flow, evaluated by re-integration.
 
-    ``samples`` holds (input, output) pairs from the construction run; new
-    points re-run the same fixed-step integration, so evaluations are exactly
-    reproducible.
+    Every point re-runs the construction's fixed-step integration, with its
+    validity test, so evaluations are exactly reproducible.
     """
 
     family: MoserFamily
     base_point: np.ndarray
     domain_radius: float
-    dt: float
     steps: int
     quad_nodes: int
-    samples: tuple
+    cond_cap: float
+    sing_tol: float
 
     def map_points(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out, alive, _ = _integrate(
-            self.family,
-            np.asarray(pts, dtype=float),
-            self.steps,
-            t_start=0.0,
-            t_end=1.0,
-            quad_nodes=self.quad_nodes,
+            self.family, np.asarray(pts, dtype=float), self.steps, 0.0, 1.0,
+            self.quad_nodes, self.cond_cap, self.sing_tol,
         )
         return out, alive
 
@@ -613,10 +614,10 @@ class ChartMap:
 
 @dataclass(frozen=True, eq=False)
 class MoserReport:
-    """Chart construction record; ``chart`` is None for radius-only entries."""
+    """Chart construction record."""
 
     base_point: np.ndarray
-    chart: ChartMap | None
+    chart: ChartMap
     validity_radius: float
     chart_radius: float
     pullback_residual: float
@@ -628,15 +629,15 @@ class MoserReport:
     trajectories: np.ndarray | None = None
 
 
-def _field_batch(family: MoserFamily, t: float, pts: np.ndarray,
-                 quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _field_batch(family: MoserFamily, t: float, pts: np.ndarray, quad_nodes: int,
+                 cond_cap: float, sing_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Moser velocities and validity flags for a batch of points."""
     alpha = _alpha_batch(family.omega_bar, pts, quad_nodes)
     oms = family.omega_t_many(t, pts)
     s = np.linalg.svd(oms, compute_uv=False)
     smax = s[..., 0]
     smin = s[..., -1]
-    ok = (smin > SING_TOL * smax) & (smax / np.maximum(smin, _EPS) <= COND_CAP)
+    ok = (smin > sing_tol * smax) & (smax / np.maximum(smin, _EPS) <= cond_cap)
     mats = np.swapaxes(oms, -1, -2)
     dim = pts.shape[-1]
     safe = np.where(ok[:, None, None], mats, np.eye(dim))
@@ -651,6 +652,8 @@ def _integrate(
     t_start: float,
     t_end: float,
     quad_nodes: int,
+    cond_cap: float,
+    sing_tol: float,
     record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Fixed-step RK4 for the whole batch; dead points freeze in place."""
@@ -664,12 +667,13 @@ def _integrate(
     trail = np.empty((n, steps + 1, pts.shape[1])) if record else None
     if record:
         trail[:, 0] = pts
+    field_args = (quad_nodes, cond_cap, sing_tol)
     for k in range(steps):
         t = t_start + k * h
-        k1, ok1 = _field_batch(family, t, pts, quad_nodes)
-        k2, ok2 = _field_batch(family, t + 0.5 * h, pts + 0.5 * h * k1, quad_nodes)
-        k3, ok3 = _field_batch(family, t + 0.5 * h, pts + 0.5 * h * k2, quad_nodes)
-        k4, ok4 = _field_batch(family, t + h, pts + h * k3, quad_nodes)
+        k1, ok1 = _field_batch(family, t, pts, *field_args)
+        k2, ok2 = _field_batch(family, t + 0.5 * h, pts + 0.5 * h * k1, *field_args)
+        k3, ok3 = _field_batch(family, t + 0.5 * h, pts + 0.5 * h * k2, *field_args)
+        k4, ok4 = _field_batch(family, t + h, pts + h * k3, *field_args)
         proposal = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         step_ok = ok1 & ok2 & ok3 & ok4 & family.omega_bar.contains_many(proposal)
         alive &= step_ok
@@ -691,20 +695,20 @@ def flow_map(
     steps = max(1, int(round(abs(t_end - t_start) / integrator.actual_dt)))
     out, alive, _ = _integrate(
         family, np.atleast_2d(np.asarray(points, dtype=float)), steps,
-        t_start, t_end, quad_nodes,
+        t_start, t_end, quad_nodes, COND_CAP, SING_TOL,
     )
     return out, alive
 
 
 def _lipschitz_estimate(family: MoserFamily, pts: np.ndarray, scale: float,
-                        quad_nodes: int, rng) -> float:
+                        quad_nodes: int, cond_cap: float, sing_tol: float, rng) -> float:
     """Empirical Lipschitz constant of the velocity field near the seeds."""
     worst = 0.0
     offsets = rng.standard_normal(pts.shape)
     offsets *= scale / np.maximum(np.linalg.norm(offsets, axis=1, keepdims=True), _EPS)
     for t in (0.0, 0.5, 1.0):
-        v0, ok0 = _field_batch(family, t, pts, quad_nodes)
-        v1, ok1 = _field_batch(family, t, pts + offsets, quad_nodes)
+        v0, ok0 = _field_batch(family, t, pts, quad_nodes, cond_cap, sing_tol)
+        v1, ok1 = _field_batch(family, t, pts + offsets, quad_nodes, cond_cap, sing_tol)
         use = ok0 & ok1
         if not np.any(use):
             continue
@@ -743,11 +747,9 @@ def moser_flow(
         raise ValueError("r_start must be positive")
 
     if family.omega_bar.is_zero:
-        chart = ChartMap(family, x0, r_start, integrator.actual_dt, 0,
-                         quad_nodes, samples=((x0, x0),))
         return MoserReport(
             base_point=x0,
-            chart=chart,
+            chart=ChartMap(family, x0, r_start, 0, quad_nodes, cond_cap, sing_tol),
             validity_radius=r_start,
             chart_radius=r_start,
             pullback_residual=0.0,
@@ -788,16 +790,13 @@ def moser_flow(
     seeds = np.array(seeds)
     shell_of = np.array(shell_of)
 
-    lip = _lipschitz_estimate(family, seeds, 1e-4 * r_start, quad_nodes, rng)
+    lip = _lipschitz_estimate(family, seeds, 1e-4 * r_start, quad_nodes, cond_cap, sing_tol, rng)
     dt = integrator.actual_dt
     if lip * dt > LIPSCHITZ_CAP:
-        raise StabilityError(
-            "measured Lipschitz constant %.3g times dt %.3g exceeds %.2g; "
-            "shrink the step" % (lip, dt, LIPSCHITZ_CAP)
-        )
+        raise StabilityError(lip, dt, LIPSCHITZ_CAP)
 
     out, alive, trail = _integrate(
-        family, seeds, integrator.steps, 0.0, 1.0, quad_nodes,
+        family, seeds, integrator.steps, 0.0, 1.0, quad_nodes, cond_cap, sing_tol,
         record=integrator.record_trajectories,
     )
     if not alive[0]:
@@ -812,10 +811,7 @@ def moser_flow(
             break
 
     fixed_point_error = space.norm(out[0] - x0)
-    chart = ChartMap(
-        family, x0, chart_radius, dt, integrator.steps, quad_nodes,
-        samples=tuple((seeds[i], out[i]) for i in range(len(seeds)) if alive[i]),
-    )
+    chart = ChartMap(family, x0, chart_radius, integrator.steps, quad_nodes, cond_cap, sing_tol)
 
     if chart_radius > 0.0 and verify_samples > 0:
         check = verify_darboux_chart(
@@ -1018,23 +1014,32 @@ class AssemblyReport:
     fitted_exponent: float | None
 
 
+def _power_law_exponent(xs, radii) -> float | None:
+    """Slope of log(radius) on log(x) over the positive radii; None below two."""
+    points = [(x, r) for x, r in zip(xs, radii) if r > 0.0]
+    if len(points) < 2:
+        return None
+    return float(np.polyfit(np.log([x for x, _ in points]), np.log([r for _, r in points]), 1)[0])
+
+
 def assemble_projective_darboux(
-    per_level_reports,
+    per_level_radii,
     tower: Tower,
     min_radius: float,
 ) -> AssemblyReport:
-    """Radii of chart balls pushed down the tower, with a decay diagnosis.
+    """Chart ball radii pushed down the tower, with a decay diagnosis.
 
-    For each base level the limiting radius is the smallest ball guaranteed
-    inside every projected higher-level chart domain (``Tower.radius_shrink``).  A power-law fit across levels feeds the diagnosis when the
-    floor is missed.
+    ``per_level_radii[j]`` is the chart radius at level j.  For each base
+    level the limiting radius is the smallest ball guaranteed inside every
+    projected higher-level chart domain (``Tower.radius_shrink``).  A
+    power-law fit across levels feeds the diagnosis when the floor is
+    missed.
     """
-    reports = list(per_level_reports)
-    if len(reports) != tower.depth + 1:
+    radii = [float(r) for r in per_level_radii]
+    if len(radii) != tower.depth + 1:
         raise ValueError(
-            "missing level report: need %d, got %d" % (tower.depth + 1, len(reports))
+            "missing level radius: need %d, got %d" % (tower.depth + 1, len(radii))
         )
-    radii = [float(r.chart_radius) for r in reports]
 
     limiting = []
     for i in range(tower.depth + 1):
@@ -1042,12 +1047,8 @@ def assemble_projective_darboux(
         limiting.append(min(values))
     ok = all(v >= min_radius for v in limiting)
 
-    fitted = None
-    positive = [(j, radii[j]) for j in range(1, tower.depth + 1) if radii[j] > 0.0]
-    if len(positive) >= 2:
-        xs = np.log([j for j, _ in positive])
-        ys = np.log([r for _, r in positive])
-        fitted = float(np.polyfit(xs, ys, 1)[0])
+    # Level 0 has log(index) = -inf, so the fit starts at level 1.
+    fitted = _power_law_exponent(range(1, tower.depth + 1), radii[1:])
 
     if ok:
         diagnosis = "all levels retain a chart ball of radius >= %g" % min_radius

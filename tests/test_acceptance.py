@@ -375,7 +375,7 @@ def test_criterion_5_product_tower_keeps_uniform_charts():
         )
         full_balls &= rep.chart_radius == 1.0 and rep.validity_radius == 1.0
         reports.append(rep)
-    assembly = assemble_projective_darboux(reports, tower, 0.5)
+    assembly = assemble_projective_darboux([rep.chart_radius for rep in reports], tower, 0.5)
     fitted = 0.0 if assembly.fitted_exponent is None else assembly.fitted_exponent
     elapsed = time.perf_counter() - t0
     _verdict(

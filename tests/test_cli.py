@@ -864,6 +864,53 @@ class TestRunner:
             "sigma_min": 3e-9,
         }
 
+    def test_stability_error_fields_serialized(self, tmp_path):
+        write_json(
+            tmp_path / "field.json",
+            {"field": {"kind": "quadratic", "l": 2, "epsilon": 1.0, "seed": 7}, "r_start": 0.3},
+        )
+        cfg = write_json(
+            tmp_path / "run.json",
+            {"command": "moser", "input": "field.json", "tolerances": {"dt": 1.0}},
+        )
+        rc = main(["moser", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert rc == 1
+        error = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["error"]
+        assert set(error) == {"type", "message", "lipschitz", "dt", "cap"}
+        assert error["type"] == "StabilityError"
+        assert error["dt"] == 1.0 and error["cap"] == 0.5
+        assert error["lipschitz"] * error["dt"] > error["cap"]
+
+    def test_check_tower_classification_honours_rank_tol(self, tmp_path):
+        doc = {
+            "tower": {
+                "kind": "explicit",
+                "levels": [{"dim": 2}, {"dim": 4}],
+                "bondings": [[[1.0, 0.0, 0.0, 0.0], [0.0, 1e-6, 0.0, 0.0]]],
+                "forms": [
+                    [[0.0, -1.0], [1.0, 0.0]],
+                    [
+                        [0.0, -1.0, 0.0, 0.0],
+                        [1.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, -1.0],
+                        [0.0, 0.0, 1.0, 0.0],
+                    ],
+                ],
+            }
+        }
+        write_json(tmp_path / "t.json", doc)
+        surjective = {}
+        for rank_tol in (1e-10, 1e-3):
+            run_doc = {"command": "check-tower", "input": "t.json"}
+            run_doc["tolerances"] = {"rank_tol": rank_tol}
+            cfg = write_json(tmp_path / "run.json", run_doc)
+            out = tmp_path / ("out-%g" % rank_tol)
+            main(["check-tower", "--config", str(cfg), "--output", str(out)])
+            report = json.loads((out / "report.json").read_text())["report"]
+            surjective[rank_tol] = report["classification"]["surjective"]
+        # The bonding's second singular value, 1e-6, counts only above rank_tol.
+        assert surjective == {1e-10: True, 1e-3: False}
+
     def test_shrink_honours_sing_tol(self, tmp_path):
         write_json(
             tmp_path / "exp.json",

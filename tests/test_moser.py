@@ -12,7 +12,6 @@ from symptower.moser import (
     IntegratorConfig,
     LeftValidityRegionError,
     MoserFamily,
-    MoserReport,
     StabilityError,
     assemble_projective_darboux,
     exterior_derivative_residual,
@@ -475,6 +474,26 @@ def test_moser_flow_lipschitz_guard():
                    closed_tol=np.inf, skip_validity_radius=True)
 
 
+@pytest.mark.parametrize("tolerance", [{"cond_cap": 1.05}, {"sing_tol": 0.95}])
+def test_moser_flow_integrates_under_its_own_tolerances(tolerance):
+    # The flats' condition number reaches 1.06 at r = 0.3 and 1.08 at r = 0.4.
+    # With the validity radius skipped, only the integrator's liveness test
+    # can shrink the chart, and the chart's own re-integration must agree.
+    family = MoserFamily.darboux_target(
+        quadratic_perturbation_field(4, 0.05, seed=7), np.zeros(4)
+    )
+    runs = {
+        name: moser_flow(family, np.zeros(4), 0.4, IntegratorConfig(dt=0.05),
+                         verify_samples=4, skip_validity_radius=True, **kw)
+        for name, kw in (("default", {}), ("tight", tolerance))
+    }
+    probes = 0.39 * np.eye(4)
+    assert runs["default"].chart_radius == pytest.approx(0.4)
+    assert runs["default"].chart.map_points(probes)[1].all()
+    assert runs["tight"].chart_radius == pytest.approx(0.2)
+    assert not runs["tight"].chart.map_points(probes)[1].all()
+
+
 def test_verify_darboux_chart_identity_cases():
     omega0 = darboux_constant_form(1)
     field = constant_field(OMEGA2)
@@ -536,20 +555,6 @@ def test_uniform_bound_check_detects_inverse_growth():
     assert relaxed.forward_ok and relaxed.inverse_ok and relaxed.kumar_ok
 
 
-def radius_report(radius):
-    return MoserReport(
-        base_point=np.zeros(2),
-        chart=None,
-        validity_radius=radius,
-        chart_radius=radius,
-        pullback_residual=0.0,
-        steps=0,
-        step_size=0.0,
-        fixed_point_error=0.0,
-        lipschitz_estimate=0.0,
-    )
-
-
 def coordinate_tower(dims):
     levels = [ModelSpace(d) for d in dims]
     bondings = [
@@ -565,8 +570,7 @@ def coordinate_tower(dims):
 
 def test_assemble_constant_radii_passes():
     tower = coordinate_tower([2, 4, 6])
-    reports = [radius_report(0.5) for _ in range(3)]
-    out = assemble_projective_darboux(reports, tower, min_radius=0.3)
+    out = assemble_projective_darboux([0.5] * 3, tower, min_radius=0.3)
     assert out.ok
     assert out.limiting_radius_by_level == pytest.approx((0.5, 0.5, 0.5))
     assert "retain" in out.diagnosis
@@ -575,9 +579,7 @@ def test_assemble_constant_radii_passes():
 def test_assemble_detects_power_law_decay():
     tower = coordinate_tower([2, 4, 6, 8, 10])
     radii = [1.0, 1.0, 0.5, 1.0 / 3.0, 0.25]
-    out = assemble_projective_darboux(
-        [radius_report(r) for r in radii], tower, min_radius=0.3
-    )
+    out = assemble_projective_darboux(radii, tower, min_radius=0.3)
     assert not out.ok
     assert out.limiting_radius_by_level[0] == pytest.approx(0.25)
     assert out.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
@@ -586,8 +588,8 @@ def test_assemble_detects_power_law_decay():
 
 def test_assemble_single_level_and_missing_report():
     tower = coordinate_tower([2])
-    out = assemble_projective_darboux([radius_report(0.1)], tower, min_radius=0.05)
+    out = assemble_projective_darboux([0.1], tower, min_radius=0.05)
     assert out.ok
     assert out.fitted_exponent is None
-    with pytest.raises(ValueError, match="missing level report"):
+    with pytest.raises(ValueError, match="missing level radius"):
         assemble_projective_darboux([], tower, min_radius=0.05)
