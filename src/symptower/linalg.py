@@ -266,10 +266,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @cached_property
-    def orthonormal(self) -> np.ndarray:
-        return orthonormal_columns(self.basis)
-
     def contains(self, other: "Subspace", rank_tol: float = RANK_TOL) -> bool:
         _require_same_space(self.ambient, other.ambient, "contains")
         return column_space_contains(self.basis, other.basis, rank_tol)
@@ -430,6 +426,32 @@ def pullback_form(map_: LinearMap, form: SkewForm) -> SkewForm:
     return SkewForm(map_.source, m)
 
 
+def kernel_split(
+    map_matrix: np.ndarray, form_matrix: np.ndarray, rank_tol: float = RANK_TOL
+) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """A map's kernel, the kernel's symplectic orthogonal, and their sum.
+
+    Returns ``(rank, ker_basis, kperp_basis, stacked_rank)``: the rank of
+    the map, orthonormal bases (columns) of its kernel and of the kernel's
+    orthogonal under the form, and the dimension of their sum.  The map is
+    factored once; its singular values give the rank and its right singular
+    vectors the kernel.
+    """
+    rows, cols = map_matrix.shape
+    if rows == 0 or not np.any(map_matrix):
+        rank, ker_basis = 0, np.eye(cols)
+    else:
+        _, s, vt = np.linalg.svd(map_matrix)
+        rank = int(np.count_nonzero(s > rank_tol * s[0]))
+        ker_basis = vt[rank:].T
+    if ker_basis.shape[1] == 0:
+        kperp_basis = np.eye(cols)
+    else:
+        kperp_basis = null_space_basis(ker_basis.T @ form_matrix, rank_tol)
+    stacked_rank = matrix_rank(np.hstack([ker_basis, kperp_basis]), rank_tol)
+    return rank, ker_basis, kperp_basis, stacked_rank
+
+
 def check_weak_isometry(
     map_: LinearMap,
     form_src: SkewForm,
@@ -449,32 +471,24 @@ def check_weak_isometry(
     _require_same_space(map_.target, form_tgt.space, "check_weak_isometry")
     src_dim = map_.source.dim
 
-    sing = np.linalg.svd(map_.matrix, compute_uv=False)
-    if sing.size == 0 or sing[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sing > rank_tol * sing[0]))
+    rank, ker_basis, kperp_basis, stacked_rank = kernel_split(
+        map_.matrix, form_src.matrix, rank_tol
+    )
     dense_range = rank == map_.target.dim
-
-    ker_basis = null_space_basis(map_.matrix, rank_tol)
     ker_dim = ker_basis.shape[1]
-    ker = Subspace(map_.source, ker_basis)
-    kperp = symplectic_orthogonal(form_src, ker, rank_tol)
-
-    stacked = np.hstack([ker_basis, kperp.basis])
-    stacked_rank = matrix_rank(stacked, rank_tol)
-    meet_dim = ker_dim + kperp.dim - stacked_rank
+    kperp_dim = kperp_basis.shape[1]
+    meet_dim = ker_dim + kperp_dim - stacked_rank
     direct_sum_defect = src_dim - stacked_rank
 
-    if meet_dim == 0 or ker_dim == 0 or kperp.dim == 0:
+    q = orthonormal_columns(kperp_basis)
+    if meet_dim == 0 or ker_dim == 0 or kperp_dim == 0:
         transversality_defect = 0.0
     else:
         cos = np.linalg.svd(
-            ker.orthonormal.T @ kperp.orthonormal, compute_uv=False
+            orthonormal_columns(ker_basis).T @ q, compute_uv=False
         )
         transversality_defect = float(min(cos[0], 1.0))
 
-    q = kperp.orthonormal
     mismatch = map_.matrix.T @ form_tgt.matrix @ map_.matrix - form_src.matrix
     compressed = q.T @ mismatch @ q
     if compressed.size == 0:

@@ -957,6 +957,13 @@ def uniform_bound_check(
     time and a sampled ball around the base point, and is infinite once a
     sampled flat is singular below ``sing_tol``.  The per-level table makes
     growth across levels visible; the three flags compare against K.
+
+    A level whose difference field is zero is evaluated at the first time
+    and the base point only.  There omega_t = omega0 at every time and
+    point and the radial primitive vanishes, so the grid and the ball would
+    repeat the same matrices: the values are exactly those of the full
+    grid (``kumar`` is 0.0, or inf when omega0 is singular below
+    ``sing_tol``).
     """
     families = list(per_level_families)
     bases = [np.asarray(b, dtype=float) for b in base_points]
@@ -967,23 +974,28 @@ def uniform_bound_check(
     for level, (family, base) in enumerate(zip(families, bases)):
         space = family.space
         gis = space.gram_inv_sqrt
+        zero_field = family.omega_bar.is_zero
+        times = ts[:1] if zero_field else ts
         bar_at_base = family.omega_bar.omega(base)
         forward = 0.0
         inverse = 0.0
-        for t in ts:
+        for t in times:
             flat = (family.omega0.matrix + t * bar_at_base).T
             s = np.linalg.svd(gis @ flat @ gis, compute_uv=False)
             forward = max(forward, float(s[0]))
             inverse = max(inverse, float("inf") if s[-1] <= _EPS else float(1.0 / s[-1]))
 
-        rng = np.random.default_rng(seed + level)
-        avail = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
-        ball = _sample_ball(rng, space, base, kumar_radius_factor * max(avail, 0.0),
-                            kumar_samples)
-        pts = np.vstack([base[None, :], ball])
+        if zero_field:
+            pts = base[None, :]
+        else:
+            rng = np.random.default_rng(seed + level)
+            avail = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
+            ball = _sample_ball(rng, space, base, kumar_radius_factor * max(avail, 0.0),
+                                kumar_samples)
+            pts = np.vstack([base[None, :], ball])
         alphas = _alpha_batch(family.omega_bar, pts, quad_nodes)
         kumar = 0.0
-        for t in ts:
+        for t in times:
             oms = family.omega_t_many(t, pts)
             s = np.linalg.svd(oms, compute_uv=False)
             singular = s[..., -1] <= sing_tol * s[..., 0]

@@ -27,11 +27,10 @@ from symptower.linalg import (
     WeakIsometryReport,
     check_weak_isometry,
     check_weak_nondegenerate,
+    kernel_split,
     matrix_rank,
-    null_space_basis,
     orthonormal_columns,
     restrict_form,
-    symplectic_orthogonal,
 )
 
 # Consistency tolerance for thread components, relative to component size.
@@ -316,16 +315,12 @@ def _split_level(
     form: SkewForm, bonding_matrix: np.ndarray, level: int, rank_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel of the bonding and its symplectic orthogonal, verified to split."""
-    dim = form.space.dim
-    ker_basis = null_space_basis(bonding_matrix, rank_tol)
-    kperp = symplectic_orthogonal(form, Subspace(form.space, ker_basis), rank_tol)
-    stacked = np.hstack([ker_basis, kperp.basis])
-    rank = matrix_rank(stacked, rank_tol)
-    if rank != dim or ker_basis.shape[1] + kperp.dim != rank:
+    _, ker_basis, kperp_basis, rank = kernel_split(bonding_matrix, form.matrix, rank_tol)
+    if rank != form.space.dim or ker_basis.shape[1] + kperp_basis.shape[1] != rank:
         raise ValueError(
             "level %d: kernel and its symplectic orthogonal do not split the level" % level
         )
-    return ker_basis, kperp.basis
+    return ker_basis, kperp_basis
 
 
 def block_decompose(
@@ -402,15 +397,14 @@ def _submersion_pieces(
 ) -> tuple[np.ndarray, np.ndarray, SubmersionReport]:
     if not map_.source.compatible_with(form_top.space):
         raise DimensionMismatchError("form must live on the source of the map")
-    if matrix_rank(map_.matrix, rank_tol) != map_.target.dim:
+    rank, ker_basis, kperp_basis, stacked_rank = kernel_split(
+        map_.matrix, form_top.matrix, rank_tol
+    )
+    if rank != map_.target.dim:
         raise PreconditionError("not a submersion: map is not surjective")
     dim = map_.source.dim
-    ker_basis = null_space_basis(map_.matrix, rank_tol)
-    kperp = symplectic_orthogonal(
-        form_top, Subspace(map_.source, ker_basis), rank_tol
-    )
-    stacked_rank = matrix_rank(np.hstack([ker_basis, kperp.basis]), rank_tol)
-    ok = stacked_rank == dim and ker_basis.shape[1] + kperp.dim == dim
+    kperp_dim = kperp_basis.shape[1]
+    ok = stacked_rank == dim and ker_basis.shape[1] + kperp_dim == dim
 
     if ker_basis.shape[1] == 0:
         vertical = True
@@ -418,13 +412,13 @@ def _submersion_pieces(
         restricted = restrict_form(form_top, Subspace(map_.source, ker_basis))
         vertical = check_weak_nondegenerate(restricted, rank_tol).nondegenerate
 
-    lprime = map_.matrix @ kperp.basis
+    lprime = map_.matrix @ kperp_basis
     split_ok = (
-        kperp.dim == map_.target.dim
+        kperp_dim == map_.target.dim
         and matrix_rank(lprime, rank_tol) == map_.target.dim
     )
     report = SubmersionReport(ok=ok, vertical_nondegenerate=vertical, split_ok=split_ok)
-    return ker_basis, kperp.basis, report
+    return ker_basis, kperp_basis, report
 
 
 def check_symplectic_submersion(

@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from symptower.linalg import (
+    RANK_TOL,
     DegenerateFormError,
     DimensionMismatchError,
     LinearMap,
     ModelSpace,
     SkewForm,
     Subspace,
+    WeakIsometryReport,
     check_weak_isometry,
     check_weak_nondegenerate,
     darboux_constant_form,
     flat_operator,
+    kernel_split,
+    matrix_rank,
     null_space_basis,
     omega_dual_norm,
     orthonormal_columns,
@@ -188,6 +194,43 @@ def test_check_weak_isometry_lagrangian_kernel():
     assert rep.transversality_defect == pytest.approx(1.0)
 
 
+def count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "src_l, tgt_l, ker_dim, svd_calls",
+    [
+        # the map, the kernel's orthogonal, the sum of the two, the
+        # orthonormal basis of the orthogonal, the compressed mismatch
+        (2, 1, 2, 5),
+        # a trivial kernel has the whole space as its orthogonal
+        (2, 2, 0, 4),
+    ],
+)
+def test_check_weak_isometry_factors_each_matrix_once(
+    monkeypatch, src_l, tgt_l, ker_dim, svd_calls
+):
+    src = darboux_constant_form(src_l)
+    tgt = darboux_constant_form(tgt_l)
+    keep = list(range(tgt_l)) + list(range(src_l, src_l + tgt_l))
+    proj = np.eye(2 * src_l)[keep]
+    map_ = LinearMap(src.space, tgt.space, proj)
+    calls = count_svd_calls(monkeypatch)
+    rep = check_weak_isometry(map_, src, tgt)
+    assert rep.ok
+    assert rep.ker_dim == ker_dim
+    assert len(calls) == svd_calls
+
+
 def test_linear_map_compose_and_identity():
     a = ModelSpace(2)
     b = ModelSpace(3)
@@ -301,3 +344,106 @@ def test_pullback_composes_contravariantly(l_dim, entropy):
     once = pullback_form(g.compose(f), form)
     twice = pullback_form(f, pullback_form(g, form))
     np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-10)
+
+
+def reference_weak_isometry(map_, form_src, form_tgt, tol=RANK_TOL, rank_tol=RANK_TOL):
+    """check_weak_isometry built from the public pieces, each factoring anew."""
+    rank = matrix_rank(map_.matrix, rank_tol)
+    ker = Subspace(map_.source, null_space_basis(map_.matrix, rank_tol))
+    kperp = symplectic_orthogonal(form_src, ker, rank_tol)
+    stacked_rank = matrix_rank(np.hstack([ker.basis, kperp.basis]), rank_tol)
+    meet_dim = ker.dim + kperp.dim - stacked_rank
+    q = orthonormal_columns(kperp.basis)
+    if meet_dim == 0 or ker.dim == 0 or kperp.dim == 0:
+        transversality_defect = 0.0
+    else:
+        cos = np.linalg.svd(orthonormal_columns(ker.basis).T @ q, compute_uv=False)
+        transversality_defect = float(min(cos[0], 1.0))
+    mismatch = map_.matrix.T @ form_tgt.matrix @ map_.matrix - form_src.matrix
+    compressed = q.T @ mismatch @ q
+    if compressed.size == 0:
+        pullback_residual = 0.0
+    else:
+        pullback_residual = float(np.linalg.svd(compressed, compute_uv=False)[0])
+    dense_range = rank == map_.target.dim
+    return WeakIsometryReport(
+        ok=dense_range and meet_dim == 0 and pullback_residual <= tol,
+        ker_dim=ker.dim,
+        transversality_defect=transversality_defect,
+        pullback_residual=pullback_residual,
+        dense_range=dense_range,
+        direct_sum_defect=map_.source.dim - stacked_rank,
+    )
+
+
+def symplectic_coordinates(rng, l_dim):
+    """A nondegenerate form ``p.T J p`` and the change of basis ``p``."""
+    dim = 2 * l_dim
+    p = np.eye(dim) + 0.5 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    return p.T @ darboux_constant_form(l_dim).matrix @ p, p
+
+
+def weak_isometry_case(kind, l_dim, extra, rng):
+    """(map, source form matrix, target form matrix) of the given kind."""
+    if kind == "surjection":
+        # a product form mapped onto its first factor, in skewed coordinates
+        tgt, _ = symplectic_coordinates(rng, l_dim)
+        other, _ = symplectic_coordinates(rng, extra + 1)
+        dim = 2 * (l_dim + extra + 1)
+        product = np.zeros((dim, dim))
+        product[: 2 * l_dim, : 2 * l_dim] = tgt
+        product[2 * l_dim :, 2 * l_dim :] = other
+        p = np.eye(dim) + 0.5 * rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        return np.eye(dim)[: 2 * l_dim] @ p, p.T @ product @ p, tgt
+    if kind == "lagrangian":
+        # the kernel is its own symplectic orthogonal
+        src, p = symplectic_coordinates(rng, l_dim)
+        return np.eye(2 * l_dim)[:l_dim] @ p, src, random_skew(rng, l_dim)
+    src_dim, tgt_dim = 2 * l_dim + extra, 2 * l_dim
+    if kind == "rank_deficient":
+        inner = rng.standard_normal((tgt_dim, tgt_dim - 1))
+        matrix = inner @ rng.standard_normal((tgt_dim - 1, src_dim))
+    elif kind == "zero":
+        matrix = np.zeros((tgt_dim, src_dim))
+    else:
+        matrix = rng.standard_normal((tgt_dim, src_dim))
+    return matrix, random_skew(rng, src_dim), random_skew(rng, tgt_dim)
+
+
+def random_space(rng, dim, with_gram):
+    if not with_gram:
+        return ModelSpace(dim)
+    g = rng.standard_normal((dim, dim))
+    return ModelSpace(dim, gram=g @ g.T + np.eye(dim))
+
+
+@seed(20240811)
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["surjection", "generic", "rank_deficient", "zero", "lagrangian"]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_check_weak_isometry_matches_reference(kind, l_dim, extra, with_gram, entropy):
+    rng = np.random.default_rng(entropy)
+    matrix, src_matrix, tgt_matrix = weak_isometry_case(kind, l_dim, extra, rng)
+    src = random_space(rng, matrix.shape[1], with_gram)
+    tgt = random_space(rng, matrix.shape[0], with_gram)
+    map_ = LinearMap(src, tgt, matrix)
+    form_src, form_tgt = SkewForm(src, src_matrix), SkewForm(tgt, tgt_matrix)
+    got = check_weak_isometry(map_, form_src, form_tgt)
+    want = reference_weak_isometry(map_, form_src, form_tgt)
+    if kind == "surjection":
+        assert want.ok
+    for name in ("ok", "ker_dim", "dense_range", "direct_sum_defect"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("transversality_defect", "pullback_residual"):
+        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
+
+    rank, ker_basis, kperp_basis, stacked_rank = kernel_split(matrix, src_matrix)
+    assert rank == matrix_rank(matrix)
+    for basis in (ker_basis, kperp_basis):
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    assert stacked_rank == matrix.shape[1] - want.direct_sum_defect

@@ -555,6 +555,36 @@ def test_uniform_bound_check_detects_inverse_growth():
     assert relaxed.forward_ok and relaxed.inverse_ok and relaxed.kumar_ok
 
 
+def test_uniform_bound_check_zero_field_factors_two_matrices_per_level(monkeypatch):
+    families = [
+        MoserFamily(darboux_constant_form(2), constant_field(np.zeros((4, 4)), dim=4))
+        for _ in range(3)
+    ]
+    shapes = record_svd_shapes(monkeypatch)
+    report = uniform_bound_check(families, [np.zeros(4)] * 3, K=1.01)
+    assert report.forward_ok and report.inverse_ok and report.kumar_ok
+    # the flat at the base point, for the operator norms and for kumar
+    assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 2 * len(families)
+
+
+@pytest.mark.parametrize(
+    "scale, inverse",
+    [(0.0, float("inf")), (1e-10, 1e10)],
+    ids=["exactly-singular", "singular-below-sing-tol"],
+)
+def test_uniform_bound_check_zero_field_with_singular_omega0(scale, inverse):
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = OMEGA2
+    matrix[2:, 2:] = scale * OMEGA2
+    family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
+    report = uniform_bound_check([family], [np.zeros(4)], K=4.0)
+    (row,) = report.per_level
+    assert row.forward == 1.0
+    assert row.inverse == pytest.approx(inverse, rel=1e-12)
+    assert row.kumar == float("inf")
+    assert report.forward_ok and not report.inverse_ok and not report.kumar_ok
+
+
 def coordinate_tower(dims):
     levels = [ModelSpace(d) for d in dims]
     bondings = [

@@ -278,12 +278,18 @@ def test_induce_level_form_roundtrip_with_coupling():
     induced = induce_level_form(form, map_)
     np.testing.assert_allclose(induced.matrix, DARBOUX2, atol=1e-12)
     # pulling back must reproduce the form on the symplectic complement
-    from symptower.linalg import Subspace as Sub, null_space_basis, pullback_form, symplectic_orthogonal
+    from symptower.linalg import (
+        Subspace as Sub,
+        null_space_basis,
+        orthonormal_columns,
+        pullback_form,
+        symplectic_orthogonal,
+    )
 
     ker = Sub(space, null_space_basis(map_.matrix))
     kperp = symplectic_orthogonal(form, ker)
     pulled = pullback_form(map_, induced)
-    q = kperp.orthonormal
+    q = orthonormal_columns(kperp.basis)
     residual = np.linalg.norm(q.T @ (pulled.matrix - form.matrix) @ q)
     assert residual <= 1e-10
 
