@@ -52,10 +52,10 @@ from .models import (
 )
 from .moser import (
     COND_CAP,
+    DT,
     QUAD_NODES,
     SING_TOL,
     FormField,
-    IntegratorConfig,
     MoserFamily,
     moser_flow,
 )
@@ -693,15 +693,12 @@ def _pipeline_moser(doc, cfg: RunConfig):
     field_obj = _build_checked(_build_field, doc["field"])
     base = np.asarray(doc.get("base_point", np.zeros(field_obj.space.dim)), dtype=float)
     family = _build_checked(MoserFamily.darboux_target, field_obj, base)
-    integrator = IntegratorConfig(
-        dt=float(cfg.tolerances.get("dt", 1e-3)),
-        record_trajectories=cfg.dump_trajectories,
-    )
     report = moser_flow(
         family,
         base,
         float(doc["r_start"]),
-        integrator,
+        dt=float(cfg.tolerances.get("dt", DT)),
+        record_trajectories=cfg.dump_trajectories,
         quad_nodes=int(cfg.tolerances.get("quad_nodes", QUAD_NODES)),
         seed=cfg.seed,
         verify_samples=int(doc.get("verify_samples", 12)),

@@ -53,6 +53,8 @@ __all__ = [
 # Spectrum used by the shrinking-chart tower: a wide spread pushes the
 # conditioning at the degeneracy hyperplanes past any reasonable cap.
 SHRINK_EIGS_DECADES = 8.0
+# The K that shrink_experiment's uniform operator-norm bounds are held to.
+BOUND_K = 4.0
 
 
 @dataclass(frozen=True)
@@ -480,10 +482,6 @@ def shrink_experiment(
     n_max: int,
     cond_cap: float = COND_CAP,
     seed: int = 0,
-    ray_count: int = 16,
-    t_grid: int = 11,
-    bound_k: float = 4.0,
-    min_radius: float | None = None,
     sing_tol: float = SING_TOL,
 ) -> ShrinkResult:
     """Measure per-level chart radii and decide whether a uniform one survives.
@@ -493,7 +491,8 @@ def shrink_experiment(
     projected down to the first level.  A power law is fitted to the
     projected radii; the experiment reports failure when the fitted
     exponent is at most -0.5 and the radii strictly decrease.  Operator
-    norm bounds and the chart assembly report ride along.
+    norm bounds (against BOUND_K) and the chart assembly report, with half
+    the first projected radius as its floor, ride along.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError("n_max must be a positive integer, got %r" % (n_max,))
@@ -510,13 +509,10 @@ def shrink_experiment(
             r = validity_radius(
                 family,
                 base,
-                t_grid=t_grid,
-                ray_count=ray_count,
                 cond_cap=cond_cap,
                 sing_tol=sing_tol,
                 seed=seed + i,
                 extra_rays=ray_sets[i] or None,
-                axis_rays=not ray_sets[i],
             )
         kappa = weakness_conditioning(
             SkewForm(family.space, family.omega0.matrix)
@@ -548,18 +544,9 @@ def shrink_experiment(
             "(fitted exponent %.2f)" % fitted
         )
 
-    floor = min_radius
-    if floor is None:
-        floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
+    floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
     assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
-    bounds_report = uniform_bound_check(
-        families,
-        [f.base_point for f in families],
-        K=bound_k,
-        t_grid=t_grid,
-        seed=seed,
-        sing_tol=sing_tol,
-    )
+    bounds_report = uniform_bound_check(families, K=BOUND_K, seed=seed, sing_tol=sing_tol)
     return ShrinkResult(
         rows=tuple(rows),
         level1_radii=tuple(projected),

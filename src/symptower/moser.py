@@ -13,7 +13,7 @@ Conventions:
 * flats follow the linalg module (matrix = omega.T);
 * a point is valid for the family at time t when the flat at (t, x) has
   sigma_min > sing_tol * sigma_max and condition number <= cond_cap
-  (by default SING_TOL and COND_CAP);
+  (by default SING_TOL and COND_CAP; ``_valid`` is the one test);
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
   reported domain ball.
 """
@@ -36,6 +36,30 @@ COND_CAP = 1e6
 QUAD_NODES = 16
 # Reject integration when measured_lipschitz * dt exceeds this.
 LIPSCHITZ_CAP = 0.5
+# Default RK4 step of moser_flow and flow_map.
+DT = 1e-3
+# Central-difference step of FormField.directional_derivative without an
+# analytic derivative.
+FD_H = 1e-6
+# Random unit triples per point in exterior_derivative_residual.
+TRIPLES = 4
+# Times in [0, 1] at which validity_radius and uniform_bound_check test the flats.
+T_GRID = 11
+# Seeded random rays of validity_radius, and the march steps along each ray.
+RAY_COUNT = 16
+MARCH_STEPS = 96
+# Seed shells of moser_flow, as fractions of r_start, and the seeded random
+# directions added to the 2 * dim axis directions on every shell.
+SHELL_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
+EXTRA_DIRECTIONS = 4
+# Sample points of moser_flow's closedness check.
+CLOSED_SAMPLES = 32
+# Central-difference step of verify_darboux_chart's chart Jacobian.
+FD_STEP = 1e-4
+# uniform_bound_check samples kumar on a ball of KUMAR_RADIUS_FACTOR times
+# the room left around the base point, with KUMAR_SAMPLES points.
+KUMAR_RADIUS_FACTOR = 0.5
+KUMAR_SAMPLES = 32
 
 _EPS = np.finfo(float).tiny
 
@@ -99,7 +123,6 @@ class FormField:
     radius: float
     eval_fn: object = None
     derivative: object = None
-    fd_h: float = 1e-6
     constant_value: np.ndarray | None = None
     blocks: np.ndarray | None = None
 
@@ -168,8 +191,7 @@ class FormField:
             return np.zeros((self.space.dim, self.space.dim))
         if self.derivative is not None:
             return np.asarray(self.derivative(x, h), dtype=float)
-        step = self.fd_h
-        return (self.omega(x + step * h) - self.omega(x - step * h)) / (2.0 * step)
+        return (self.omega(x + FD_H * h) - self.omega(x - FD_H * h)) / (2.0 * FD_H)
 
     def distance_from_center(self, x) -> float:
         return self.space.norm(np.asarray(x, dtype=float) - self.center)
@@ -212,7 +234,6 @@ class FormField:
             remaining,
             eval_fn=shifted_eval,
             derivative=self.derivative,
-            fd_h=self.fd_h,
             blocks=blocks,
         )
 
@@ -273,31 +294,8 @@ class MoserFamily:
 
     @cached_property
     def total_field(self) -> FormField:
-        """The endpoint field omega = omega0 + omega_bar."""
-        blocks = self.blocks
-        if self.omega_bar.constant_value is not None:
-            return FormField(
-                self.space,
-                self.omega_bar.center,
-                self.omega_bar.radius,
-                constant_value=self.omega_bar.constant_value + self.omega0.matrix,
-                blocks=blocks,
-            )
-        bar = self.omega_bar
-        offset = self.omega0.matrix
-
-        def total_eval(pts):
-            return bar.omega_many(pts) + offset
-
-        return FormField(
-            self.space,
-            bar.center,
-            bar.radius,
-            eval_fn=total_eval,
-            derivative=bar.derivative,
-            fd_h=bar.fd_h,
-            blocks=blocks,
-        )
+        """The endpoint field omega = omega0 + omega_bar, on omega_bar's region."""
+        return self.omega_bar.shifted(self.omega_bar.center, -self.omega0.matrix)
 
     def omega_t_many(self, t: float, pts: np.ndarray) -> np.ndarray:
         return self.omega0.matrix + t * self.omega_bar.omega_many(pts)
@@ -306,9 +304,8 @@ class MoserFamily:
         return self.omega_t_many(t, np.asarray(x, dtype=float)[None, :])[0]
 
 
-def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0,
-                                 triples: int = 4) -> float:
-    """Max |d omega(X, Y, Z)| over sampled points and random unit triples.
+def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0) -> float:
+    """Max |d omega(X, Y, Z)| over sampled points and TRIPLES random unit triples each.
 
     Constant argument fields make the bracket terms vanish, so the cyclic
     sum of directional derivatives is the whole exterior derivative.  Points
@@ -319,12 +316,12 @@ def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     dim = field.space.dim
-    margin = field.fd_h if field.derivative is None else 0.0
+    margin = FD_H if field.derivative is None else 0.0
     pts = _sample_ball(rng, field.space, field.center,
                        max(field.radius - 2.0 * margin, 0.5 * field.radius), samples)
     worst = 0.0
     for x in pts:
-        for _ in range(triples):
+        for _ in range(TRIPLES):
             xs = rng.standard_normal((3, dim))
             xs /= np.linalg.norm(xs, axis=1, keepdims=True)
             dx, dy, dz = (field.directional_derivative(x, h) for h in xs)
@@ -337,7 +334,7 @@ def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0,
     return worst
 
 
-def radial_primitive(field_bar: FormField, x, quad_nodes: int = QUAD_NODES) -> np.ndarray:
+def radial_primitive(field_bar: FormField, x) -> np.ndarray:
     """The covector alpha_x = integral_0^1 s * flat(omega_bar at c+s(x-c))(x-c) ds.
 
     The segment from the region center to x must stay inside the region,
@@ -346,7 +343,7 @@ def radial_primitive(field_bar: FormField, x, quad_nodes: int = QUAD_NODES) -> n
     x = np.asarray(x, dtype=float)
     if not field_bar.contains(x, slack=1e-9):
         raise ValueError("not star-shaped reachable: point leaves the region")
-    return _alpha_batch(field_bar, x[None, :], quad_nodes)[0]
+    return _alpha_batch(field_bar, x[None, :], QUAD_NODES)[0]
 
 
 def _alpha_batch(field_bar: FormField, pts: np.ndarray, quad_nodes: int) -> np.ndarray:
@@ -361,20 +358,17 @@ def _alpha_batch(field_bar: FormField, pts: np.ndarray, quad_nodes: int) -> np.n
     return np.einsum("q,qni->ni", weights * nodes, covs)
 
 
-def moser_vector_field(family: MoserFamily, alpha_of, t: float, x) -> np.ndarray:
+def moser_vector_field(family: MoserFamily, t: float, x) -> np.ndarray:
     """Solve flat(omega_t at x) X = -alpha_x for the Moser velocity.
 
-    ``alpha_of`` may be None to use the radial primitive of the family's
-    difference field; pass a callable to reuse cached primitives.
+    alpha is the radial primitive of the family's difference field.  Raises
+    LeftValidityRegionError where the flat fails the SING_TOL / COND_CAP test.
     """
     x = np.asarray(x, dtype=float)
-    if alpha_of is None:
-        alpha = radial_primitive(family.omega_bar, x)
-    else:
-        alpha = np.asarray(alpha_of(x), dtype=float)
+    alpha = radial_primitive(family.omega_bar, x)
     omega_t = family.omega_t(t, x)
     s = np.linalg.svd(omega_t, compute_uv=False)
-    if s[-1] <= SING_TOL * s[0] or s[0] == 0.0:
+    if not _valid(s[0], s[-1], SING_TOL, COND_CAP):
         raise LeftValidityRegionError(t, x, float(s[-1]))
     return -np.linalg.solve(omega_t.T, alpha)
 
@@ -398,6 +392,11 @@ def _diagonal_blocks(m: np.ndarray, blocks: np.ndarray | None) -> np.ndarray:
     if blocks is None:
         return m[None]
     return np.moveaxis(m[..., blocks[:, :, None], blocks[:, None, :]], -3, 0)
+
+
+def _valid(smax, smin, sing_tol: float, cond_cap: float):
+    """The validity test of a flat from its extreme singular values."""
+    return (smin > sing_tol * smax) & (smax / np.maximum(smin, _EPS) <= cond_cap)
 
 
 def _margins(smax, smin, sing_tol: float, cond_cap: float):
@@ -433,20 +432,17 @@ def _validity_margins(family: MoserFamily, pts: np.ndarray, ts: np.ndarray,
 def validity_radius(
     family: MoserFamily,
     x0,
-    t_grid: int = 11,
-    ray_count: int = 16,
     cond_cap: float = COND_CAP,
     sing_tol: float = SING_TOL,
     seed: int = 0,
-    march_steps: int = 96,
     extra_rays=None,
-    axis_rays: bool = True,
 ) -> float:
     """Largest ball radius around x0 on which the family's flats stay usable.
 
-    Marches outward along coordinate axes (skippable in high dimension via
-    ``axis_rays=False``), seeded random rays, and any caller-supplied rays,
-    and bisects the first sign change of the margin to 1e-3 relative.  Thin
+    The flats are tested at T_GRID times.  Marches MARCH_STEPS steps outward
+    along the coordinate axes (only when no ``extra_rays`` are given),
+    RAY_COUNT seeded random rays and the ``extra_rays``, and bisects the
+    first sign change of the margin to 1e-3 relative.  Thin
     degeneracy shells are narrower than the march step, so the four deepest
     local margin minima of a ray that never fails are refined by a
     golden-section search (``_golden_min``), which stops at the first
@@ -463,7 +459,7 @@ def validity_radius(
     available = field.radius - field.distance_from_center(x0)
     if available <= 0.0:
         return 0.0
-    ts = np.linspace(0.0, 1.0, max(int(t_grid), 2))
+    ts = np.linspace(0.0, 1.0, T_GRID)
 
     def margin_at(radii: np.ndarray, direction: np.ndarray) -> np.ndarray:
         pts = x0 + radii[:, None] * direction
@@ -474,13 +470,10 @@ def validity_radius(
 
     rng = np.random.default_rng(seed)
     rays = []
-    if axis_rays:
-        eye = np.eye(space.dim)
-        for k in range(space.dim):
-            rays.append(eye[k])
-            rays.append(-eye[k])
-    if ray_count > 0:
-        rays.extend(rng.standard_normal((ray_count, space.dim)))
+    if extra_rays is None:
+        for axis in np.eye(space.dim):
+            rays += [axis, -axis]
+    rays.extend(rng.standard_normal((RAY_COUNT, space.dim)))
     if extra_rays is not None:
         rays.extend(np.asarray(r, dtype=float) for r in extra_rays)
     best = available
@@ -489,7 +482,7 @@ def validity_radius(
         if n == 0.0:
             continue
         direction = ray / n
-        radii = np.linspace(0.0, available, march_steps + 1)
+        radii = np.linspace(0.0, available, MARCH_STEPS + 1)
         margins = margin_at(radii, direction)
         best = min(best, _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
                                          radii, margins, available))
@@ -562,24 +555,11 @@ def _bisect_crossing(f, lo: float, hi: float, rel: float = 1e-3) -> float:
     return lo
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step RK4 settings."""
-
-    dt: float = 1e-3
-    record_trajectories: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dt <= 1.0:
-            raise ValueError("dt must lie in (0, 1]")
-
-    @property
-    def steps(self) -> int:
-        return max(1, int(round(1.0 / self.dt)))
-
-    @property
-    def actual_dt(self) -> float:
-        return 1.0 / self.steps
+def _steps(dt: float) -> int:
+    """Fixed RK4 steps over [0, 1] for the step dt; the step used is 1 / steps."""
+    if not 0.0 < dt <= 1.0:
+        raise ValueError("dt must lie in (0, 1]")
+    return max(1, int(round(1.0 / dt)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -635,9 +615,7 @@ def _field_batch(family: MoserFamily, t: float, pts: np.ndarray, quad_nodes: int
     alpha = _alpha_batch(family.omega_bar, pts, quad_nodes)
     oms = family.omega_t_many(t, pts)
     s = np.linalg.svd(oms, compute_uv=False)
-    smax = s[..., 0]
-    smin = s[..., -1]
-    ok = (smin > sing_tol * smax) & (smax / np.maximum(smin, _EPS) <= cond_cap)
+    ok = _valid(s[..., 0], s[..., -1], sing_tol, cond_cap)
     mats = np.swapaxes(oms, -1, -2)
     dim = pts.shape[-1]
     safe = np.where(ok[:, None, None], mats, np.eye(dim))
@@ -686,16 +664,15 @@ def _integrate(
 def flow_map(
     family: MoserFamily,
     points: np.ndarray,
-    integrator: IntegratorConfig = IntegratorConfig(),
+    dt: float = DT,
     t_start: float = 0.0,
     t_end: float = 1.0,
-    quad_nodes: int = QUAD_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow a batch of points between two times; returns (endpoints, alive)."""
-    steps = max(1, int(round(abs(t_end - t_start) / integrator.actual_dt)))
+    steps = max(1, int(round(abs(t_end - t_start) / (1.0 / _steps(dt)))))
     out, alive, _ = _integrate(
         family, np.atleast_2d(np.asarray(points, dtype=float)), steps,
-        t_start, t_end, quad_nodes, COND_CAP, SING_TOL,
+        t_start, t_end, QUAD_NODES, COND_CAP, SING_TOL,
     )
     return out, alive
 
@@ -722,25 +699,26 @@ def moser_flow(
     family: MoserFamily,
     x0,
     r_start: float,
-    integrator: IntegratorConfig = IntegratorConfig(),
+    dt: float = DT,
+    record_trajectories: bool = False,
     quad_nodes: int = QUAD_NODES,
     seed: int = 0,
-    shell_fractions: tuple = (0.25, 0.5, 0.75, 1.0),
-    extra_directions: int = 4,
     verify_samples: int = 12,
     closed_tol: float = 1e-6,
-    closed_samples: int = 32,
     skip_validity_radius: bool = False,
     cond_cap: float = COND_CAP,
     sing_tol: float = SING_TOL,
 ) -> MoserReport:
     """Build the Darboux chart around x0 on the ball of radius r_start.
 
-    Seeds on concentric shells are flowed from t=0 to 1; the chart domain is
-    the largest shell whose seeds all stayed valid.  A zero difference field
-    short-circuits to the identity chart.  The pullback residual is measured
-    by verify_darboux_chart on fresh samples.
+    Seeds on the SHELL_FRACTIONS shells are flowed from t=0 to 1 in RK4 steps
+    of about dt; the chart domain is the largest shell whose seeds all stayed
+    valid.  A zero difference field short-circuits to the identity chart.
+    The pullback residual is measured by verify_darboux_chart on fresh
+    samples.
     """
+    steps = _steps(dt)
+    dt = 1.0 / steps
     x0 = np.asarray(x0, dtype=float)
     space = family.space
     if not r_start > 0.0:
@@ -754,12 +732,12 @@ def moser_flow(
             chart_radius=r_start,
             pullback_residual=0.0,
             steps=0,
-            step_size=integrator.actual_dt,
+            step_size=dt,
             fixed_point_error=0.0,
             lipschitz_estimate=0.0,
         )
 
-    closed = exterior_derivative_residual(family.omega_bar, closed_samples, seed=seed)
+    closed = exterior_derivative_residual(family.omega_bar, CLOSED_SAMPLES, seed=seed)
     if closed > closed_tol:
         raise ValueError(
             "family is not closed: exterior derivative residual %.3e" % closed
@@ -777,13 +755,11 @@ def moser_flow(
     rng = np.random.default_rng(seed)
     eye = np.eye(space.dim)
     dirs = [eye[k] for k in range(space.dim)] + [-eye[k] for k in range(space.dim)]
-    if extra_directions > 0:
-        dirs.extend(rng.standard_normal((extra_directions, space.dim)))
+    dirs.extend(rng.standard_normal((EXTRA_DIRECTIONS, space.dim)))
     dirs = [d / space.norm(d) for d in dirs]
-    fractions = tuple(sorted(shell_fractions))
     seeds = [x0]
     shell_of = [0.0]
-    for f in fractions:
+    for f in SHELL_FRACTIONS:
         for d in dirs:
             seeds.append(x0 + f * r_start * d)
             shell_of.append(f)
@@ -791,27 +767,26 @@ def moser_flow(
     shell_of = np.array(shell_of)
 
     lip = _lipschitz_estimate(family, seeds, 1e-4 * r_start, quad_nodes, cond_cap, sing_tol, rng)
-    dt = integrator.actual_dt
     if lip * dt > LIPSCHITZ_CAP:
         raise StabilityError(lip, dt, LIPSCHITZ_CAP)
 
     out, alive, trail = _integrate(
-        family, seeds, integrator.steps, 0.0, 1.0, quad_nodes, cond_cap, sing_tol,
-        record=integrator.record_trajectories,
+        family, seeds, steps, 0.0, 1.0, quad_nodes, cond_cap, sing_tol,
+        record=record_trajectories,
     )
     if not alive[0]:
         raise ChartConstructionError(
             "no chart: the base point's trajectory left the validity region"
         )
     chart_radius = 0.0
-    for f in fractions:
+    for f in SHELL_FRACTIONS:
         if np.all(alive[shell_of <= f]):
             chart_radius = f * r_start
         else:
             break
 
     fixed_point_error = space.norm(out[0] - x0)
-    chart = ChartMap(family, x0, chart_radius, integrator.steps, quad_nodes, cond_cap, sing_tol)
+    chart = ChartMap(family, x0, chart_radius, steps, quad_nodes, cond_cap, sing_tol)
 
     if chart_radius > 0.0 and verify_samples > 0:
         check = verify_darboux_chart(
@@ -827,11 +802,11 @@ def moser_flow(
         validity_radius=vr,
         chart_radius=chart_radius,
         pullback_residual=residual,
-        steps=integrator.steps,
+        steps=steps,
         step_size=dt,
         fixed_point_error=fixed_point_error,
         lipschitz_estimate=lip,
-        seed_points=seeds if integrator.record_trajectories else None,
+        seed_points=seeds if record_trajectories else None,
         trajectories=trail,
     )
 
@@ -853,14 +828,13 @@ def verify_darboux_chart(
     center=None,
     radius: float | None = None,
     seed: int = 0,
-    fd_step: float = 1e-4,
 ) -> VerifyReport:
     """Independent pullback check: max_x || DF^T omega(F(x)) DF - omega0 ||_2.
 
-    DF comes from central differences on the chart evaluator itself, so the
-    check does not reuse any quantity from the construction.  ``chart`` is a
-    ChartMap or any callable point -> point; plain callables need explicit
-    ``center`` and ``radius``.  Samples whose stencil or image leaves the
+    DF comes from central differences (step FD_STEP) on the chart evaluator
+    itself, so the check does not reuse any quantity from the construction.
+    ``chart`` is a ChartMap or any callable point -> point; plain callables
+    need explicit ``center`` and ``radius``.  Samples whose stencil or image leaves the
     usable region are skipped and counted.
     """
     space = omega0.space
@@ -876,14 +850,14 @@ def verify_darboux_chart(
         raise ValueError("verification radius must be positive")
 
     rng = np.random.default_rng(seed)
-    sample_radius = max(radius - 2.0 * fd_step, 0.25 * radius)
+    sample_radius = max(radius - 2.0 * FD_STEP, 0.25 * radius)
     base_pts = _sample_ball(rng, space, center, sample_radius, samples)
 
     eye = np.eye(dim)
     stencil = [base_pts]
     for k in range(dim):
-        stencil.append(base_pts + fd_step * eye[k])
-        stencil.append(base_pts - fd_step * eye[k])
+        stencil.append(base_pts + FD_STEP * eye[k])
+        stencil.append(base_pts - FD_STEP * eye[k])
     batch = np.concatenate(stencil, axis=0)
 
     if isinstance(chart, ChartMap):
@@ -913,7 +887,7 @@ def verify_darboux_chart(
             continue
         df = np.empty((dim, dim))
         for k in range(dim):
-            df[:, k] = (out[2 * k + 1, j] - out[2 * k + 2, j]) / (2.0 * fd_step)
+            df[:, k] = (out[2 * k + 1, j] - out[2 * k + 2, j]) / (2.0 * FD_STEP)
         mismatch = df.T @ omega_field.omega(image) @ df - omega0.matrix
         worst = max(worst, float(np.linalg.svd(mismatch, compute_uv=False)[0]))
         used += 1
@@ -940,22 +914,18 @@ class UniformBoundReport:
 
 def uniform_bound_check(
     per_level_families,
-    base_points,
     K: float,
-    t_grid: int = 11,
-    kumar_radius_factor: float = 0.5,
-    kumar_samples: int = 32,
     seed: int = 0,
-    quad_nodes: int = QUAD_NODES,
     sing_tol: float = SING_TOL,
 ) -> UniformBoundReport:
     """Per-level operator norms of the family flats and their inverses.
 
     ``forward`` and ``inverse`` are gram-normalized operator norms of the
-    flat at the base point, maximized over the time grid; ``kumar`` is the
-    norm of the flat-inverse applied to the radial primitive, maximized over
-    time and a sampled ball around the base point, and is infinite once a
-    sampled flat is singular below ``sing_tol``.  The per-level table makes
+    flat at the family's base point, maximized over T_GRID times; ``kumar``
+    is the norm of the flat-inverse applied to the radial primitive,
+    maximized over time and KUMAR_SAMPLES points sampled around the base
+    point, and is infinite once a sampled flat is singular below
+    ``sing_tol``.  The per-level table makes
     growth across levels visible; the three flags compare against K.
 
     A level whose difference field is zero is evaluated at the first time
@@ -965,13 +935,10 @@ def uniform_bound_check(
     grid (``kumar`` is 0.0, or inf when omega0 is singular below
     ``sing_tol``).
     """
-    families = list(per_level_families)
-    bases = [np.asarray(b, dtype=float) for b in base_points]
-    if len(families) != len(bases):
-        raise ValueError("need one base point per family")
-    ts = np.linspace(0.0, 1.0, max(int(t_grid), 2))
+    ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []
-    for level, (family, base) in enumerate(zip(families, bases)):
+    for level, family in enumerate(per_level_families):
+        base = family.base_point
         space = family.space
         gis = space.gram_inv_sqrt
         zero_field = family.omega_bar.is_zero
@@ -990,10 +957,10 @@ def uniform_bound_check(
         else:
             rng = np.random.default_rng(seed + level)
             avail = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
-            ball = _sample_ball(rng, space, base, kumar_radius_factor * max(avail, 0.0),
-                                kumar_samples)
+            ball = _sample_ball(rng, space, base, KUMAR_RADIUS_FACTOR * max(avail, 0.0),
+                                KUMAR_SAMPLES)
             pts = np.vstack([base[None, :], ball])
-        alphas = _alpha_batch(family.omega_bar, pts, quad_nodes)
+        alphas = _alpha_batch(family.omega_bar, pts, QUAD_NODES)
         kumar = 0.0
         for t in times:
             oms = family.omega_t_many(t, pts)

@@ -35,7 +35,7 @@ from symptower.linalg import (
 
 # Consistency tolerance for thread components, relative to component size.
 THREAD_TOL = 1e-10
-# Default stabilization tolerance for per-level value sequences.
+# Stabilization tolerance for per-level value sequences.
 STAB_TOL = 1e-8
 # Desk-scale caps; build_tower accepts overrides.
 MAX_DEPTH = 32
@@ -284,15 +284,12 @@ def limit_form_eval(
     fs: FormSequence,
     u: Thread,
     v: Thread,
-    stab_tol: float = STAB_TOL,
-    stab_index: int | None = None,
     compat: CompatibilityReport | None = None,
 ) -> LimitFormReport:
     """Per-level values omega_i(u_i, v_i) with a stabilization verdict.
 
-    The top-level value stands in for the limit.  ``stab_index`` defaults to
-    half the depth; stabilization means every value from that index on is
-    within ``stab_tol`` of the top one.
+    The top-level value stands in for the limit.  Stabilization means every
+    value from half the depth on is within STAB_TOL of the top one.
     """
     if compat is None:
         compat = check_compatible_sequence(fs)
@@ -302,12 +299,8 @@ def limit_form_eval(
     values = tuple(
         float(fs.forms[i](u.components[i], v.components[i])) for i in range(depth + 1)
     )
-    if stab_index is None:
-        stab_index = depth // 2
-    if not 0 <= stab_index <= depth:
-        raise ValueError("stab_index out of range")
     final = values[depth]
-    stabilized = all(abs(val - final) <= stab_tol for val in values[stab_index:])
+    stabilized = all(abs(val - final) <= STAB_TOL for val in values[depth // 2:])
     return LimitFormReport(values=values, stabilized=stabilized, final=final)
 
 

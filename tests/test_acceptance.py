@@ -46,7 +46,6 @@ from symptower.models import (
 )
 from symptower.moser import (
     FormField,
-    IntegratorConfig,
     MoserFamily,
     assemble_projective_darboux,
     moser_flow,
@@ -340,7 +339,7 @@ def test_criterion_4_darboux_chart_on_perturbed_form(moser_runs):
     family = MoserFamily.darboux_target(field, np.zeros(4))
     coarse = {
         dt: moser_flow(
-            family, np.zeros(4), 0.9, integrator=IntegratorConfig(dt=dt), seed=0
+            family, np.zeros(4), 0.9, dt=dt, seed=0
         ).pullback_residual
         for dt in (0.5, 0.25)
     }

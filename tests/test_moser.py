@@ -9,7 +9,6 @@ from symptower.moser import (
     GOLDEN_EVALS,
     ChartConstructionError,
     FormField,
-    IntegratorConfig,
     LeftValidityRegionError,
     MoserFamily,
     StabilityError,
@@ -121,7 +120,7 @@ def test_moser_vector_field_frozen_2d():
     omega0 = darboux_constant_form(1)
     field = constant_field(0.2 * (-OMEGA2))
     family = MoserFamily(omega0, field)
-    x = moser_vector_field(family, None, 0.5, [1.0, 2.0])
+    x = moser_vector_field(family, 0.5, [1.0, 2.0])
     np.testing.assert_allclose(x, MOSER_X, atol=1e-14)
     # cross-check against the explicit 2x2 inverse
     omega_t = family.omega_t(0.5, [1.0, 2.0])
@@ -134,12 +133,12 @@ def test_moser_vector_field_vanishes_for_zero_bar_and_at_base():
     omega0 = darboux_constant_form(1)
     family = MoserFamily(omega0, constant_field(np.zeros((2, 2))))
     np.testing.assert_array_equal(
-        moser_vector_field(family, None, 0.7, [0.5, -0.2]), np.zeros(2)
+        moser_vector_field(family, 0.7, [0.5, -0.2]), np.zeros(2)
     )
     field = quadratic_perturbation_field(4, 0.05, seed=5)
     centered = MoserFamily.darboux_target(field, np.zeros(4))
     np.testing.assert_array_equal(
-        moser_vector_field(centered, None, 0.3, np.zeros(4)), np.zeros(4)
+        moser_vector_field(centered, 0.3, np.zeros(4)), np.zeros(4)
     )
 
 
@@ -147,9 +146,25 @@ def test_moser_vector_field_flags_singular_flat():
     omega0 = darboux_constant_form(1)
     family = MoserFamily(omega0, constant_field(-OMEGA2))
     with pytest.raises(LeftValidityRegionError, match="left validity region") as err:
-        moser_vector_field(family, None, 1.0, [1.0, 0.0])
+        moser_vector_field(family, 1.0, [1.0, 0.0])
     assert err.value.t == 1.0
     assert err.value.sigma_min <= 1e-12
+
+
+def test_moser_vector_field_flags_flat_past_the_condition_cap():
+    # sigma_min / sigma_max = 1e-7 clears SING_TOL, but the condition
+    # number 1e7 exceeds COND_CAP: the integrator's batch already rejects it.
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = OMEGA2
+    matrix[2:, 2:] = 1e-7 * OMEGA2
+    family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    _, ok = moser._field_batch(family, 0.5, x[None, :], moser.QUAD_NODES,
+                               moser.COND_CAP, moser.SING_TOL)
+    assert not ok[0]
+    with pytest.raises(LeftValidityRegionError) as err:
+        moser_vector_field(family, 0.5, x)
+    assert err.value.sigma_min == pytest.approx(1e-7, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +220,25 @@ def test_validity_radius_zero_when_base_fails():
     omega0 = SkewForm(ModelSpace(2), np.zeros((2, 2)))
     family = MoserFamily(omega0, constant_field(OMEGA2))
     assert validity_radius(family, np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("extra", [0, 3], ids=["axis-rays", "extra-rays"])
+def test_validity_radius_marches_axis_rays_only_without_extra_rays(monkeypatch, extra):
+    omega0 = darboux_constant_form(2)
+    family = MoserFamily(omega0, constant_field(0.5 * omega0.matrix, dim=4))
+    margins_fn = moser._validity_margins
+    marches = []
+
+    def counting(fam, pts, ts, sing_tol, cond_cap):
+        if len(pts) == moser.MARCH_STEPS + 1:
+            marches.append(len(pts))
+        return margins_fn(fam, pts, ts, sing_tol, cond_cap)
+
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    rays = np.random.default_rng(9).standard_normal((extra, 4)) if extra else None
+    assert validity_radius(family, np.zeros(4), extra_rays=rays) == pytest.approx(4.0)
+    expected = moser.RAY_COUNT + extra if extra else 2 * 4 + moser.RAY_COUNT
+    assert len(marches) == expected
 
 
 def dip_field(depth=0.5, at=0.5, width=0.08):
@@ -326,6 +360,32 @@ def test_block_margins_fall_back_when_omega0_couples_blocks(monkeypatch):
                                rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["constant", "eval"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["blocks-kept", "blocks-dropped"])
+def test_total_field_is_omega0_plus_omega_bar_exactly(kind, coupled):
+    rng = np.random.default_rng(8)
+    blocks = np.arange(8).reshape(2, 4)
+    if kind == "constant":
+        bar = FormField(ModelSpace(8), np.zeros(8), 1.0,
+                        constant_value=block_skew(rng, blocks, 0.3), blocks=blocks)
+    else:
+        bar = linear_block_field(rng, blocks, 0.3)
+    if coupled:
+        omega0 = darboux_constant_form(4).matrix  # pairs coordinate k with k + 4
+    else:
+        omega0 = block_skew(rng, blocks, 2.0)
+    family = MoserFamily(SkewForm(ModelSpace(8), omega0), bar)
+    pts = 0.5 * rng.standard_normal((5, 8)) / np.sqrt(8)
+    total = family.total_field
+    np.testing.assert_array_equal(total.omega_many(pts), omega0 + bar.omega_many(pts))
+    np.testing.assert_array_equal(total.center, bar.center)
+    assert total.radius == bar.radius
+    if coupled:
+        assert total.blocks is None
+    else:
+        np.testing.assert_array_equal(total.blocks, blocks)
+
+
 def test_form_field_blocks_are_checked():
     bar = linear_block_field(np.random.default_rng(6), np.arange(8).reshape(2, 4), 0.3)
     for bad in ([[0, 1, 2], [3, 4, 5, 6, 7]], [[0, 1, 2, 3], [3, 4, 5, 6]], [[0, 1, 2, 3]]):
@@ -404,7 +464,7 @@ def test_moser_flow_quadratic_perturbation_builds_chart():
     field = quadratic_perturbation_field(4, 0.05, seed=7)
     family = MoserFamily.darboux_target(field, np.zeros(4))
     report = moser_flow(
-        family, np.zeros(4), 0.5, IntegratorConfig(dt=0.02), verify_samples=8
+        family, np.zeros(4), 0.5, dt=0.02, verify_samples=8
     )
     assert report.fixed_point_error <= 1e-12
     assert report.chart_radius == pytest.approx(0.5)
@@ -415,12 +475,11 @@ def test_moser_flow_quadratic_perturbation_builds_chart():
 def test_moser_flow_is_reversible():
     field = quadratic_perturbation_field(4, 0.05, seed=7)
     family = MoserFamily.darboux_target(field, np.zeros(4))
-    config = IntegratorConfig(dt=0.02)
     rng = np.random.default_rng(11)
     pts = 0.3 * rng.standard_normal((6, 4))
-    fwd, alive = flow_map(family, pts, config)
+    fwd, alive = flow_map(family, pts, dt=0.02)
     assert alive.all()
-    back, alive2 = flow_map(family, fwd, config, t_start=1.0, t_end=0.0)
+    back, alive2 = flow_map(family, fwd, dt=0.02, t_start=1.0, t_end=0.0)
     assert alive2.all()
     np.testing.assert_allclose(back, pts, atol=1e-5)
 
@@ -428,8 +487,8 @@ def test_moser_flow_is_reversible():
 def test_moser_flow_records_trajectories():
     field = quadratic_perturbation_field(4, 0.05, seed=7)
     family = MoserFamily.darboux_target(field, np.zeros(4))
-    config = IntegratorConfig(dt=0.1, record_trajectories=True)
-    report = moser_flow(family, np.zeros(4), 0.4, config, verify_samples=0)
+    report = moser_flow(family, np.zeros(4), 0.4, dt=0.1, record_trajectories=True,
+                        verify_samples=0)
     assert report.trajectories is not None
     n_seeds = report.seed_points.shape[0]
     assert report.trajectories.shape == (n_seeds, report.steps + 1, 4)
@@ -438,7 +497,7 @@ def test_moser_flow_records_trajectories():
 def test_moser_flow_rejects_r_start_beyond_validity():
     family = MoserFamily.darboux_target(sphere_degenerating_field(0.8), np.zeros(4))
     with pytest.raises(ValueError, match="validity radius"):
-        moser_flow(family, np.zeros(4), 0.9, IntegratorConfig(dt=0.05),
+        moser_flow(family, np.zeros(4), 0.9, dt=0.05,
                    closed_tol=np.inf)
 
 
@@ -452,7 +511,7 @@ def test_moser_flow_rejects_non_closed_family():
     field = FormField(ModelSpace(4), np.zeros(4), 0.5, eval_fn=eval_fn)
     family = MoserFamily(darboux_constant_form(2), field)
     with pytest.raises(ValueError, match="not closed"):
-        moser_flow(family, np.zeros(4), 0.2, IntegratorConfig(dt=0.05))
+        moser_flow(family, np.zeros(4), 0.2, dt=0.05)
 
 
 def test_moser_flow_no_chart_when_base_trajectory_escapes():
@@ -462,7 +521,7 @@ def test_moser_flow_no_chart_when_base_trajectory_escapes():
     family = MoserFamily(omega0, constant_field(-0.5 * OMEGA2, radius=1.0))
     with pytest.raises(ChartConstructionError, match="no chart"):
         moser_flow(
-            family, np.array([0.9, 0.0]), 0.05, IntegratorConfig(dt=0.02)
+            family, np.array([0.9, 0.0]), 0.05, dt=0.02
         )
 
 
@@ -470,7 +529,7 @@ def test_moser_flow_lipschitz_guard():
     field = quadratic_perturbation_field(4, 60.0, seed=3, radius=1.0)
     family = MoserFamily.darboux_target(field, np.zeros(4))
     with pytest.raises(StabilityError, match="Lipschitz"):
-        moser_flow(family, np.zeros(4), 0.45, IntegratorConfig(dt=0.5),
+        moser_flow(family, np.zeros(4), 0.45, dt=0.5,
                    closed_tol=np.inf, skip_validity_radius=True)
 
 
@@ -483,7 +542,7 @@ def test_moser_flow_integrates_under_its_own_tolerances(tolerance):
         quadratic_perturbation_field(4, 0.05, seed=7), np.zeros(4)
     )
     runs = {
-        name: moser_flow(family, np.zeros(4), 0.4, IntegratorConfig(dt=0.05),
+        name: moser_flow(family, np.zeros(4), 0.4, dt=0.05,
                          verify_samples=4, skip_validity_radius=True, **kw)
         for name, kw in (("default", {}), ("tight", tolerance))
     }
@@ -527,8 +586,7 @@ def test_uniform_bound_check_darboux_levels():
         families.append(
             MoserFamily(omega0, constant_field(np.zeros((4, 4)), dim=4))
         )
-    bases = [np.zeros(4)] * 3
-    report = uniform_bound_check(families, bases, K=1.01)
+    report = uniform_bound_check(families, K=1.01)
     assert report.forward_ok and report.inverse_ok and report.kumar_ok
     for row in report.per_level:
         assert row.forward == pytest.approx(1.0)
@@ -544,14 +602,13 @@ def test_uniform_bound_check_detects_inverse_growth():
         matrix[2:, 2:] = OMEGA2 / k**2
         omega0 = SkewForm(ModelSpace(4), matrix)
         families.append(MoserFamily(omega0, constant_field(np.zeros((4, 4)), dim=4)))
-    bases = [np.zeros(4)] * 3
-    report = uniform_bound_check(families, bases, K=4.0)
+    report = uniform_bound_check(families, K=4.0)
     assert report.forward_ok
     assert not report.inverse_ok
     inverses = [row.inverse for row in report.per_level]
     assert inverses == pytest.approx([1.0, 4.0, 9.0])
     # enlarging K can only relax the verdicts
-    relaxed = uniform_bound_check(families, bases, K=100.0)
+    relaxed = uniform_bound_check(families, K=100.0)
     assert relaxed.forward_ok and relaxed.inverse_ok and relaxed.kumar_ok
 
 
@@ -561,7 +618,7 @@ def test_uniform_bound_check_zero_field_factors_two_matrices_per_level(monkeypat
         for _ in range(3)
     ]
     shapes = record_svd_shapes(monkeypatch)
-    report = uniform_bound_check(families, [np.zeros(4)] * 3, K=1.01)
+    report = uniform_bound_check(families, K=1.01)
     assert report.forward_ok and report.inverse_ok and report.kumar_ok
     # the flat at the base point, for the operator norms and for kumar
     assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 2 * len(families)
@@ -577,7 +634,7 @@ def test_uniform_bound_check_zero_field_with_singular_omega0(scale, inverse):
     matrix[:2, :2] = OMEGA2
     matrix[2:, 2:] = scale * OMEGA2
     family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
-    report = uniform_bound_check([family], [np.zeros(4)], K=4.0)
+    report = uniform_bound_check([family], K=4.0)
     (row,) = report.per_level
     assert row.forward == 1.0
     assert row.inverse == pytest.approx(inverse, rel=1e-12)
