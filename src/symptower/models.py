@@ -546,7 +546,9 @@ def shrink_experiment(
 
     floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
     assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
-    bounds_report = uniform_bound_check(families, K=BOUND_K, seed=seed, sing_tol=sing_tol)
+    bounds_report = uniform_bound_check(
+        families, K=BOUND_K, seed=seed, sing_tol=sing_tol, cond_cap=cond_cap
+    )
     return ShrinkResult(
         rows=tuple(rows),
         level1_radii=tuple(projected),

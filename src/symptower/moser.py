@@ -90,7 +90,16 @@ class StabilityError(ValueError):
 
 
 class ChartConstructionError(ValueError):
-    """The base point's own trajectory failed; no chart exists."""
+    """The base point's own trajectory failed; no chart exists.
+
+    ``x0`` is the base point and ``frozen_at`` the point where its
+    trajectory stopped, on its last valid step.
+    """
+
+    def __init__(self, x0: np.ndarray, frozen_at: np.ndarray):
+        self.x0 = np.asarray(x0, dtype=float)
+        self.frozen_at = np.asarray(frozen_at, dtype=float)
+        super().__init__("no chart: the base point's trajectory left the validity region")
 
 
 @lru_cache(maxsize=8)
@@ -439,17 +448,22 @@ def validity_radius(
 ) -> float:
     """Largest ball radius around x0 on which the family's flats stay usable.
 
-    The flats are tested at T_GRID times.  Marches MARCH_STEPS steps outward
-    along the coordinate axes (only when no ``extra_rays`` are given),
-    RAY_COUNT seeded random rays and the ``extra_rays``, and bisects the
-    first sign change of the margin to 1e-3 relative.  Thin
-    degeneracy shells are narrower than the march step, so the four deepest
-    local margin minima of a ray that never fails are refined by a
+    The flats are tested at T_GRID times.  The rays are marched in this
+    order: the ``extra_rays`` first, else the coordinate axes, then
+    RAY_COUNT seeded random rays.  Each march evaluates the fixed grid of
+    MARCH_STEPS + 1 radii from 0 to the room left around x0, but only up to
+    two grid points past the smallest radius found so far: the first
+    failure or a dip beyond that point cannot lower the answer, and the
+    second point lets the first grid point past it count as an interior
+    dip.  The first sign change of the margin is bisected to 1e-3 relative.
+    Thin degeneracy shells are narrower than the march step, so the four
+    deepest local margin minima of a ray that never fails are refined by a
     golden-section search (``_golden_min``), which stops at the first
-    failing point.  When the family declares blocks (``MoserFamily.blocks``)
-    the margins come from the singular values of the diagonal blocks, and
-    omega0, the flat at t = 0, is factored once per family.  Returns 0.0
-    when x0 itself fails.
+    failing point.  A bisection or dip chase whose lower end is already at
+    or above the smallest radius found is skipped.  When the family
+    declares blocks (``MoserFamily.blocks``) the margins come from the
+    singular values of the diagonal blocks, and omega0, the flat at t = 0,
+    is factored once per family.  Returns 0.0 when x0 itself fails.
     """
     if cond_cap <= 1.0:
         raise ValueError("cond_cap must exceed 1")
@@ -469,49 +483,58 @@ def validity_radius(
         return 0.0
 
     rng = np.random.default_rng(seed)
-    rays = []
     if extra_rays is None:
-        for axis in np.eye(space.dim):
-            rays += [axis, -axis]
+        rays = [sign * axis for axis in np.eye(space.dim) for sign in (1.0, -1.0)]
+    else:
+        rays = [np.asarray(r, dtype=float) for r in extra_rays]
     rays.extend(rng.standard_normal((RAY_COUNT, space.dim)))
-    if extra_rays is not None:
-        rays.extend(np.asarray(r, dtype=float) for r in extra_rays)
+    grid = np.linspace(0.0, available, MARCH_STEPS + 1)
     best = available
     for ray in rays:
         n = space.norm(ray)
         if n == 0.0:
             continue
         direction = ray / n
-        radii = np.linspace(0.0, available, MARCH_STEPS + 1)
+        radii = grid[:np.searchsorted(grid, best, "right") + 2]
         margins = margin_at(radii, direction)
-        best = min(best, _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
-                                         radii, margins, available))
+        best = _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
+                               radii, margins, best)
         if best == 0.0:
             break
     return best
 
 
 def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
-                    available: float) -> float:
-    """Smallest radius where the margin turns non-positive, refined by bisection."""
+                    best: float) -> float:
+    """``best`` lowered to the smallest radius where the margin turns non-positive.
+
+    The first marched failure is refined by bisection; without one, the
+    four deepest interior dips are chased.  A bracket whose lower end is
+    at or above the running best is skipped: its crossing cannot lower it.
+    """
     bad = np.nonzero(margins <= 0.0)[0]
     if bad.size:
         first = int(bad[0])
         if first == 0:
             return 0.0
-        return _bisect_crossing(margin_fn, radii[first - 1], radii[first])
+        if radii[first - 1] >= best:
+            return best
+        return min(best, _bisect_crossing(margin_fn, radii[first - 1], radii[first]))
     # No marched failure: chase interior dips the grid may have stepped over.
+    # A tie on the left still counts, since a shell halfway between two
+    # march points leaves equal margins on both.
     interior = np.arange(1, len(radii) - 1)
-    dips = interior[(margins[interior] < margins[interior - 1])
+    dips = interior[(margins[interior] <= margins[interior - 1])
                     & (margins[interior] < margins[interior + 1])]
     candidates = sorted(dips, key=lambda i: margins[i])[:4]
-    cut = available
     for i in candidates:
         lo, hi = radii[i - 1], radii[i + 1]
+        if lo >= best:
+            continue
         r_min, m_min = _golden_min(margin_fn, lo, hi)
         if m_min <= 0.0:
-            cut = min(cut, _bisect_crossing(margin_fn, lo, r_min))
-    return cut
+            best = min(best, _bisect_crossing(margin_fn, lo, r_min))
+    return best
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -775,9 +798,7 @@ def moser_flow(
         record=record_trajectories,
     )
     if not alive[0]:
-        raise ChartConstructionError(
-            "no chart: the base point's trajectory left the validity region"
-        )
+        raise ChartConstructionError(x0, out[0])
     chart_radius = 0.0
     for f in SHELL_FRACTIONS:
         if np.all(alive[shell_of <= f]):
@@ -917,6 +938,7 @@ def uniform_bound_check(
     K: float,
     seed: int = 0,
     sing_tol: float = SING_TOL,
+    cond_cap: float = COND_CAP,
 ) -> UniformBoundReport:
     """Per-level operator norms of the family flats and their inverses.
 
@@ -924,16 +946,17 @@ def uniform_bound_check(
     flat at the family's base point, maximized over T_GRID times; ``kumar``
     is the norm of the flat-inverse applied to the radial primitive,
     maximized over time and KUMAR_SAMPLES points sampled around the base
-    point, and is infinite once a sampled flat is singular below
-    ``sing_tol``.  The per-level table makes
-    growth across levels visible; the three flags compare against K.
+    point, and is infinite once a sampled flat fails the validity test
+    (``_valid`` with ``sing_tol`` and ``cond_cap``, on the singular values
+    of the family's diagonal blocks, as in ``validity_radius``).  The
+    per-level table makes growth across levels visible; the three flags
+    compare against K.
 
     A level whose difference field is zero is evaluated at the first time
     and the base point only.  There omega_t = omega0 at every time and
     point and the radial primitive vanishes, so the grid and the ball would
     repeat the same matrices: the values are exactly those of the full
-    grid (``kumar`` is 0.0, or inf when omega0 is singular below
-    ``sing_tol``).
+    grid (``kumar`` is 0.0, or inf when omega0 fails the validity test).
     """
     ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []
@@ -964,9 +987,9 @@ def uniform_bound_check(
         kumar = 0.0
         for t in times:
             oms = family.omega_t_many(t, pts)
-            s = np.linalg.svd(oms, compute_uv=False)
-            singular = s[..., -1] <= sing_tol * s[..., 0]
-            if np.any(singular):
+            s = np.linalg.svd(_diagonal_blocks(oms, family.blocks), compute_uv=False)
+            if not np.all(_valid(s[..., 0].max(axis=0), s[..., -1].min(axis=0),
+                                 sing_tol, cond_cap)):
                 kumar = float("inf")
                 continue
             flats = np.swapaxes(oms, -1, -2)

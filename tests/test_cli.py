@@ -3,11 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symptower import cli
 from symptower.cli import ConfigError, load_run_config, main, validate_spec
-from symptower.moser import LeftValidityRegionError
+from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form
+from symptower.moser import FormField, LeftValidityRegionError, MoserFamily, moser_flow
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -863,6 +865,28 @@ class TestRunner:
             "x": [1.0, -2.0],
             "sigma_min": 3e-9,
         }
+
+    def test_chart_construction_error_points_serialized(self, tmp_path, monkeypatch):
+        # The primitive is anchored at the region center, so an off-center
+        # base point drifts; this family carries it out through the boundary.
+        omega0 = darboux_constant_form(1)
+        field = FormField.constant(SkewForm(ModelSpace(2), -0.5 * omega0.matrix), np.zeros(2), 1.0)
+        family = MoserFamily(omega0, field)
+
+        def base_escapes(doc, cfg):
+            return moser_flow(family, np.array([0.9, 0.0]), 0.05, dt=0.02)
+
+        monkeypatch.setitem(cli._PIPELINES, "moser", base_escapes)
+        cfg = quick_moser_config(tmp_path)
+        rc = main(["moser", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert rc == 1
+        error = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["error"]
+        assert set(error) == {"type", "message", "x0", "frozen_at"}
+        assert error["type"] == "ChartConstructionError"
+        assert error["message"] == "no chart: the base point's trajectory left the validity region"
+        assert error["x0"] == [0.9, 0.0]
+        # frozen on its last step inside the unit region, pushed outward
+        assert 0.9 < np.linalg.norm(error["frozen_at"]) <= 1.0
 
     def test_stability_error_fields_serialized(self, tmp_path):
         write_json(

@@ -1,13 +1,18 @@
 """Model builders: metric phase fields, product and loop towers, shrink runs."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from symptower import moser
 from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form, weakness_conditioning
 from symptower.models import (
+    SHRINK_EIGS_DECADES,
     MarsdenSpec,
+    _shrink_levels,
     field_sequence_at,
     make_counterexample_tower,
     make_loop_tower,
@@ -15,7 +20,7 @@ from symptower.models import (
     make_product_tower,
     shrink_experiment,
 )
-from symptower.moser import exterior_derivative_residual
+from symptower.moser import exterior_derivative_residual, validity_radius
 from symptower.tower import Thread, check_compatible_sequence, classify_tower
 
 # Hand-computed: d=2, a=(1,0), shift_k=1, s=(1,0.5), z=(1.5,1,2,-1).
@@ -332,3 +337,78 @@ class TestShrinkExperiment:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError, match="n_max"):
             shrink_experiment({"kind": "product"}, n_max=0)
+
+
+# ---------------------------------------------------------------------------
+# validity radius on the counterexample levels, against the exact radius
+# ---------------------------------------------------------------------------
+
+SHRINK_COND_CAP = 1e6
+
+
+@lru_cache(maxsize=1)
+def counterexample_levels():
+    """(families, slot rays) of the default d=4 counterexample tower, 32 levels deep."""
+    _, families, _, ray_sets = _shrink_levels({"kind": "counterexample", "d": 4}, 32)
+    return families, ray_sets
+
+
+def oracle_radius(n: int) -> float:
+    """Where the condition cap binds on the slot-n ray, for |a| = 1 and n >= 2.
+
+    Block n's flat at t = 1 has singular values ((1/n - r)^2 + s_i) / 2 and
+    block 1 keeps sigma_max = (1 + s_1) / 2, so the cap binds at
+    r = 1/n - sqrt((1 + s_1) / cap - s_d), about 1/n - 1.4107e-3.
+    """
+    s = np.logspace(0.0, -SHRINK_EIGS_DECADES, 4)
+    return 1.0 / n - np.sqrt((1.0 + s[0]) / SHRINK_COND_CAP - s[-1])
+
+
+def level_radius(n: int) -> float:
+    """validity_radius at level n as shrink_experiment measures it (seed 0)."""
+    families, ray_sets = counterexample_levels()
+    family = families[n - 1]
+    return validity_radius(family, family.base_point, cond_cap=SHRINK_COND_CAP,
+                           seed=n - 1, extra_rays=ray_sets[n - 1])
+
+
+def assert_within_oracle(n: int, r: float) -> None:
+    star = oracle_radius(n)
+    assert star * (1.0 - 1e-3) <= r <= star, (n, r, star)
+
+
+def test_validity_radius_at_max_depth_meets_the_oracle():
+    # Level 32's degeneracy lies halfway between two march points; the
+    # margins there tie, and a strict dip test reported slot 31's radius.
+    r31, r32 = level_radius(31), level_radius(32)
+    assert_within_oracle(31, r31)
+    assert_within_oracle(32, r32)
+    assert r32 < r31
+
+
+@pytest.mark.parametrize("n", [13, 17, 18, 19])
+def test_validity_radius_cut_keeps_the_dip_past_the_best(n):
+    # Cutting a march one grid point past the running best leaves the first
+    # point beyond it at the edge, where it cannot count as a dip.
+    assert_within_oracle(n, level_radius(n))
+
+
+def test_validity_radius_marches_slot_rays_first_and_cuts_later_marches(monkeypatch):
+    families, ray_sets = counterexample_levels()
+    family, rays = families[2], ray_sets[2]
+    margins_fn = moser._validity_margins
+    marches = []
+
+    def counting(fam, pts, ts, sing_tol, cond_cap):
+        if len(pts) > 1:
+            marches.append(np.array(pts))
+        return margins_fn(fam, pts, ts, sing_tol, cond_cap)
+
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    assert_within_oracle(3, level_radius(3))
+    assert len(marches) == len(rays) + moser.RAY_COUNT
+    first = marches[0]
+    assert len(first) == moser.MARCH_STEPS + 1
+    step = first[1] - family.base_point
+    np.testing.assert_allclose(step / np.linalg.norm(step), rays[0] / np.linalg.norm(rays[0]))
+    assert all(len(m) < moser.MARCH_STEPS + 1 for m in marches[1:])

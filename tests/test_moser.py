@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -626,8 +628,8 @@ def test_uniform_bound_check_zero_field_factors_two_matrices_per_level(monkeypat
 
 @pytest.mark.parametrize(
     "scale, inverse",
-    [(0.0, float("inf")), (1e-10, 1e10)],
-    ids=["exactly-singular", "singular-below-sing-tol"],
+    [(0.0, float("inf")), (1e-10, 1e10), (1e-7, 1e7)],
+    ids=["exactly-singular", "singular-below-sing-tol", "above-cond-cap"],
 )
 def test_uniform_bound_check_zero_field_with_singular_omega0(scale, inverse):
     matrix = np.zeros((4, 4))
@@ -640,6 +642,31 @@ def test_uniform_bound_check_zero_field_with_singular_omega0(scale, inverse):
     assert row.inverse == pytest.approx(inverse, rel=1e-12)
     assert row.kumar == float("inf")
     assert report.forward_ok and not report.inverse_ok and not report.kumar_ok
+
+
+def test_uniform_bound_check_kumar_factors_only_blocks(monkeypatch):
+    rng = np.random.default_rng(6)
+    blocks = np.arange(8).reshape(2, 4)
+    family = MoserFamily.darboux_target(linear_block_field(rng, blocks, 0.3), np.zeros(8))
+    unblocked = MoserFamily(family.omega0, replace(family.omega_bar, blocks=None))
+    assert unblocked.blocks is None
+    want = uniform_bound_check([unblocked], K=4.0)
+    shapes = record_svd_shapes(monkeypatch)
+    got = uniform_bound_check([family], K=4.0)
+    assert got == want
+    # full flats only at the base point, for the operator norms
+    samples = 1 + moser.KUMAR_SAMPLES
+    assert shapes == [(8, 8)] * moser.T_GRID + [(2, samples, 4, 4)] * moser.T_GRID
+
+
+def test_uniform_bound_check_reads_its_cond_cap():
+    # condition number 1e7: rejected under COND_CAP, accepted under 1e8
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = OMEGA2
+    matrix[2:, 2:] = 1e-7 * OMEGA2
+    family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
+    report = uniform_bound_check([family], K=4.0, cond_cap=1e8)
+    assert report.per_level[0].kumar == 0.0 and report.kumar_ok
 
 
 def coordinate_tower(dims):
