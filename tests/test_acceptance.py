@@ -2,18 +2,16 @@
 
 Each test prints a single ``criterion N: PASS/FAIL`` line summarizing the
 checks it ran, then asserts them.  The two long experiments run once inside
-module fixtures; the determinism criterion reuses the same output trees.
+the session fixtures of ``conftest.py``; the determinism criterion reuses the
+same output trees.
 """
 
 import json
 import time
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from symptower.cli import main
 from symptower.linalg import (
     ModelSpace,
     SkewForm,
@@ -52,7 +50,6 @@ from symptower.moser import (
     radial_primitive,
 )
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
 TOL = 1e-10
 
 
@@ -300,34 +297,6 @@ def test_criterion_3_radial_primitive_differentiates_back():
             "runtime under 30s": elapsed < 30.0,
         },
     )
-
-
-@pytest.fixture(scope="module")
-def moser_runs(tmp_path_factory):
-    dirs = [tmp_path_factory.mktemp("moser_%s" % tag) for tag in "ab"]
-    durations = []
-    codes = []
-    for out in dirs:
-        start = time.perf_counter()
-        codes.append(
-            main(["moser", "--config", str(SPECS / "moser.json"), "--output", str(out)])
-        )
-        durations.append(time.perf_counter() - start)
-    return SimpleNamespace(dirs=dirs, codes=codes, durations=durations)
-
-
-@pytest.fixture(scope="module")
-def shrink_runs(tmp_path_factory):
-    dirs = [tmp_path_factory.mktemp("shrink_%s" % tag) for tag in "ab"]
-    durations = []
-    codes = []
-    for out in dirs:
-        start = time.perf_counter()
-        codes.append(
-            main(["shrink", "--config", str(SPECS / "shrink.json"), "--output", str(out)])
-        )
-        durations.append(time.perf_counter() - start)
-    return SimpleNamespace(dirs=dirs, codes=codes, durations=durations)
 
 
 def test_criterion_4_darboux_chart_on_perturbed_form(moser_runs):
