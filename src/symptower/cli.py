@@ -70,7 +70,8 @@ from .tower import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-SCHEMA_VERSION = "1"
+# Bumped when a report key is removed or changes meaning (see README).
+SCHEMA_VERSION = "2"
 # Each command, with the section of the input document it reads.
 COMMANDS = {
     "check-tower": "tower",
@@ -667,7 +668,7 @@ def _pipeline_check_tower(doc, cfg: RunConfig):
     tower, fs = _build_checked(_build_tower_doc, doc["tower"])
     tol = float(cfg.tolerances.get("rank_tol", RANK_TOL))
     comp = check_compatible_sequence(fs, tol=tol)
-    cls = classify_tower(tower, rank_tol=tol)
+    surjective = classify_tower(tower, rank_tol=tol)
     bonding_rows = [dict(bonding=i, **asdict(per)) for i, per in enumerate(comp.per_level)]
     payload = {
         "levels": [
@@ -676,7 +677,7 @@ def _pipeline_check_tower(doc, cfg: RunConfig):
         "bondings": bonding_rows,
         "failed_composites": [list(pair) for pair in comp.failed_composites],
         "compatible": comp.ok,
-        "classification": asdict(cls),
+        "surjective": surjective,
     }
     table = _table(
         "bonding,ok,ker_dim,pullback_residual,transversality_defect,dense_range", bonding_rows
@@ -684,7 +685,7 @@ def _pipeline_check_tower(doc, cfg: RunConfig):
     text = [
         "levels: %d (top dim %d)" % (len(tower.levels), tower.levels[-1].dim),
         "compatible: %s" % comp.ok,
-        "reduced: %s  surjective: %s" % (cls.reduced, cls.surjective),
+        "surjective: %s" % surjective,
     ]
     return _Result(comp.ok, payload, table, text)
 

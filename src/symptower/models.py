@@ -30,7 +30,6 @@ from .moser import (
     FormField,
     MoserFamily,
     UniformBoundReport,
-    _power_law_exponent,
     assemble_projective_darboux,
     uniform_bound_check,
     validity_radius,
@@ -488,11 +487,11 @@ def shrink_experiment(
 
     For each level the validity radius around the phase origin is measured
     (slot-directed rays make the degeneracy hyperplanes unmissable), then
-    projected down to the first level.  A power law is fitted to the
-    projected radii; the experiment reports failure when the fitted
-    exponent is at most -0.5 and the radii strictly decrease.  Operator
-    norm bounds (against BOUND_K) and the chart assembly report, with half
-    the first projected radius as its floor, ride along.
+    projected down to the first level.  The chart assembly, with half the
+    first projected radius as its floor, fits a power law to the projected
+    radii; the experiment reports failure when that exponent is at most
+    -0.5 and the radii strictly decrease.  Operator norm bounds (against
+    BOUND_K) ride along.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError("n_max must be a positive integer, got %r" % (n_max,))
@@ -528,7 +527,9 @@ def shrink_experiment(
         )
         projected.append(float(r) * tower.radius_shrink(0, i))
 
-    fitted = _power_law_exponent(range(1, n_max + 1), projected)
+    floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
+    assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
+    fitted = assembly.fitted_exponent
     decreasing = all(b < a for a, b in zip(projected, projected[1:]))
     failing = fitted is not None and fitted <= -0.5 and decreasing
     if failing:
@@ -544,8 +545,6 @@ def shrink_experiment(
             "(fitted exponent %.2f)" % fitted
         )
 
-    floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
-    assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
     bounds_report = uniform_bound_check(
         families, K=BOUND_K, seed=seed, sing_tol=sing_tol, cond_cap=cond_cap
     )

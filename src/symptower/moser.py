@@ -1034,8 +1034,8 @@ def assemble_projective_darboux(
     ``per_level_radii[j]`` is the chart radius at level j.  For each base
     level the limiting radius is the smallest ball guaranteed inside every
     projected higher-level chart domain (``Tower.radius_shrink``).  A
-    power-law fit across levels feeds the diagnosis when the floor is
-    missed.
+    power-law fit of the radii against n = j + 1 feeds the diagnosis when
+    the floor is missed.
     """
     radii = [float(r) for r in per_level_radii]
     if len(radii) != tower.depth + 1:
@@ -1049,8 +1049,7 @@ def assemble_projective_darboux(
         limiting.append(min(values))
     ok = all(v >= min_radius for v in limiting)
 
-    # Level 0 has log(index) = -inf, so the fit starts at level 1.
-    fitted = _power_law_exponent(range(1, tower.depth + 1), radii[1:])
+    fitted = _power_law_exponent(range(1, tower.depth + 2), radii)
 
     if ok:
         diagnosis = "all levels retain a chart ball of radius >= %g" % min_radius

@@ -50,6 +50,8 @@ from symptower.moser import (
     radial_primitive,
 )
 
+from isometry_chains import isometry_step, random_form, random_orthogonal
+
 TOL = 1e-10
 
 
@@ -58,20 +60,6 @@ def _verdict(number: int, label: str, checks: dict) -> None:
     print("criterion %d: %s (%s)" % (number, "PASS" if ok else "FAIL", label))
     failed = sorted(name for name, good in checks.items() if not good)
     assert ok, "criterion %d failed: %s" % (number, failed)
-
-
-def _random_orthogonal(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def _random_form(rng, space: ModelSpace) -> SkewForm:
-    while True:
-        a = rng.normal(size=(space.dim, space.dim))
-        m = a - a.T
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] > 1e-6 * s[0]:
-            return SkewForm(space, m)
 
 
 def _random_subspace(rng, space: ModelSpace, k: int) -> Subspace:
@@ -89,23 +77,6 @@ def _intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient, orthonormal_columns(a.basis @ null[: a.dim]))
 
 
-def _isometry_step(rng, target: ModelSpace, form_tgt: SkewForm, extra_half: int):
-    """One passing weak isometry onto ``target``, in a rotated source basis."""
-    src_dim = target.dim + 2 * extra_half
-    source = ModelSpace(src_dim)
-    blocks = np.zeros((src_dim, src_dim))
-    blocks[: target.dim, : target.dim] = form_tgt.matrix
-    if extra_half:
-        blocks[target.dim :, target.dim :] = _random_form(
-            rng, ModelSpace(2 * extra_half)
-        ).matrix
-    rot = _random_orthogonal(rng, src_dim)
-    form_src = SkewForm(source, rot.T @ blocks @ rot)
-    proj = np.zeros((target.dim, src_dim))
-    proj[:, : target.dim] = np.eye(target.dim)
-    return LinearMap(source, target, proj @ rot), form_src
-
-
 def test_criterion_1_linear_algebra_invariants():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240817)
@@ -114,7 +85,7 @@ def test_criterion_1_linear_algebra_invariants():
     for _ in range(500):
         half = int(rng.integers(1, 9))
         space = ModelSpace(2 * half)
-        form = _random_form(rng, space)
+        form = random_form(rng, space)
 
         src = ModelSpace(int(rng.integers(1, 17)))
         pulled = pullback_form(
@@ -138,9 +109,9 @@ def test_criterion_1_linear_algebra_invariants():
 
         base_half = int(rng.integers(1, 4))
         base = ModelSpace(2 * base_half)
-        form0 = _random_form(rng, base)
-        map1, form1 = _isometry_step(rng, base, form0, int(rng.integers(0, 3)))
-        map2, form2 = _isometry_step(rng, map1.source, form1, int(rng.integers(0, 3)))
+        form0 = random_form(rng, base)
+        map1, form1 = isometry_step(rng, base, form0, int(rng.integers(0, 3)))
+        map2, form2 = isometry_step(rng, map1.source, form1, int(rng.integers(0, 3)))
         rep1 = check_weak_isometry(map1, form1, form0, TOL, TOL)
         all_ok &= rep1.ok and rep1.pullback_residual <= TOL
         all_ok &= column_spaces_equal(
@@ -205,7 +176,7 @@ def test_criterion_2_block_decomposition_oracle():
     all_ok = True
     for depth in (1, 2, 3, 4, 5):
         factors = [
-            _random_form(rng, ModelSpace(2 * int(rng.integers(1, 3))))
+            random_form(rng, ModelSpace(2 * int(rng.integers(1, 3))))
             for _ in range(depth + 1)
         ]
         tower, fs = make_product_tower(factors)
@@ -217,7 +188,7 @@ def test_criterion_2_block_decomposition_oracle():
             slot = np.eye(top.dim)[:, offsets[h] : offsets[h + 1]]
             all_ok &= block.equals(Subspace(top, slot), TOL)
 
-        rotations = [_random_orthogonal(rng, lv.dim) for lv in tower.levels]
+        rotations = [random_orthogonal(rng, lv.dim) for lv in tower.levels]
         conj, cfs = _conjugated_product(rng, factors, rotations)
         cdec = block_decompose(cfs, 0, depth, TOL)
         for h, block in enumerate(cdec.blocks):
@@ -426,4 +397,29 @@ def test_criterion_8_reports_are_deterministic(moser_runs, shrink_runs):
         8,
         "repeated chart and shrink runs, identical seeds",
         {"byte-identical reports": same},
+    )
+
+
+def test_criterion_9_shrink_radii_meet_the_slot_oracle(shrink_runs):
+    # On the slot-n ray (n >= 2) the condition cap binds at
+    # r*_n = |a|/n - sqrt((|a|^2 + s_1)/cond_cap - s_d); the bundled spec has
+    # |a| = 1, s_1 = 1, s_d = 1e-8 and cond_cap 1e6 (oracle_radius in
+    # test_models.py derives it).
+    lines = (shrink_runs.dirs[0] / "report.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    gaps = {}
+    for row in rows[1:]:
+        n = int(row["n"])
+        star = 1.0 / n - np.sqrt(2e-6 - 1e-8)
+        gaps[n] = (star - float(row["r_validity"])) / star
+    _verdict(
+        9,
+        "levels 2..%d, relative gaps %.1e..%.1e"
+        % (len(rows), min(gaps.values()), max(gaps.values())),
+        {
+            "all ten levels reported": len(rows) == 10,
+            "every level in [r*_n (1 - 1e-3), r*_n]": all(
+                0.0 <= g <= 1e-3 for g in gaps.values()
+            ),
+        },
     )

@@ -770,7 +770,7 @@ class TestRunner:
         )
         assert rc == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["passed"] is True
         assert report["report"]["compatible"] is True
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
@@ -931,7 +931,7 @@ class TestRunner:
             out = tmp_path / ("out-%g" % rank_tol)
             main(["check-tower", "--config", str(cfg), "--output", str(out)])
             report = json.loads((out / "report.json").read_text())["report"]
-            surjective[rank_tol] = report["classification"]["surjective"]
+            surjective[rank_tol] = report["surjective"]
         # The bonding's second singular value, 1e-6, counts only above rank_tol.
         assert surjective == {1e-10: True, 1e-3: False}
 

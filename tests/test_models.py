@@ -145,8 +145,7 @@ class TestProductTower:
     def test_compatible_and_reduced(self):
         tower, fs = make_product_tower([darboux_constant_form(1)] * 4)
         assert check_compatible_sequence(fs).ok
-        cls = classify_tower(tower)
-        assert cls.reduced and cls.surjective
+        assert classify_tower(tower) is True
 
     def test_degenerate_factor_is_named(self):
         bad = SkewForm(ModelSpace(2), np.zeros((2, 2)))

@@ -692,7 +692,7 @@ def test_assemble_constant_radii_passes():
 
 def test_assemble_detects_power_law_decay():
     tower = coordinate_tower([2, 4, 6, 8, 10])
-    radii = [1.0, 1.0, 0.5, 1.0 / 3.0, 0.25]
+    radii = [1.25 / n for n in range(1, 6)]
     out = assemble_projective_darboux(radii, tower, min_radius=0.3)
     assert not out.ok
     assert out.limiting_radius_by_level[0] == pytest.approx(0.25)

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import symptower.tower as tower_module
 from symptower.linalg import (
     DimensionMismatchError,
     LinearMap,
     ModelSpace,
     SkewForm,
     Subspace,
+    check_weak_isometry,
     column_spaces_equal,
     darboux_constant_form,
 )
@@ -26,6 +28,8 @@ from symptower.tower import (
     induce_level_form,
     limit_form_eval,
 )
+
+from isometry_chains import isometry_step, random_form, random_space
 
 DARBOUX2 = darboux_constant_form(1).matrix
 
@@ -77,8 +81,7 @@ def test_single_level_tower():
     tower = build_tower([ModelSpace(3)], [])
     assert tower.depth == 0
     np.testing.assert_array_equal(tower.composite(0, 0).matrix, np.eye(3))
-    cls = classify_tower(tower)
-    assert cls.reduced and cls.surjective and cls.split_kernels
+    assert classify_tower(tower) is True
 
 
 def test_build_tower_errors_name_the_index():
@@ -97,10 +100,7 @@ def test_classify_flags_rank_deficient_bonding():
     space = ModelSpace(2)
     bonding = LinearMap(space, space, np.array([[1.0, 0.0], [0.0, 0.0]]))
     tower = build_tower([space, space], [bonding])
-    cls = classify_tower(tower)
-    assert not cls.reduced
-    assert not cls.surjective
-    assert cls.split_kernels
+    assert classify_tower(tower) is False
 
 
 def test_thread_from_top_is_exactly_consistent():
@@ -326,3 +326,75 @@ def test_composites_inherit_compatibility(num_levels):
     report = check_compatible_sequence(product_form_sequence(num_levels))
     assert report.ok
     assert report.failed_composites == ()
+
+
+def compatible_chain(rng, depth, with_grams):
+    """A generic compatible sequence of the given depth, one isometry step a level."""
+    base = random_space(rng, 2 * int(rng.integers(1, 3)), with_grams)
+    spaces, forms, bondings = [base], [random_form(rng, base)], []
+    for _ in range(depth):
+        bonding, form = isometry_step(
+            rng, spaces[-1], forms[-1], int(rng.integers(0, 3)), with_grams
+        )
+        spaces.append(bonding.source)
+        forms.append(form)
+        bondings.append(bonding)
+    return FormSequence(build_tower(spaces, bondings), tuple(forms))
+
+
+@seed(20240811)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.booleans(),
+)
+def test_consecutive_compatibility_carries_to_every_composite(entropy, depth, with_grams):
+    # Numerical witness of the proof in check_compatible_sequence's docstring.
+    fs = compatible_chain(np.random.default_rng(entropy), depth, with_grams)
+    assert check_compatible_sequence(fs).ok
+    for j in range(2, depth + 1):
+        for i in range(j - 1):
+            rep = check_weak_isometry(fs.tower.composite(i, j), fs.forms[j], fs.forms[i])
+            assert rep.ok, (i, j, rep)
+
+
+def test_anchored_composites_catch_drift():
+    # omega_i = (1 + 1e-3)^i J: each bonding is off by about 1e-3, inside
+    # tol, but the composite (0, j) is off by about j * 1e-3.
+    levels = [ModelSpace(2) for _ in range(6)]
+    bondings = [LinearMap(levels[i + 1], levels[i], np.eye(2)) for i in range(5)]
+    forms = tuple(SkewForm(levels[i], (1 + 1e-3) ** i * DARBOUX2) for i in range(6))
+    fs = FormSequence(build_tower(levels, bondings), forms)
+    report = check_compatible_sequence(fs, tol=2.5e-3)
+    assert all(r.ok for r in report.per_level)
+    assert report.failed_composites == ((0, 3), (0, 4), (0, 5))
+    assert not report.ok
+
+
+def test_drift_between_non_base_levels_is_not_checked():
+    # omega = (1, 0.998, 1, 1.002) J: every bonding and every composite onto
+    # level 0 is within tol, so the sequence passes, although the unchecked
+    # composite (1, 3) is off by 4e-3.
+    levels = [ModelSpace(2) for _ in range(4)]
+    bondings = [LinearMap(levels[i + 1], levels[i], np.eye(2)) for i in range(3)]
+    scales = (1.0, 0.998, 1.0, 1.002)
+    forms = tuple(SkewForm(lv, c * DARBOUX2) for lv, c in zip(levels, scales))
+    fs = FormSequence(build_tower(levels, bondings), forms)
+    report = check_compatible_sequence(fs, tol=2.5e-3)
+    assert report.ok
+    assert report.failed_composites == ()
+    assert not check_weak_isometry(fs.tower.composite(1, 3), forms[3], forms[1], 2.5e-3).ok
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_compatible_sequence_checks_each_bonding_and_base_composite(depth, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_weak_isometry(*args)
+
+    monkeypatch.setattr(tower_module, "check_weak_isometry", counting)
+    assert check_compatible_sequence(product_form_sequence(depth + 1)).ok
+    assert len(calls) == 2 * depth - 1
