@@ -184,6 +184,8 @@ class ModelSpace:
         return float(np.sqrt(max(xi @ self.gram_inv @ xi, 0.0)))
 
     def compatible_with(self, other: "ModelSpace") -> bool:
+        if self is other:
+            return True
         if self.dim != other.dim:
             return False
         if self.gram is None and other.gram is None:
@@ -426,6 +428,31 @@ def pullback_form(map_: LinearMap, form: SkewForm) -> SkewForm:
     return SkewForm(map_.source, m)
 
 
+def orthonormal_stacked_rank(
+    a: np.ndarray, b: np.ndarray, rank_tol: float = RANK_TOL
+) -> int:
+    """``matrix_rank(np.hstack([a, b]), rank_tol)`` for orthonormal ``a``, ``b``.
+
+    The singular values of ``[a, b]`` are sqrt(1 + cos t) and sqrt(1 - cos t)
+    over the principal angles t between the two spans, and 1 for each
+    column the wider basis has beyond the narrower one.  The sines of the
+    angles are the singular values of the narrower basis's residual against
+    the wider one, an n x min(k, p) matrix, so the n x (k + p) stacked matrix
+    is never factored.  sqrt(1 - cos t) is taken as sin t / sqrt(1 + cos t):
+    1 - cos t cancels to zero below sin t ~ 1e-8 and would hide a meet.
+    """
+    narrow, wide = (a, b) if a.shape[1] <= b.shape[1] else (b, a)
+    if narrow.shape[1] == 0:
+        return wide.shape[1]
+    sin = np.minimum(
+        np.linalg.svd(narrow - wide @ (wide.T @ narrow), compute_uv=False), 1.0
+    )
+    cos = np.sqrt(1.0 - sin * sin)
+    largest = np.sqrt(1.0 + cos.max())
+    small = sin / np.sqrt(1.0 + cos)
+    return wide.shape[1] + int(np.count_nonzero(small > rank_tol * largest))
+
+
 def kernel_split(
     map_matrix: np.ndarray, form_matrix: np.ndarray, rank_tol: float = RANK_TOL
 ) -> tuple[int, np.ndarray, np.ndarray, int]:
@@ -435,7 +462,8 @@ def kernel_split(
     the map, orthonormal bases (columns) of its kernel and of the kernel's
     orthogonal under the form, and the dimension of their sum.  The map is
     factored once; its singular values give the rank and its right singular
-    vectors the kernel.
+    vectors the kernel.  The sum's dimension comes from the principal
+    angles between the two bases (:func:`orthonormal_stacked_rank`).
     """
     rows, cols = map_matrix.shape
     if rows == 0 or not np.any(map_matrix):
@@ -448,7 +476,7 @@ def kernel_split(
         kperp_basis = np.eye(cols)
     else:
         kperp_basis = null_space_basis(ker_basis.T @ form_matrix, rank_tol)
-    stacked_rank = matrix_rank(np.hstack([ker_basis, kperp_basis]), rank_tol)
+    stacked_rank = orthonormal_stacked_rank(ker_basis, kperp_basis, rank_tol)
     return rank, ker_basis, kperp_basis, stacked_rank
 
 
@@ -480,17 +508,15 @@ def check_weak_isometry(
     meet_dim = ker_dim + kperp_dim - stacked_rank
     direct_sum_defect = src_dim - stacked_rank
 
-    q = orthonormal_columns(kperp_basis)
+    # kernel_split's bases are orthonormal already: no re-orthonormalizing
     if meet_dim == 0 or ker_dim == 0 or kperp_dim == 0:
         transversality_defect = 0.0
     else:
-        cos = np.linalg.svd(
-            orthonormal_columns(ker_basis).T @ q, compute_uv=False
-        )
+        cos = np.linalg.svd(ker_basis.T @ kperp_basis, compute_uv=False)
         transversality_defect = float(min(cos[0], 1.0))
 
     mismatch = map_.matrix.T @ form_tgt.matrix @ map_.matrix - form_src.matrix
-    compressed = q.T @ mismatch @ q
+    compressed = kperp_basis.T @ mismatch @ kperp_basis
     if compressed.size == 0:
         pullback_residual = 0.0
     else:

@@ -1,9 +1,11 @@
 """Finite-depth projective towers of model spaces.
 
 A tower is a chain ``levels[N] -> ... -> levels[1] -> levels[0]`` of model
-spaces connected by bonding maps, with every composite materialized up front
-so the cocycle identity holds by construction.  Threads are per-level vectors
-consistent with the bondings; form sequences attach one skew form per level.
+spaces connected by bonding maps.  A composite is formed on first use as
+``composite(i, j - 1) @ bondings[j - 1]`` and cached, so the cocycle identity
+holds by construction and a walk factors only the composites it reads.
+Threads are per-level vectors consistent with the bondings; form sequences
+attach one skew form per level.
 
 The checks in this module decide whether the bondings respect the forms
 (compatibility), split the levels into canonical blocks coming from the
@@ -12,8 +14,7 @@ kernel chain, and transport forms downward through submersions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +53,10 @@ class Tower:
 
     levels: tuple[ModelSpace, ...]
     bondings: tuple[LinearMap, ...]
+    # composite matrices (i, j), filled on first use
+    _composites: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         levels = tuple(self.levels)
@@ -79,21 +84,21 @@ class Tower:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    @cached_property
-    def _composite_matrices(self) -> dict[tuple[int, int], np.ndarray]:
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for i, space in enumerate(self.levels):
-            out[(i, i)] = np.eye(space.dim)
-        for j in range(1, len(self.levels)):
-            for i in range(j - 1, -1, -1):
-                out[(i, j)] = out[(i, j - 1)] @ self.bondings[j - 1].matrix
-        return out
+    def _composite_matrix(self, i: int, j: int) -> np.ndarray:
+        m = self._composites.get((i, j))
+        if m is None:
+            if i == j:
+                m = np.eye(self.levels[i].dim)
+            else:
+                m = self._composite_matrix(i, j - 1) @ self.bondings[j - 1].matrix
+            self._composites[(i, j)] = m
+        return m
 
     def composite(self, i: int, j: int) -> LinearMap:
         """The map levels[j] -> levels[i] obtained by chaining bondings."""
         if not 0 <= i <= j <= self.depth:
             raise ValueError("need 0 <= i <= j <= depth, got (%d, %d)" % (i, j))
-        return LinearMap(self.levels[j], self.levels[i], self._composite_matrices[(i, j)])
+        return LinearMap(self.levels[j], self.levels[i], self._composite_matrix(i, j))
 
     def radius_shrink(self, i: int, j: int) -> float:
         """Factor by which the composite levels[j] -> levels[i] shrinks a ball.
@@ -134,9 +139,8 @@ def build_tower(
     for i, space in enumerate(levels):
         if space.dim > max_dim:
             raise ValueError("level %d: dimension %d exceeds cap %d" % (i, space.dim, max_dim))
-    tower = Tower(levels, bondings)
-    tower._composite_matrices  # materialize composites eagerly
-    return tower
+    # composites are formed on first use, so a walk pays only for those it reads
+    return Tower(levels, bondings)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from symptower.linalg import (
     null_space_basis,
     omega_dual_norm,
     orthonormal_columns,
+    orthonormal_stacked_rank,
     pullback_form,
     restrict_form,
     symplectic_orthogonal,
@@ -59,6 +60,25 @@ def test_model_space_norms_with_gram():
     assert space.norm([0.0, 1.0]) == pytest.approx(2.0)
     assert space.dual_norm([0.0, 1.0]) == pytest.approx(0.5)
     assert space.inner([1.0, 1.0], [1.0, -1.0]) == pytest.approx(-3.0)
+
+
+def test_compatible_with_skips_the_gram_compare_for_the_same_space(monkeypatch):
+    gram = np.diag([1.0, 2.0, 3.0])
+    space = ModelSpace(3, gram=gram)
+    calls = []
+    allclose = np.allclose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return allclose(*args, **kwargs)
+
+    monkeypatch.setattr(np, "allclose", counting)
+    assert space.compatible_with(space)
+    assert calls == []
+    # distinct spaces still compare their grams by value
+    assert space.compatible_with(ModelSpace(3, gram=gram.copy()))
+    assert not space.compatible_with(ModelSpace(3, gram=np.diag([1.0, 2.0, 4.0])))
+    assert len(calls) == 2
 
 
 def test_skew_form_rejects_symmetric_part():
@@ -207,17 +227,18 @@ def count_svd_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "src_l, tgt_l, ker_dim, svd_calls",
+    "src_l, tgt_l, ker_dim, svd_shapes",
     [
-        # the map, the kernel's orthogonal, the sum of the two, the
-        # orthonormal basis of the orthogonal, the compressed mismatch
-        (2, 1, 2, 5),
-        # a trivial kernel has the whole space as its orthogonal
-        (2, 2, 0, 4),
+        # the map, the kernel's orthogonal, the residual of the narrower of
+        # the two bases against the wider one, the compressed mismatch
+        pytest.param(2, 1, 2, [(2, 4), (2, 4), (4, 2), (2, 2)], id="2-1-2-4"),
+        # a trivial kernel has the whole space as its orthogonal, and their
+        # sum needs no factoring
+        pytest.param(2, 2, 0, [(4, 4), (4, 4)], id="2-2-0-2"),
     ],
 )
 def test_check_weak_isometry_factors_each_matrix_once(
-    monkeypatch, src_l, tgt_l, ker_dim, svd_calls
+    monkeypatch, src_l, tgt_l, ker_dim, svd_shapes
 ):
     src = darboux_constant_form(src_l)
     tgt = darboux_constant_form(tgt_l)
@@ -228,7 +249,11 @@ def test_check_weak_isometry_factors_each_matrix_once(
     rep = check_weak_isometry(map_, src, tgt)
     assert rep.ok
     assert rep.ker_dim == ker_dim
-    assert len(calls) == svd_calls
+    assert calls == svd_shapes
+    if ker_dim:
+        # neither the stacked [kernel, orthogonal] nor any other n x n matrix
+        n = 2 * src_l
+        assert (n, n) not in calls
 
 
 def test_linear_map_compose_and_identity():
@@ -353,11 +378,11 @@ def reference_weak_isometry(map_, form_src, form_tgt, tol=RANK_TOL, rank_tol=RAN
     kperp = symplectic_orthogonal(form_src, ker, rank_tol)
     stacked_rank = matrix_rank(np.hstack([ker.basis, kperp.basis]), rank_tol)
     meet_dim = ker.dim + kperp.dim - stacked_rank
-    q = orthonormal_columns(kperp.basis)
+    q = kperp.basis
     if meet_dim == 0 or ker.dim == 0 or kperp.dim == 0:
         transversality_defect = 0.0
     else:
-        cos = np.linalg.svd(orthonormal_columns(ker.basis).T @ q, compute_uv=False)
+        cos = np.linalg.svd(ker.basis.T @ q, compute_uv=False)
         transversality_defect = float(min(cos[0], 1.0))
     mismatch = map_.matrix.T @ form_tgt.matrix @ map_.matrix - form_src.matrix
     compressed = q.T @ mismatch @ q
@@ -447,3 +472,49 @@ def test_check_weak_isometry_matches_reference(kind, l_dim, extra, with_gram, en
     for basis in (ker_basis, kperp_basis):
         np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
     assert stacked_rank == matrix.shape[1] - want.direct_sum_defect
+
+
+def orthonormal_pair(kind, sin, rng):
+    """Two orthonormal bases of R^n whose spans meet as ``kind`` says.
+
+    "random": independent random spans, of any dimensions, so k + p may
+    exceed n; "shared": the spans share some exact directions; "near": one
+    direction of the second span leaves the first at angle sin t = ``sin``.
+    """
+    n = int(rng.integers(1, 9)) if kind != "near" else int(rng.integers(2, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if kind == "random":
+        k, p = (int(rng.integers(0, n + 1)) for _ in range(2))
+        return q[:, :k], np.linalg.qr(rng.standard_normal((n, n)))[0][:, :p]
+    k = int(rng.integers(1, n + 1)) if kind == "shared" else int(rng.integers(1, n))
+    if kind == "shared":
+        shared = int(rng.integers(1, k + 1))
+        p = int(rng.integers(shared, n - k + shared + 1))
+        b = q[:, k - shared : k - shared + p]
+    else:
+        p = int(rng.integers(1, n - k + 1))
+        tilted = np.sqrt(1.0 - sin * sin) * q[:, :1] + sin * q[:, k : k + 1]
+        b = np.hstack([tilted, q[:, k + 1 : k + p]])
+    rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return q[:, :k], b @ rot
+
+
+@seed(20240811)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([("random", 0.0), ("shared", 0.0), ("near", 1e-11), ("near", 1e-9)]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_orthonormal_stacked_rank_matches_the_stacked_svd(case, swap, entropy):
+    kind, sin = case
+    a, b = orthonormal_pair(kind, sin, np.random.default_rng(entropy))
+    if swap:
+        a, b = b, a
+    want = matrix_rank(np.hstack([a, b]))
+    assert orthonormal_stacked_rank(a, b) == want
+    if kind == "near":
+        # at sin t = 1e-9 the spans are transverse; at 1e-11, below
+        # RANK_TOL, they count as meeting
+        k_plus_p = a.shape[1] + b.shape[1]
+        assert want == (k_plus_p if sin > RANK_TOL else k_plus_p - 1)

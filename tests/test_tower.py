@@ -77,6 +77,31 @@ def test_composites_of_coordinate_tower():
     np.testing.assert_array_equal(tower.composite(0, 2).matrix, chained.matrix)
 
 
+def test_lazy_composites_equal_the_chained_products_bit_for_bit():
+    rng = np.random.default_rng(6)
+    levels = [random_space(rng, int(rng.integers(1, 7)), with_gram=True) for _ in range(6)]
+    bondings = [
+        LinearMap(levels[i + 1], levels[i], rng.standard_normal((levels[i].dim, levels[i + 1].dim)))
+        for i in range(5)
+    ]
+    tower = build_tower(levels, bondings)
+    pairs = [(i, j) for j in range(6) for i in range(j + 1)]
+    rng.shuffle(pairs)  # the cache must not depend on the order of first use
+    for i, j in pairs:
+        chained = np.eye(levels[i].dim)
+        for k in range(i, j):
+            chained = chained @ bondings[k].matrix
+        np.testing.assert_array_equal(tower.composite(i, j).matrix, chained)
+
+
+def test_compatibility_check_forms_only_the_base_composites():
+    fs = product_form_sequence(32)
+    assert check_compatible_sequence(fs).ok
+    cached = set(fs.tower._composites)
+    assert (0, 31) in cached
+    assert not {(i, j) for i, j in cached if 0 < i < j}
+
+
 def test_single_level_tower():
     tower = build_tower([ModelSpace(3)], [])
     assert tower.depth == 0
