@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -910,7 +911,8 @@ def run(config: RunConfig) -> int:
     return EXIT_PASS if result.passed else EXIT_FAIL
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symptower",
         description="Run tower compatibility checks, chart constructions, and "
@@ -933,8 +935,11 @@ def main(argv=None) -> int:
         )
     v = sub.add_parser("validate", help="schema-check a spec or run config file")
     v.add_argument("--config", required=True, help="file to validate")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         report = validate_spec(Path(args.config))
         for line in report.errors:

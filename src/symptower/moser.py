@@ -12,8 +12,9 @@ Conventions:
 
 * flats follow the linalg module (matrix = omega.T);
 * a point is valid for the family at time t when the flat at (t, x) has
-  sigma_min > sing_tol * sigma_max and condition number <= cond_cap
-  (by default SING_TOL and COND_CAP; ``_valid`` is the one test);
+  sigma_min > sing_tol * sigma_max and condition number < cond_cap (by
+  default SING_TOL and COND_CAP).  ``_margins`` > 0 is the one test, fed by
+  ``_sigma_range`` from the singular values of the flat's diagonal blocks;
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
   reported domain ball.
 """
@@ -122,7 +123,7 @@ class FormField:
     ``blocks``, when given, partitions ``range(dim)`` into index groups of
     equal size (one row each of a (count, size) integer array) and declares
     the field zero off the diagonal blocks they pick out, so its singular
-    values are those of the blocks; ``validity_radius`` then factors the
+    values are those of the blocks; every validity test then factors the
     small blocks instead of the whole matrix.  The declaration is checked
     at the region center only.
     """
@@ -298,8 +299,8 @@ class MoserFamily:
     @cached_property
     def omega0_sigma_range(self) -> tuple[float, float]:
         """(sigma_max, sigma_min) of omega0, the flat at t = 0 at every point."""
-        s = np.linalg.svd(_diagonal_blocks(self.omega0.matrix, self.blocks), compute_uv=False)
-        return float(s[:, 0].max()), float(s[:, -1].min())
+        smax, smin = _sigma_range(_diagonal_blocks(self.omega0.matrix, self.blocks))
+        return float(smax), float(smin)
 
     @cached_property
     def total_field(self) -> FormField:
@@ -370,16 +371,18 @@ def _alpha_batch(field_bar: FormField, pts: np.ndarray, quad_nodes: int) -> np.n
 def moser_vector_field(family: MoserFamily, t: float, x) -> np.ndarray:
     """Solve flat(omega_t at x) X = -alpha_x for the Moser velocity.
 
-    alpha is the radial primitive of the family's difference field.  Raises
-    LeftValidityRegionError where the flat fails the SING_TOL / COND_CAP test.
+    A one-point call of the integrator's ``_field_batch``: alpha is the
+    radial primitive of the family's difference field, and the flat must
+    pass the SING_TOL / COND_CAP test, else LeftValidityRegionError.
     """
     x = np.asarray(x, dtype=float)
-    alpha = radial_primitive(family.omega_bar, x)
-    omega_t = family.omega_t(t, x)
-    s = np.linalg.svd(omega_t, compute_uv=False)
-    if not _valid(s[0], s[-1], SING_TOL, COND_CAP):
-        raise LeftValidityRegionError(t, x, float(s[-1]))
-    return -np.linalg.solve(omega_t.T, alpha)
+    if not family.omega_bar.contains(x, slack=1e-9):
+        raise ValueError("not star-shaped reachable: point leaves the region")
+    vel, ok = _field_batch(family, t, x[None, :], QUAD_NODES, COND_CAP, SING_TOL)
+    if not ok[0]:
+        _, smin = _sigma_range(_diagonal_blocks(family.omega_t(t, x), family.blocks))
+        raise LeftValidityRegionError(t, x, smin)
+    return vel[0]
 
 
 def _sample_ball(rng, space: ModelSpace, center: np.ndarray, radius: float,
@@ -403,12 +406,15 @@ def _diagonal_blocks(m: np.ndarray, blocks: np.ndarray | None) -> np.ndarray:
     return np.moveaxis(m[..., blocks[:, :, None], blocks[:, None, :]], -3, 0)
 
 
-def _valid(smax, smin, sing_tol: float, cond_cap: float):
-    """The validity test of a flat from its extreme singular values."""
-    return (smin > sing_tol * smax) & (smax / np.maximum(smin, _EPS) <= cond_cap)
+def _sigma_range(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(count, ..., size, size) diagonal blocks -> (sigma_max, sigma_min) of
+    each flat: the singular values of the blocks together are the flat's."""
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return s[..., 0].max(axis=0), s[..., -1].min(axis=0)
 
 
 def _margins(smax, smin, sing_tol: float, cond_cap: float):
+    """The validity rule: positive iff sigma_min > sing_tol * sigma_max and kappa < cond_cap."""
     m1 = smin / np.maximum(sing_tol * smax, _EPS) - 1.0
     m2 = 1.0 - (smax / np.maximum(smin, _EPS)) / cond_cap
     return np.minimum(m1, m2)
@@ -419,9 +425,9 @@ def _validity_margins(family: MoserFamily, pts: np.ndarray, ts: np.ndarray,
     """min-over-t margin per point; positive means valid at every time.
 
     Only the diagonal blocks of the flats (``MoserFamily.blocks``) are
-    formed and factored, stacked as (count * T, N, size, size); their
-    singular values together are the flat's.  A leading t = 0, where every
-    flat is omega0, is served from the family's cached factorization.
+    formed and factored, stacked as (count, T, N, size, size).  A leading
+    t = 0, where every flat is omega0, is served from the family's cached
+    factorization.
     """
     at_zero = ts[0] == 0.0
     if at_zero:
@@ -429,10 +435,7 @@ def _validity_margins(family: MoserFamily, pts: np.ndarray, ts: np.ndarray,
     bar = _diagonal_blocks(family.omega_bar.omega_many(pts), family.blocks)
     omega0 = _diagonal_blocks(family.omega0.matrix, family.blocks)
     oms = omega0[:, None, None] + ts[:, None, None, None] * bar[:, None]
-    s = np.linalg.svd(oms.reshape((-1,) + oms.shape[2:]), compute_uv=False)
-    s = s.reshape(oms.shape[:-1])
-    margins = _margins(s[..., 0].max(axis=0), s[..., -1].min(axis=0), sing_tol, cond_cap)
-    margins = margins.min(axis=0)
+    margins = _margins(*_sigma_range(oms), sing_tol, cond_cap).min(axis=0)
     if at_zero:
         margins = np.minimum(margins, _margins(*family.omega0_sigma_range, sing_tol, cond_cap))
     return margins
@@ -634,11 +637,10 @@ class MoserReport:
 
 def _field_batch(family: MoserFamily, t: float, pts: np.ndarray, quad_nodes: int,
                  cond_cap: float, sing_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Moser velocities and validity flags for a batch of points."""
+    """Moser velocities (one dense solve each) and validity flags (from the blocks)."""
     alpha = _alpha_batch(family.omega_bar, pts, quad_nodes)
     oms = family.omega_t_many(t, pts)
-    s = np.linalg.svd(oms, compute_uv=False)
-    ok = _valid(s[..., 0], s[..., -1], sing_tol, cond_cap)
+    ok = _margins(*_sigma_range(_diagonal_blocks(oms, family.blocks)), sing_tol, cond_cap) > 0.0
     mats = np.swapaxes(oms, -1, -2)
     dim = pts.shape[-1]
     safe = np.where(ok[:, None, None], mats, np.eye(dim))
@@ -946,17 +948,18 @@ def uniform_bound_check(
     flat at the family's base point, maximized over T_GRID times; ``kumar``
     is the norm of the flat-inverse applied to the radial primitive,
     maximized over time and KUMAR_SAMPLES points sampled around the base
-    point, and is infinite once a sampled flat fails the validity test
-    (``_valid`` with ``sing_tol`` and ``cond_cap``, on the singular values
-    of the family's diagonal blocks, as in ``validity_radius``).  The
-    per-level table makes growth across levels visible; the three flags
-    compare against K.
+    point, and is infinite once a sampled flat fails the validity test.
+    That test is the one ``validity_radius`` and the integrator use:
+    ``_margins`` > 0 with ``sing_tol`` and ``cond_cap``, on the singular
+    values of the family's diagonal blocks.  The per-level table makes
+    growth across levels visible; the three flags compare against K.
 
     A level whose difference field is zero is evaluated at the first time
-    and the base point only.  There omega_t = omega0 at every time and
-    point and the radial primitive vanishes, so the grid and the ball would
-    repeat the same matrices: the values are exactly those of the full
-    grid (``kumar`` is 0.0, or inf when omega0 fails the validity test).
+    only.  There omega_t = omega0 at every time and point and the radial
+    primitive vanishes, so the grid and the ball would repeat the same
+    matrices: ``forward`` and ``inverse`` come from omega0 at the base
+    point, and ``kumar`` is 0.0, or inf when omega0's cached
+    ``omega0_sigma_range`` fails the validity test.
     """
     ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []
@@ -976,20 +979,21 @@ def uniform_bound_check(
             inverse = max(inverse, float("inf") if s[-1] <= _EPS else float(1.0 / s[-1]))
 
         if zero_field:
-            pts = base[None, :]
-        else:
-            rng = np.random.default_rng(seed + level)
-            avail = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
-            ball = _sample_ball(rng, space, base, KUMAR_RADIUS_FACTOR * max(avail, 0.0),
-                                KUMAR_SAMPLES)
-            pts = np.vstack([base[None, :], ball])
+            ok = _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0
+            rows.append(LevelBounds(level, forward, inverse, 0.0 if ok else float("inf")))
+            continue
+        rng = np.random.default_rng(seed + level)
+        avail = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
+        ball = _sample_ball(rng, space, base, KUMAR_RADIUS_FACTOR * max(avail, 0.0),
+                            KUMAR_SAMPLES)
+        pts = np.vstack([base[None, :], ball])
         alphas = _alpha_batch(family.omega_bar, pts, QUAD_NODES)
         kumar = 0.0
-        for t in times:
+        for t in ts:
             oms = family.omega_t_many(t, pts)
-            s = np.linalg.svd(_diagonal_blocks(oms, family.blocks), compute_uv=False)
-            if not np.all(_valid(s[..., 0].max(axis=0), s[..., -1].min(axis=0),
-                                 sing_tol, cond_cap)):
+            valid = _margins(*_sigma_range(_diagonal_blocks(oms, family.blocks)),
+                             sing_tol, cond_cap) > 0.0
+            if not np.all(valid):
                 kumar = float("inf")
                 continue
             flats = np.swapaxes(oms, -1, -2)

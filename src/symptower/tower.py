@@ -323,18 +323,6 @@ def limit_form_eval(
     return LimitFormReport(values=values, stabilized=stabilized, final=final)
 
 
-def _split_level(
-    form: SkewForm, bonding_matrix: np.ndarray, level: int, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel of the bonding and its symplectic orthogonal, verified to split."""
-    _, ker_basis, kperp_basis, rank = kernel_split(bonding_matrix, form.matrix, rank_tol)
-    if rank != form.space.dim or ker_basis.shape[1] + kperp_basis.shape[1] != rank:
-        raise ValueError(
-            "level %d: kernel and its symplectic orthogonal do not split the level" % level
-        )
-    return ker_basis, kperp_basis
-
-
 def block_decompose(
     fs: FormSequence,
     base_i: int,
@@ -360,14 +348,12 @@ def block_decompose(
     def decompose(level: int) -> list[np.ndarray]:
         if level == base_i:
             return [np.eye(tower.levels[level].dim)]
-        bonding = tower.bondings[level - 1].matrix
-        ker_basis, kperp_basis = _split_level(fs.forms[level], bonding, level, rank_tol)
-        lprime = bonding @ kperp_basis
-        below_dim = tower.levels[level - 1].dim
-        if kperp_basis.shape[1] != below_dim or matrix_rank(lprime, rank_tol) != below_dim:
-            raise ValueError(
-                "level %d: bonding is not invertible on the symplectic complement" % level
-            )
+        bonding = tower.bondings[level - 1]
+        ker_basis, kperp_basis, report = _submersion_pieces(fs.forms[level], bonding, rank_tol)
+        if not (report.ok and report.split_ok):
+            raise ValueError("level %d: the bonding is not invertible on the symplectic "
+                             "orthogonal of its kernel, or the two do not split" % level)
+        lprime = bonding.matrix @ kperp_basis
         lifted = [
             orthonormal_columns(kperp_basis @ np.linalg.solve(lprime, block), rank_tol)
             for block in decompose(level - 1)

@@ -340,8 +340,60 @@ def test_block_margins_factor_only_blocks(monkeypatch):
     ts = np.linspace(0.0, 1.0, 6)
     moser._validity_margins(family, rng.random((3, 8)), ts, 1e-8, 1e6)
     moser._validity_margins(family, rng.random((1, 8)), ts, 1e-8, 1e6)
-    # The t > 0 blocks of each call, stacked block-major; omega0 once, on first use.
-    assert shapes == [(10, 3, 4, 4), (2, 4, 4), (10, 1, 4, 4)]
+    # The t > 0 blocks of each call, stacked (block, t, point); omega0 once, on first use.
+    assert shapes == [(2, 5, 3, 4, 4), (2, 4, 4), (2, 5, 1, 4, 4)]
+
+
+def test_field_batch_factors_only_blocks_and_matches_dense(monkeypatch):
+    rng = np.random.default_rng(12)
+    blocks = rng.permutation(8).reshape(2, 4)
+    omega0 = np.zeros((8, 8))
+    for idx in blocks:
+        omega0[np.ix_(idx, idx)] = darboux_constant_form(2).matrix
+    omega0 += block_skew(rng, blocks, 0.3)
+    family = MoserFamily(SkewForm(ModelSpace(8), omega0), linear_block_field(rng, blocks, 0.3))
+    assert family.blocks is not None
+    pts = rng.standard_normal((6, 8))
+    pts *= rng.random(6)[:, None] / np.linalg.norm(pts, axis=1, keepdims=True)
+    t = 0.7
+    # Dense reference, with a cap that splits the batch into valid and invalid points.
+    oms = family.omega_t_many(t, pts)
+    s = np.linalg.svd(oms, compute_uv=False)
+    kappa = s[:, 0] / s[:, -1]
+    cond_cap = float(np.median(kappa))
+    want_ok = (s[:, -1] > 1e-8 * s[:, 0]) & (kappa < cond_cap)
+    assert 0 < np.count_nonzero(want_ok) < len(pts)
+    alphas = np.array([radial_primitive(family.omega_bar, x) for x in pts])
+    want_vel = -np.linalg.solve(np.swapaxes(oms, -1, -2), alphas[..., None])[..., 0]
+
+    shapes = record_svd_shapes(monkeypatch)
+    vel, ok = moser._field_batch(family, t, pts, moser.QUAD_NODES, cond_cap, 1e-8)
+    assert shapes == [(2, 6, 4, 4)]
+    np.testing.assert_array_equal(ok, want_ok)
+    np.testing.assert_allclose(vel[ok], want_vel[ok], rtol=1e-12, atol=1e-12)
+
+
+def test_condition_number_at_the_cap_is_invalid_on_every_path(monkeypatch):
+    # omega0 = J + J / 1024: powers of two make the condition number exactly 1024.
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = OMEGA2
+    matrix[2:, 2:] = OMEGA2 / 1024.0
+    family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
+    assert family.omega0_sigma_range == (1.0, 1.0 / 1024.0)
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    for cap, valid in ((1024.0, False), (np.nextafter(1024.0, np.inf), True)):
+        assert (validity_radius(family, x, cond_cap=cap) > 0.0) is valid
+        _, ok = moser._field_batch(family, 0.5, x[None, :], moser.QUAD_NODES, cap, moser.SING_TOL)
+        assert bool(ok[0]) is valid
+        kumar = uniform_bound_check([family], K=4.0, cond_cap=cap).per_level[0].kumar
+        assert kumar == (0.0 if valid else float("inf"))
+        monkeypatch.setattr(moser, "COND_CAP", cap)
+        if valid:
+            np.testing.assert_array_equal(moser_vector_field(family, 0.5, x), np.zeros(4))
+        else:
+            with pytest.raises(LeftValidityRegionError) as err:
+                moser_vector_field(family, 0.5, x)
+            assert err.value.t == 0.5 and err.value.sigma_min == 1.0 / 1024.0
 
 
 def test_block_margins_fall_back_when_omega0_couples_blocks(monkeypatch):
