@@ -513,9 +513,7 @@ def shrink_experiment(
                 seed=seed + i,
                 extra_rays=ray_sets[i] or None,
             )
-        kappa = weakness_conditioning(
-            SkewForm(family.space, family.omega0.matrix)
-        ).kappa
+        kappa = weakness_conditioning(family.omega0).kappa
         rows.append(
             ShrinkRow(
                 n=i + 1,

@@ -15,6 +15,9 @@ Conventions:
   sigma_min > sing_tol * sigma_max and condition number < cond_cap (by
   default SING_TOL and COND_CAP).  ``_margins`` > 0 is the one test, fed by
   ``_sigma_range`` from the singular values of the flat's diagonal blocks;
+* ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
+  times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
+  kumar bound of ``uniform_bound_check`` all call it;
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
   reported domain ball.
 """
@@ -307,12 +310,6 @@ class MoserFamily:
         """The endpoint field omega = omega0 + omega_bar, on omega_bar's region."""
         return self.omega_bar.shifted(self.omega_bar.center, -self.omega0.matrix)
 
-    def omega_t_many(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self.omega0.matrix + t * self.omega_bar.omega_many(pts)
-
-    def omega_t(self, t: float, x) -> np.ndarray:
-        return self.omega_t_many(t, np.asarray(x, dtype=float)[None, :])[0]
-
 
 def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0) -> float:
     """Max |d omega(X, Y, Z)| over sampled points and TRIPLES random unit triples each.
@@ -380,7 +377,8 @@ def moser_vector_field(family: MoserFamily, t: float, x) -> np.ndarray:
         raise ValueError("not star-shaped reachable: point leaves the region")
     vel, ok = _field_batch(family, t, x[None, :], QUAD_NODES, COND_CAP, SING_TOL)
     if not ok[0]:
-        _, smin = _sigma_range(_diagonal_blocks(family.omega_t(t, x), family.blocks))
+        flat = family.omega0.matrix + t * family.omega_bar.omega(x)
+        _, smin = _sigma_range(_diagonal_blocks(flat, family.blocks))
         raise LeftValidityRegionError(t, x, smin)
     return vel[0]
 
@@ -635,16 +633,26 @@ class MoserReport:
     trajectories: np.ndarray | None = None
 
 
-def _field_batch(family: MoserFamily, t: float, pts: np.ndarray, quad_nodes: int,
+def _field_batch(family: MoserFamily, t, pts: np.ndarray, quad_nodes: int,
                  cond_cap: float, sing_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Moser velocities (one dense solve each) and validity flags (from the blocks)."""
+    """Moser velocities and validity flags of the points at one time or a grid.
+
+    ``t`` is a float or a 1-d array of times; an array adds a leading time
+    axis to ``vel`` (T, N, dim) and ``ok`` (T, N).  The difference field and
+    the radial primitive are evaluated once per point whatever the times.
+    The flags come from the singular values of the flats' diagonal blocks
+    (``MoserFamily.blocks``).  Each flat then gets one dense solve, the only
+    Moser-velocity solve of this module; a failing flat is swapped for the
+    identity first, so its velocity is meaningless but finite.
+    """
     alpha = _alpha_batch(family.omega_bar, pts, quad_nodes)
-    oms = family.omega_t_many(t, pts)
+    oms = np.asarray(t, dtype=float)[..., None, None, None] * family.omega_bar.omega_many(pts)
+    oms += family.omega0.matrix
     ok = _margins(*_sigma_range(_diagonal_blocks(oms, family.blocks)), sing_tol, cond_cap) > 0.0
-    mats = np.swapaxes(oms, -1, -2)
-    dim = pts.shape[-1]
-    safe = np.where(ok[:, None, None], mats, np.eye(dim))
-    vel = -np.linalg.solve(safe, alpha[..., None])[..., 0]
+    oms[~ok] = np.eye(pts.shape[-1])
+    # alpha gets the matrices' ndim, which numpy 1.x needs to read it as a stack of columns.
+    rhs = np.broadcast_to(alpha, oms.shape[:-1])[..., None]
+    vel = -np.linalg.solve(np.swapaxes(oms, -1, -2), rhs)[..., 0]
     return vel, ok
 
 
@@ -704,20 +712,18 @@ def flow_map(
 
 def _lipschitz_estimate(family: MoserFamily, pts: np.ndarray, scale: float,
                         quad_nodes: int, cond_cap: float, sing_tol: float, rng) -> float:
-    """Empirical Lipschitz constant of the velocity field near the seeds."""
-    worst = 0.0
+    """Empirical Lipschitz constant of the velocity field near the seeds, at t = 0, 0.5, 1."""
     offsets = rng.standard_normal(pts.shape)
     offsets *= scale / np.maximum(np.linalg.norm(offsets, axis=1, keepdims=True), _EPS)
-    for t in (0.0, 0.5, 1.0):
-        v0, ok0 = _field_batch(family, t, pts, quad_nodes, cond_cap, sing_tol)
-        v1, ok1 = _field_batch(family, t, pts + offsets, quad_nodes, cond_cap, sing_tol)
-        use = ok0 & ok1
-        if not np.any(use):
-            continue
-        num = np.linalg.norm(v1[use] - v0[use], axis=1)
-        den = np.linalg.norm(offsets[use], axis=1)
-        worst = max(worst, float(np.max(num / np.maximum(den, _EPS))))
-    return worst
+    ts = np.array([0.0, 0.5, 1.0])
+    v0, ok0 = _field_batch(family, ts, pts, quad_nodes, cond_cap, sing_tol)
+    v1, ok1 = _field_batch(family, ts, pts + offsets, quad_nodes, cond_cap, sing_tol)
+    use = ok0 & ok1
+    if not np.any(use):
+        return 0.0
+    num = np.linalg.norm(v1 - v0, axis=-1)
+    den = np.maximum(np.linalg.norm(offsets, axis=1), _EPS)
+    return float(np.max((num / den)[use]))
 
 
 def moser_flow(
@@ -951,7 +957,9 @@ def uniform_bound_check(
     point, and is infinite once a sampled flat fails the validity test.
     That test is the one ``validity_radius`` and the integrator use:
     ``_margins`` > 0 with ``sing_tol`` and ``cond_cap``, on the singular
-    values of the family's diagonal blocks.  The per-level table makes
+    values of the family's diagonal blocks.  The velocities come from one
+    ``_field_batch`` call over the whole time grid, and the base-point
+    flats of every time are factored as one stack.  The per-level table makes
     growth across levels visible; the three flags compare against K.
 
     A level whose difference field is zero is evaluated at the first time
@@ -969,14 +977,11 @@ def uniform_bound_check(
         gis = space.gram_inv_sqrt
         zero_field = family.omega_bar.is_zero
         times = ts[:1] if zero_field else ts
-        bar_at_base = family.omega_bar.omega(base)
-        forward = 0.0
-        inverse = 0.0
-        for t in times:
-            flat = (family.omega0.matrix + t * bar_at_base).T
-            s = np.linalg.svd(gis @ flat @ gis, compute_uv=False)
-            forward = max(forward, float(s[0]))
-            inverse = max(inverse, float("inf") if s[-1] <= _EPS else float(1.0 / s[-1]))
+        oms = family.omega0.matrix + times[:, None, None] * family.omega_bar.omega(base)
+        s = np.linalg.svd(gis @ np.swapaxes(oms, -1, -2) @ gis, compute_uv=False)
+        forward = float(s[:, 0].max())
+        smin = float(s[:, -1].min())
+        inverse = float("inf") if smin <= _EPS else 1.0 / smin
 
         if zero_field:
             ok = _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0
@@ -987,22 +992,14 @@ def uniform_bound_check(
         ball = _sample_ball(rng, space, base, KUMAR_RADIUS_FACTOR * max(avail, 0.0),
                             KUMAR_SAMPLES)
         pts = np.vstack([base[None, :], ball])
-        alphas = _alpha_batch(family.omega_bar, pts, QUAD_NODES)
-        kumar = 0.0
-        for t in ts:
-            oms = family.omega_t_many(t, pts)
-            valid = _margins(*_sigma_range(_diagonal_blocks(oms, family.blocks)),
-                             sing_tol, cond_cap) > 0.0
-            if not np.all(valid):
-                kumar = float("inf")
-                continue
-            flats = np.swapaxes(oms, -1, -2)
-            sols = np.linalg.solve(flats, alphas[..., None])[..., 0]
-            if space.has_identity_gram:
-                norms = np.linalg.norm(sols, axis=1)
-            else:
-                norms = np.sqrt(np.einsum("ni,ij,nj->n", sols, space.gram_matrix, sols))
-            kumar = max(kumar, float(np.max(norms)))
+        vel, ok = _field_batch(family, ts, pts, QUAD_NODES, cond_cap, sing_tol)
+        if not np.all(ok):
+            kumar = float("inf")
+        elif space.has_identity_gram:
+            kumar = float(np.max(np.linalg.norm(vel, axis=-1)))
+        else:
+            kumar = float(np.max(np.sqrt(
+                np.einsum("...i,ij,...j->...", vel, space.gram_matrix, vel))))
         rows.append(LevelBounds(level=level, forward=forward, inverse=inverse, kumar=kumar))
     return UniformBoundReport(
         forward_ok=all(r.forward <= K for r in rows),

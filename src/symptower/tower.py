@@ -349,8 +349,10 @@ def block_decompose(
         if level == base_i:
             return [np.eye(tower.levels[level].dim)]
         bonding = tower.bondings[level - 1]
-        ker_basis, kperp_basis, report = _submersion_pieces(fs.forms[level], bonding, rank_tol)
-        if not (report.ok and report.split_ok):
+        ker_basis, kperp_basis, ok, split_ok = _submersion_pieces(
+            fs.forms[level], bonding, rank_tol
+        )
+        if not (ok and split_ok):
             raise ValueError("level %d: the bonding is not invertible on the symplectic "
                              "orthogonal of its kernel, or the two do not split" % level)
         lprime = bonding.matrix @ kperp_basis
@@ -380,7 +382,8 @@ class SubmersionReport:
     """``ok``: source splits as kernel plus symplectic orthogonal.
 
     ``split_ok``: the map restricted to that orthogonal is invertible onto
-    the target (gives the right inverse used to induce forms);
+    the target (gives the right inverse used to induce forms), its smallest
+    singular value above ``tol`` times the map's norm;
     ``vertical_nondegenerate``: the form restricted to the kernel is
     nondegenerate (vacuously true for trivial kernels).
     """
@@ -392,7 +395,8 @@ class SubmersionReport:
 
 def _submersion_pieces(
     form_top: SkewForm, map_: LinearMap, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray, SubmersionReport]:
+) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """``(ker_basis, kperp_basis, ok, split_ok)``, the last two as in ``SubmersionReport``."""
     if not map_.source.compatible_with(form_top.space):
         raise DimensionMismatchError("form must live on the source of the map")
     rank, ker_basis, kperp_basis, stacked_rank = kernel_split(
@@ -403,28 +407,24 @@ def _submersion_pieces(
     dim = map_.source.dim
     kperp_dim = kperp_basis.shape[1]
     ok = stacked_rank == dim and ker_basis.shape[1] + kperp_dim == dim
-
-    if ker_basis.shape[1] == 0:
-        vertical = True
-    else:
-        restricted = restrict_form(form_top, Subspace(map_.source, ker_basis))
-        vertical = check_weak_nondegenerate(restricted, rank_tol).nondegenerate
-
-    lprime = map_.matrix @ kperp_basis
-    split_ok = (
-        kperp_dim == map_.target.dim
-        and matrix_rank(lprime, rank_tol) == map_.target.dim
+    split_ok = kperp_dim == map_.target.dim and bool(
+        np.linalg.svd(map_.matrix @ kperp_basis, compute_uv=False)[-1]
+        > rank_tol * np.linalg.norm(map_.matrix, 2)
     )
-    report = SubmersionReport(ok=ok, vertical_nondegenerate=vertical, split_ok=split_ok)
-    return ker_basis, kperp_basis, report
+    return ker_basis, kperp_basis, ok, split_ok
 
 
 def check_symplectic_submersion(
     form_top: SkewForm, map_: LinearMap, tol: float = RANK_TOL
 ) -> SubmersionReport:
     """Whether the map's kernel and its symplectic orthogonal split the source."""
-    _, _, report = _submersion_pieces(form_top, map_, tol)
-    return report
+    ker_basis, _, ok, split_ok = _submersion_pieces(form_top, map_, tol)
+    if ker_basis.shape[1] == 0:
+        vertical = True
+    else:
+        restricted = restrict_form(form_top, Subspace(map_.source, ker_basis))
+        vertical = check_weak_nondegenerate(restricted, tol).nondegenerate
+    return SubmersionReport(ok=ok, vertical_nondegenerate=vertical, split_ok=split_ok)
 
 
 def induce_level_form(
@@ -435,8 +435,8 @@ def induce_level_form(
     The result omega_i satisfies omega_i(map u, map v) = form_top(u, v) for
     u, v in the symplectic orthogonal of the kernel.
     """
-    _, kperp_basis, report = _submersion_pieces(form_top, map_, tol)
-    if not (report.ok and report.split_ok):
+    _, kperp_basis, ok, split_ok = _submersion_pieces(form_top, map_, tol)
+    if not (ok and split_ok):
         raise PreconditionError("cannot induce a form: submersion check failed")
     lprime = map_.matrix @ kperp_basis
     right_inverse = kperp_basis @ np.linalg.solve(lprime, np.eye(map_.target.dim))

@@ -125,7 +125,7 @@ def test_moser_vector_field_frozen_2d():
     x = moser_vector_field(family, 0.5, [1.0, 2.0])
     np.testing.assert_allclose(x, MOSER_X, atol=1e-14)
     # cross-check against the explicit 2x2 inverse
-    omega_t = family.omega_t(0.5, [1.0, 2.0])
+    omega_t = omega0.matrix + 0.5 * field.omega([1.0, 2.0])
     alpha = radial_primitive(field, [1.0, 2.0])
     explicit = -np.linalg.inv(omega_t.T) @ alpha
     np.testing.assert_allclose(x, explicit, atol=1e-14)
@@ -357,7 +357,7 @@ def test_field_batch_factors_only_blocks_and_matches_dense(monkeypatch):
     pts *= rng.random(6)[:, None] / np.linalg.norm(pts, axis=1, keepdims=True)
     t = 0.7
     # Dense reference, with a cap that splits the batch into valid and invalid points.
-    oms = family.omega_t_many(t, pts)
+    oms = family.omega0.matrix + t * family.omega_bar.omega_many(pts)
     s = np.linalg.svd(oms, compute_uv=False)
     kappa = s[:, 0] / s[:, -1]
     cond_cap = float(np.median(kappa))
@@ -371,6 +371,30 @@ def test_field_batch_factors_only_blocks_and_matches_dense(monkeypatch):
     assert shapes == [(2, 6, 4, 4)]
     np.testing.assert_array_equal(ok, want_ok)
     np.testing.assert_allclose(vel[ok], want_vel[ok], rtol=1e-12, atol=1e-12)
+
+
+def test_field_batch_over_a_time_grid_equals_per_time_calls():
+    rng = np.random.default_rng(13)
+    blocks = rng.permutation(8).reshape(2, 4)
+    omega0 = np.zeros((8, 8))
+    for idx in blocks:
+        omega0[np.ix_(idx, idx)] = darboux_constant_form(2).matrix
+    family = MoserFamily(SkewForm(ModelSpace(8), omega0), linear_block_field(rng, blocks, 0.6))
+    assert family.blocks is not None
+    pts = rng.standard_normal((7, 8))
+    pts *= rng.random(7)[:, None] / np.linalg.norm(pts, axis=1, keepdims=True)
+    ts = np.linspace(0.0, 1.0, 5)
+    # A cap at the median condition number of the t = 1 flats: both verdicts occur.
+    s = np.linalg.svd(omega0 + family.omega_bar.omega_many(pts), compute_uv=False)
+    cond_cap = float(np.median(s[:, 0] / s[:, -1]))
+    args = (moser.QUAD_NODES, cond_cap, moser.SING_TOL)
+    vel, ok = moser._field_batch(family, ts, pts, *args)
+    assert vel.shape == (5, 7, 8) and ok.shape == (5, 7)
+    assert ok.any() and not ok.all()
+    for k, t in enumerate(ts):
+        want_vel, want_ok = moser._field_batch(family, t, pts, *args)
+        np.testing.assert_array_equal(vel[k], want_vel)
+        np.testing.assert_array_equal(ok[k], want_ok)
 
 
 def test_condition_number_at_the_cap_is_invalid_on_every_path(monkeypatch):
@@ -706,9 +730,9 @@ def test_uniform_bound_check_kumar_factors_only_blocks(monkeypatch):
     shapes = record_svd_shapes(monkeypatch)
     got = uniform_bound_check([family], K=4.0)
     assert got == want
-    # full flats only at the base point, for the operator norms
+    # full flats only at the base point, for the operator norms; one stack each
     samples = 1 + moser.KUMAR_SAMPLES
-    assert shapes == [(8, 8)] * moser.T_GRID + [(2, samples, 4, 4)] * moser.T_GRID
+    assert shapes == [(moser.T_GRID, 8, 8), (2, moser.T_GRID, samples, 4, 4)]
 
 
 def test_uniform_bound_check_reads_its_cond_cap():

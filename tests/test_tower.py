@@ -18,6 +18,7 @@ from symptower.tower import (
     CompatibilityReport,
     FormSequence,
     PreconditionError,
+    SubmersionReport,
     Thread,
     Tower,
     block_decompose,
@@ -266,6 +267,18 @@ def test_submersion_dropping_half_a_pair_fails():
     assert not rep.ok
     assert not rep.vertical_nondegenerate
     assert not rep.split_ok
+
+
+def test_submersion_whose_kernel_orthogonal_maps_to_roundoff_does_not_split():
+    # The kernel of a 1 x 4 map has odd dimension, so its symplectic
+    # orthogonal lies inside it and the map sends it to roundoff.
+    form = darboux_constant_form(2)
+    map_ = LinearMap(form.space, ModelSpace(1), np.random.default_rng(1).standard_normal((1, 4)))
+    rep = check_symplectic_submersion(form, map_)
+    assert rep == SubmersionReport(ok=False, vertical_nondegenerate=False, split_ok=False)
+    assert type(rep.split_ok) is bool
+    with pytest.raises(PreconditionError, match="submersion"):
+        induce_level_form(form, map_)
 
 
 def test_submersion_identity_and_non_surjective():
