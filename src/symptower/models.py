@@ -174,7 +174,7 @@ def _slot_field(space: ModelSpace, shifts: np.ndarray, s_eigs: np.ndarray,
         slot = np.arange(d)
         blocks = [np.concatenate([k * d + slot, (n + k) * d + slot]) for k in range(n)]
     return FormField(space, center, radius, eval_fn=evaluate, derivative=derivative,
-                     blocks=blocks)
+                     blocks=blocks, degree=2)
 
 
 def make_marsden_field(
@@ -229,7 +229,8 @@ def make_quadratic_field(
         j = np.einsum("ijk,k->ij", q, np.asarray(h, dtype=float))
         return epsilon * (j.T - j)
 
-    return FormField(base.space, center, radius, eval_fn=evaluate, derivative=derivative)
+    return FormField(base.space, center, radius, eval_fn=evaluate, derivative=derivative,
+                     degree=1)
 
 
 def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -453,7 +454,10 @@ def _shrink_levels(tower_spec: Mapping, n_max: int):
                 v = np.zeros(f.space.dim)
                 v[k * d : (k + 1) * d] = unit
                 rays.append(v)
-            ray_sets.append(rays)
+            # Nearest shell first: slot k's shell lies at |a|/k, so slot n
+            # sets the radius at once and the later slot rays' crossings,
+            # which lie past it, are never bisected.
+            ray_sets.append(rays[::-1])
         return tower, families, bounds, ray_sets
     if kind == "product":
         factor_dim = int(spec.pop("factor_dim", 1))

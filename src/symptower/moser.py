@@ -15,6 +15,8 @@ Conventions:
   sigma_min > sing_tol * sigma_max and condition number < cond_cap (by
   default SING_TOL and COND_CAP).  ``_margins`` > 0 is the one test, fed by
   ``_sigma_range`` from the singular values of the flat's diagonal blocks;
+* ``validity_radius`` skips the rays that ``_certified_clear`` proves
+  valid from a field's declared polynomial ``degree``, by Weyl's inequality;
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
   times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
   kumar bound of ``uniform_bound_check`` all call it;
@@ -24,6 +26,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -129,6 +132,12 @@ class FormField:
     values are those of the blocks; every validity test then factors the
     small blocks instead of the whole matrix.  The declaration is checked
     at the region center only.
+
+    ``degree``, when given, declares the field a polynomial of that degree
+    in x, so along any line it is a matrix polynomial recovered exactly from
+    ``degree + 1`` evaluations; ``validity_radius`` uses it to certify whole
+    rays.  A constant field has degree 0; an ``eval_fn`` declares none
+    (None) unless told, and the declaration is not checked.
     """
 
     space: ModelSpace
@@ -138,6 +147,7 @@ class FormField:
     derivative: object = None
     constant_value: np.ndarray | None = None
     blocks: np.ndarray | None = None
+    degree: int | None = None
 
     def __post_init__(self) -> None:
         c = np.array(self.center, dtype=float)
@@ -157,6 +167,11 @@ class FormField:
                 raise DimensionMismatchError("constant_value has the wrong shape")
             m.flags.writeable = False
             object.__setattr__(self, "constant_value", m)
+            object.__setattr__(self, "degree", 0)
+        elif self.degree is not None:
+            if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
+                raise ValueError("degree must be a non-negative integer or None")
+            object.__setattr__(self, "degree", int(self.degree))
         if self.blocks is not None:
             try:
                 blocks = np.array(self.blocks, dtype=int)
@@ -248,6 +263,7 @@ class FormField:
             eval_fn=shifted_eval,
             derivative=self.derivative,
             blocks=blocks,
+            degree=self.degree,
         )
 
 
@@ -465,6 +481,13 @@ def validity_radius(
     declares blocks (``MoserFamily.blocks``) the margins come from the
     singular values of the diagonal blocks, and omega0, the flat at t = 0,
     is factored once per family.  Returns 0.0 when x0 itself fails.
+
+    A ray is skipped when ``_certified_clear`` proves every flat valid on
+    the whole segment its march would cover: there the march, its
+    bisection and its dip chases could not lower the answer, which is the
+    same float either way.  That needs the difference field's declared
+    ``degree``; the ``extra_rays``, which are aimed at a degeneracy, are
+    always marched, and so is every ray of a field of undeclared degree.
     """
     if cond_cap <= 1.0:
         raise ValueError("cond_cap must exceed 1")
@@ -486,23 +509,105 @@ def validity_radius(
     rng = np.random.default_rng(seed)
     if extra_rays is None:
         rays = [sign * axis for axis in np.eye(space.dim) for sign in (1.0, -1.0)]
+        aimed = 0
     else:
         rays = [np.asarray(r, dtype=float) for r in extra_rays]
+        aimed = len(rays)
     rays.extend(rng.standard_normal((RAY_COUNT, space.dim)))
     grid = np.linspace(0.0, available, MARCH_STEPS + 1)
     best = available
-    for ray in rays:
+    for i, ray in enumerate(rays):
         n = space.norm(ray)
         if n == 0.0:
             continue
         direction = ray / n
         radii = grid[:np.searchsorted(grid, best, "right") + 2]
+        if i >= aimed and _certified_clear(family, x0, direction, radii[-1], grid[1],
+                                           ts, sing_tol, cond_cap):
+            continue
         margins = margin_at(radii, direction)
         best = _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
                                radii, margins, best)
         if best == 0.0:
             break
     return best
+
+
+# The certificate of _certified_clear holds the condition cap and the
+# singular-value floor with this relative room, and widens every Weyl bound
+# by _CERT_ROUNDOFF times a bound on the flats' norms, far above the
+# rounding of the marched field values and of their SVDs.
+_CERT_SLACK = 1e-6
+_CERT_ROUNDOFF = 1e-10
+
+
+def _certified_clear(family: MoserFamily, x0: np.ndarray, direction: np.ndarray,
+                     end: float, min_step: float, ts: np.ndarray,
+                     sing_tol: float, cond_cap: float) -> bool:
+    """True when every flat on the segment x0 + r * direction, r in [0, end],
+    passes ``_margins`` at every time of ``ts``.
+
+    Needs the difference field's declared ``degree`` p: along the segment
+    it is a matrix polynomial P(s) in s = r / end, recovered from its values
+    at p + 1 Chebyshev-Lobatto nodes.  The segment is covered by Taylor
+    steps.  At a step's start s0 the diagonal blocks of the flats
+    omega0 + t * P(s0) are factored; by Weyl's inequality the singular
+    values of block b move by at most t * sum_k |D_bk|_F h^k up to s0 + h,
+    where D_bk is block b of P's k-th Taylor coefficient at s0.  The flats'
+    sigma_max is held below a common ceiling, the geometric mean of the
+    largest block sigma_max and the largest value the smallest sigma_min
+    allows; each block's room below it and above the floor it implies sets
+    its step, and h is the smallest, in closed form.  Gives up (False)
+    on an undeclared degree, a non-finite value, or as soon as a step would
+    end short of both ``min_step`` (in r) and the segment's end.
+    """
+    p = family.omega_bar.degree
+    if p is None:
+        return False
+    nodes = 0.5 - 0.5 * np.cos(np.pi * np.arange(p + 1) / max(p, 1))
+    values = _diagonal_blocks(
+        family.omega_bar.omega_many(x0 + (end * nodes)[:, None] * direction), family.blocks)
+    if not np.all(np.isfinite(values)):
+        return False
+    coef = np.einsum("kj,bj...->bk...", np.linalg.inv(np.vander(nodes, increasing=True)), values)
+    omega0 = _diagonal_blocks(family.omega0.matrix, family.blocks)
+    slack = _CERT_ROUNDOFF * (np.linalg.norm(omega0, axis=(-2, -1)).max()
+                              + np.linalg.norm(coef, axis=(-2, -1)).max(axis=0).sum())
+    # sigma_min >= q * sigma_max keeps both tests of _margins with room.
+    q = max(sing_tol * (1.0 + _CERT_SLACK), 1.0 / (cond_cap * (1.0 - _CERT_SLACK)))
+    ts = ts[ts > 0.0]
+    k = np.arange(p + 1)
+    binom = np.array([[math.comb(j, i) for j in k] for i in k], dtype=float)
+    s0, h_min = 0.0, min_step / end
+    while True:
+        taylor = np.einsum("kj,bj...->bk...",
+                           binom * s0 ** np.maximum(k - k[:, None], 0), coef)
+        flats = omega0[:, None] + ts[:, None, None] * taylor[:, :1]
+        sv = np.linalg.svd(flats, compute_uv=False)
+        smax, smin = sv[..., 0], sv[..., -1]
+        lowest = smax.max(axis=0) + slack
+        highest = (smin.min(axis=0) - slack) / q
+        if not np.all(highest > lowest):
+            return False
+        ceiling = np.sqrt(lowest * highest)
+        room = (np.minimum(ceiling - slack - smax, smin - slack - q * ceiling) / ts).min(axis=1)
+        # For h <= 1, sum_k |D_bk| h^k <= n1 h + n2 h^2; solve that for the room.
+        norms = np.linalg.norm(taylor[:, 1:], axis=(-2, -1))
+        n1, n2 = norms[:, :1].sum(axis=1), norms[:, 1:].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            h = np.min(2.0 * room / (n1 + np.sqrt(n1 * n1 + 4.0 * n2 * room)))
+        last = h >= 1.0 - s0
+        h = min(h, 1.0 - s0)
+        if not last and h < h_min:
+            return False
+        # The step is accepted by the validity rule itself, on the Weyl bounds.
+        moved = ts * (n1 * h + n2 * h * h)[:, None]
+        if not np.all(_margins((smax + moved).max(axis=0) + slack,
+                               (smin - moved).min(axis=0) - slack, sing_tol, cond_cap) > 0.0):
+            return False
+        if last:
+            return True
+        s0 += h
 
 
 def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,

@@ -1,6 +1,7 @@
 """Model builders: metric phase fields, product and loop towers, shrink runs."""
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from symptower.models import (
     make_loop_tower,
     make_marsden_field,
     make_product_tower,
+    make_quadratic_field,
     shrink_experiment,
 )
 from symptower.moser import exterior_derivative_residual, validity_radius
@@ -404,10 +406,149 @@ def test_validity_radius_marches_slot_rays_first_and_cuts_later_marches(monkeypa
         return margins_fn(fam, pts, ts, sing_tol, cond_cap)
 
     monkeypatch.setattr(moser, "_validity_margins", counting)
+    certified = recorded_certificates(monkeypatch)
     assert_within_oracle(3, level_radius(3))
-    assert len(marches) == len(rays) + moser.RAY_COUNT
+    # The aimed slot rays are always marched, a random ray only when uncertified.
+    assert len(marches) == len(rays) + certified.count(False)
     first = marches[0]
     assert len(first) == moser.MARCH_STEPS + 1
     step = first[1] - family.base_point
     np.testing.assert_allclose(step / np.linalg.norm(step), rays[0] / np.linalg.norm(rays[0]))
     assert all(len(m) < moser.MARCH_STEPS + 1 for m in marches[1:])
+
+
+# ---------------------------------------------------------------------------
+# certified rays: validity_radius skips a ray that _certified_clear proves
+# valid, and must return the same float as when it marches every ray
+# ---------------------------------------------------------------------------
+
+
+def recorded_certificates(monkeypatch) -> list:
+    """The verdicts of every later moser._certified_clear call, in order."""
+    certify_fn = moser._certified_clear
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(certify_fn(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(moser, "_certified_clear", recording)
+    return verdicts
+
+
+def marched_everywhere(fn):
+    """fn() with every certificate refused, so every ray is marched."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(moser, "_certified_clear", lambda *args: False)
+        return fn()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_certified_rays_keep_the_counterexample_radius(monkeypatch, n):
+    certified = recorded_certificates(monkeypatch)
+    r = level_radius(n)
+    assert sum(certified) >= moser.RAY_COUNT // 2
+    assert r == marched_everywhere(lambda: level_radius(n))
+
+
+@seed(20261018)
+@settings(max_examples=8, deadline=None)
+@given(
+    a=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4).filter(
+        lambda v: np.linalg.norm(v) > 0.1),
+    depth=st.integers(min_value=2, max_value=3),
+    run_seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_certified_rays_keep_the_radius_for_any_direction(a, depth, run_seed):
+    a = np.asarray(a) / np.linalg.norm(a)
+    _, families, _, ray_sets = _shrink_levels({"kind": "counterexample", "d": 4, "a": a}, depth)
+    for i, (family, rays) in enumerate(zip(families, ray_sets)):
+
+        def radius():
+            return validity_radius(family, family.base_point, cond_cap=SHRINK_COND_CAP,
+                                   seed=run_seed + i, extra_rays=rays)
+
+        assert radius() == marched_everywhere(radius)
+
+
+def certify(family, direction, end, min_step, cond_cap=SHRINK_COND_CAP):
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    return moser._certified_clear(family, family.base_point, direction, end, min_step,
+                                  ts, moser.SING_TOL, cond_cap)
+
+
+def test_certified_segment_is_valid_at_a_thousand_radii():
+    families, ray_sets = counterexample_levels()
+    family = families[3]
+    star = oracle_radius(4)
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    random_ray = np.random.default_rng(4).standard_normal(family.space.dim)
+    random_ray /= np.linalg.norm(random_ray)
+    for direction, end in ((ray_sets[3][0], 0.999 * star), (random_ray, 1.5)):
+        assert certify(family, direction, end, 1e-4 * end)
+        radii = np.linspace(0.0, end, 1000)
+        pts = family.base_point + radii[:, None] * direction
+        margins = moser._validity_margins(family, pts, ts, moser.SING_TOL, SHRINK_COND_CAP)
+        assert np.all(margins > 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_certified_reach_on_the_slot_ray_stays_below_the_oracle(n):
+    families, ray_sets = counterexample_levels()
+    family, slot_ray = families[n - 1], ray_sets[n - 1][0]
+    star = oracle_radius(n)
+    assert slot_ray[(n - 1) * 4] == 1.0  # slot n: the nearest shell comes first
+    assert certify(family, slot_ray, 0.99 * star, 1e-4 * star)
+    assert not certify(family, slot_ray, star, 1e-4 * star)
+    assert not certify(family, slot_ray, 1.0 / n, 1e-4 * star)
+
+
+def finite_difference(field, x, u, order, h=0.3):
+    """(order-th forward difference of the field along x + j * h * u, largest |value|)."""
+    values = field.omega_many(x + h * np.arange(order + 1)[:, None] * u)
+    signs = np.array([(-1) ** (order - j) * comb(order, j) for j in range(order + 1)], float)
+    return np.einsum("j,jab->ab", signs, values), np.abs(values).max()
+
+
+OMEGA_4 = darboux_constant_form(2).matrix
+
+
+@lru_cache(maxsize=1)
+def declared_fields():
+    """Every constructor of a field with a declared degree, and its derived fields."""
+    spec = MarsdenSpec(d=2, a=np.array([0.6, -0.8]), s_eigs=np.array([1.0, 0.1]))
+    _, ce_fields = make_counterexample_tower(2, 3)
+    quadratic = make_quadratic_field(2, 0.3, seed=5)
+    family = moser.MoserFamily.darboux_target(ce_fields[2], 0.1 * np.ones(12))
+    constant = moser.FormField.constant(darboux_constant_form(2), np.zeros(4), 1.0)
+    return {
+        "marsden": make_marsden_field(spec),
+        "counterexample": ce_fields[2],
+        "quadratic": quadratic,
+        "quadratic-shifted": quadratic.shifted(0.1 * np.ones(4), 0.5 * OMEGA_4),
+        "difference": family.omega_bar,
+        "total": family.total_field,
+        "constant": constant,
+        "constant-shifted": constant.shifted(np.zeros(4), OMEGA_4 / 3.0),
+    }
+
+
+DECLARED_DEGREES = {"marsden": 2, "counterexample": 2, "quadratic": 1, "quadratic-shifted": 1,
+                    "difference": 2, "total": 2, "constant": 0, "constant-shifted": 0}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_DEGREES))
+def test_declared_degree_is_the_field_degree(name):
+    """The (p+1)-th difference along a random line vanishes and the p-th does
+    not, so a wrong declaration fails."""
+    field = declared_fields()[name]
+    assert field.degree == DECLARED_DEGREES[name]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = field.center + 0.2 * rng.standard_normal(field.space.dim)
+        u = rng.standard_normal(field.space.dim)
+        u /= np.linalg.norm(u)
+        above, scale = finite_difference(field, x, u, field.degree + 1)
+        top, _ = finite_difference(field, x, u, field.degree)
+        assert np.abs(above).max() <= 1e-12 * scale
+        assert np.abs(top).max() >= 1e-4 * scale

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from symptower import moser
 from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form
+from symptower.models import make_quadratic_field
 from symptower.moser import (
     GOLDEN_EVALS,
     ChartConstructionError,
@@ -236,11 +237,89 @@ def test_validity_radius_marches_axis_rays_only_without_extra_rays(monkeypatch, 
             marches.append(len(pts))
         return margins_fn(fam, pts, ts, sing_tol, cond_cap)
 
+    certify_fn = moser._certified_clear
+    certified = []
+
+    def certifying(*args):
+        certified.append(certify_fn(*args))
+        return certified[-1]
+
     monkeypatch.setattr(moser, "_validity_margins", counting)
+    monkeypatch.setattr(moser, "_certified_clear", certifying)
     rays = np.random.default_rng(9).standard_normal((extra, 4)) if extra else None
     assert validity_radius(family, np.zeros(4), extra_rays=rays) == pytest.approx(4.0)
     expected = moser.RAY_COUNT + extra if extra else 2 * 4 + moser.RAY_COUNT
-    assert len(marches) == expected
+    # The field is constant, so every axis and random ray is certified; only
+    # the extra rays, which are always marched, are marched.
+    assert len(marches) == extra
+    assert len(certified) == expected - extra and all(certified)
+
+
+def certify(family, direction, end, min_step, cond_cap=moser.COND_CAP):
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    return moser._certified_clear(family, family.base_point, np.asarray(direction, float),
+                                  end, min_step, ts, moser.SING_TOL, cond_cap)
+
+
+def test_certificate_needs_a_declared_degree_and_finite_values():
+    quadratic = quadratic_perturbation_field(4, 0.05, seed=3)
+    declared = replace(quadratic, degree=2)
+    axis = np.eye(4)[0]
+    assert certify(MoserFamily.darboux_target(declared, np.zeros(4)), axis, 0.5, 0.01)
+    assert not certify(MoserFamily.darboux_target(quadratic, np.zeros(4)), axis, 0.5, 0.01)
+
+    def blows_up(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.broadcast_to(darboux_constant_form(2).matrix, pts.shape[:-1] + (4, 4)).copy()
+        out[pts[..., 0] > 0.4] = np.inf
+        return out
+
+    field = FormField(ModelSpace(4), np.zeros(4), 1.0, eval_fn=blows_up, degree=1)
+    family = MoserFamily(darboux_constant_form(2), field)
+    assert certify(family, -axis, 0.5, 0.01)
+    assert not certify(family, axis, 0.5, 0.01)
+
+
+def test_degree_is_validated_and_kept():
+    field = quadratic_perturbation_field(4, 0.05, seed=3)
+    assert field.degree is None
+    assert constant_field(OMEGA2).degree == 0
+    assert replace(field, degree=2).shifted(0.1 * np.ones(4), np.zeros((4, 4))).degree == 2
+    for bad in (-1, 1.5, "2"):
+        with pytest.raises(ValueError, match="degree"):
+            replace(field, degree=bad)
+
+
+def test_validity_radius_of_the_moser_spec_field_is_the_marched_one(monkeypatch):
+    family = MoserFamily.darboux_target(make_quadratic_field(2, 0.05, seed=7), np.zeros(4))
+    r = validity_radius(family, np.zeros(4))
+    monkeypatch.setattr(moser, "_certified_clear", lambda *args: False)
+    assert validity_radius(family, np.zeros(4)) == r
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99, 0.999, 1.0])
+@pytest.mark.parametrize("min_step", [1e-3, 1e-2, 0.1])
+def test_certificate_covers_a_segment_in_bounded_steps(monkeypatch, fraction, min_step):
+    """Degenerate shell at |x| = 0.8: the steps shrink towards it, and every
+    step but the last advances at least min_step."""
+    rho = 0.8
+    family = MoserFamily.darboux_target(replace(sphere_degenerating_field(rho), degree=2),
+                                        np.zeros(4))
+    svd = np.linalg.svd
+    steps = []
+
+    def counting(a, *args, **kwargs):
+        steps.append(1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    end = fraction * rho
+    ok = certify(family, np.eye(4)[1], end, min_step)
+    assert len(steps) <= end / min_step + 1
+    if fraction == 1.0:
+        assert not ok
+    elif (1.0 - fraction) * rho >= 2.0 * min_step:
+        assert ok  # the segment stops two steps short of the shell
 
 
 def dip_field(depth=0.5, at=0.5, width=0.08):
