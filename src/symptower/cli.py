@@ -54,7 +54,6 @@ from .models import (
 from .moser import (
     COND_CAP,
     DT,
-    QUAD_NODES,
     SING_TOL,
     FormField,
     MoserFamily,
@@ -82,7 +81,7 @@ COMMANDS = {
     "loop-check": "loop",
 }
 FORMATS = ("csv", "json", "text")
-TOLERANCE_KEYS = ("rank_tol", "closed_tol", "sing_tol", "cond_cap", "dt", "quad_nodes")
+TOLERANCE_KEYS = ("rank_tol", "closed_tol", "sing_tol", "cond_cap", "dt")
 # The moser command passes only when the chart fixes its base point this well.
 _FIXED_POINT_TOL = 1e-8
 
@@ -482,7 +481,7 @@ _DOCUMENTS = {
         "kappa_rel_tol": _Key(_POSITIVE),
     }),
 }
-_TOLERANCE_RULES = {"dt": _step, "quad_nodes": _POSITIVE_INT}
+_TOLERANCE_RULES = {"dt": _step}
 _RUN_CONFIG = _Section(
     {
         "command": _Key(_ANY),
@@ -701,7 +700,6 @@ def _pipeline_moser(doc, cfg: RunConfig):
         float(doc["r_start"]),
         dt=float(cfg.tolerances.get("dt", DT)),
         record_trajectories=cfg.dump_trajectories,
-        quad_nodes=int(cfg.tolerances.get("quad_nodes", QUAD_NODES)),
         seed=cfg.seed,
         verify_samples=int(doc.get("verify_samples", 12)),
         closed_tol=float(cfg.tolerances.get("closed_tol", 1e-6)),

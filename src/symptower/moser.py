@@ -20,6 +20,8 @@ Conventions:
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
   times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
   kumar bound of ``uniform_bound_check`` all call it;
+* ``_alpha_batch`` is the one radial primitive, exact for a field of
+  declared ``degree`` and QUAD_NODES-point Gauss-Legendre for any other;
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
   reported domain ball.
 """
@@ -39,7 +41,7 @@ from symptower.tower import Tower
 SING_TOL = 1e-8
 # Condition-number cap defining the validity region.
 COND_CAP = 1e6
-# Gauss-Legendre node count for the radial primitive.
+# Gauss-Legendre nodes of the radial primitive of a field with no declared degree.
 QUAD_NODES = 16
 # Reject integration when measured_lipschitz * dt exceeds this.
 LIPSCHITZ_CAP = 0.5
@@ -136,8 +138,10 @@ class FormField:
     ``degree``, when given, declares the field a polynomial of that degree
     in x, so along any line it is a matrix polynomial recovered exactly from
     ``degree + 1`` evaluations; ``validity_radius`` uses it to certify whole
-    rays.  A constant field has degree 0; an ``eval_fn`` declares none
-    (None) unless told, and the declaration is not checked.
+    rays, and the radial primitive takes its quadrature node count from it.
+    A constant field has degree 0; an ``eval_fn`` declares none (None)
+    unless told, and the declaration is not checked: a wrong one makes both
+    the certificate and the primitive wrong.
     """
 
     space: ModelSpace
@@ -361,22 +365,25 @@ def radial_primitive(field_bar: FormField, x) -> np.ndarray:
     """The covector alpha_x = integral_0^1 s * flat(omega_bar at c+s(x-c))(x-c) ds.
 
     The segment from the region center to x must stay inside the region,
-    which for a ball only fails when x itself is outside.
+    which for a ball only fails when x itself is outside.  Exact for a field
+    of declared ``degree``.
     """
     x = np.asarray(x, dtype=float)
     if not field_bar.contains(x, slack=1e-9):
         raise ValueError("not star-shaped reachable: point leaves the region")
-    return _alpha_batch(field_bar, x[None, :], QUAD_NODES)[0]
+    return _alpha_batch(field_bar, x[None, :])[0]
 
 
-def _alpha_batch(field_bar: FormField, pts: np.ndarray, quad_nodes: int) -> np.ndarray:
-    nodes, weights = _unit_interval_quadrature(quad_nodes)
+def _alpha_batch(field_bar: FormField, pts: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre in s: the integrand of a degree-p field has degree p + 1,
+    which 1 + ceil(p/2) nodes integrate exactly; undeclared, QUAD_NODES."""
+    p = field_bar.degree
+    count = QUAD_NODES if p is None else 1 + (p + 1) // 2
+    nodes, weights = _unit_interval_quadrature(count)
     diffs = pts - field_bar.center
     segs = field_bar.center + nodes[:, None, None] * diffs[None, :, :]
     dim = field_bar.space.dim
-    oms = field_bar.omega_many(segs.reshape(-1, dim)).reshape(
-        quad_nodes, pts.shape[0], dim, dim
-    )
+    oms = field_bar.omega_many(segs.reshape(-1, dim)).reshape(count, pts.shape[0], dim, dim)
     covs = np.einsum("qnji,nj->qni", oms, diffs)
     return np.einsum("q,qni->ni", weights * nodes, covs)
 
@@ -391,7 +398,7 @@ def moser_vector_field(family: MoserFamily, t: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not family.omega_bar.contains(x, slack=1e-9):
         raise ValueError("not star-shaped reachable: point leaves the region")
-    vel, ok = _field_batch(family, t, x[None, :], QUAD_NODES, COND_CAP, SING_TOL)
+    vel, ok = _field_batch(family, t, x[None, :], COND_CAP, SING_TOL)
     if not ok[0]:
         flat = family.omega0.matrix + t * family.omega_bar.omega(x)
         _, smin = _sigma_range(_diagonal_blocks(flat, family.blocks))
@@ -703,15 +710,12 @@ class ChartMap:
     base_point: np.ndarray
     domain_radius: float
     steps: int
-    quad_nodes: int
     cond_cap: float
     sing_tol: float
 
     def map_points(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out, alive, _ = _integrate(
-            self.family, np.asarray(pts, dtype=float), self.steps, 0.0, 1.0,
-            self.quad_nodes, self.cond_cap, self.sing_tol,
-        )
+        out, alive, _ = _integrate(self.family, np.asarray(pts, dtype=float), self.steps,
+                                   0.0, 1.0, self.cond_cap, self.sing_tol)
         return out, alive
 
     def __call__(self, x) -> np.ndarray:
@@ -738,19 +742,20 @@ class MoserReport:
     trajectories: np.ndarray | None = None
 
 
-def _field_batch(family: MoserFamily, t, pts: np.ndarray, quad_nodes: int,
+def _field_batch(family: MoserFamily, t, pts: np.ndarray,
                  cond_cap: float, sing_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Moser velocities and validity flags of the points at one time or a grid.
 
     ``t`` is a float or a 1-d array of times; an array adds a leading time
     axis to ``vel`` (T, N, dim) and ``ok`` (T, N).  The difference field and
-    the radial primitive are evaluated once per point whatever the times.
-    The flags come from the singular values of the flats' diagonal blocks
-    (``MoserFamily.blocks``).  Each flat then gets one dense solve, the only
-    Moser-velocity solve of this module; a failing flat is swapped for the
-    identity first, so its velocity is meaningless but finite.
+    its radial primitive (``_alpha_batch``) are evaluated once per point
+    whatever the times.  The flags come from the singular values of the
+    flats' diagonal blocks (``MoserFamily.blocks``).  Each flat then gets one
+    dense solve, the only Moser-velocity solve of this module; a failing
+    flat is swapped for the identity first, so its velocity is meaningless
+    but finite.
     """
-    alpha = _alpha_batch(family.omega_bar, pts, quad_nodes)
+    alpha = _alpha_batch(family.omega_bar, pts)
     oms = np.asarray(t, dtype=float)[..., None, None, None] * family.omega_bar.omega_many(pts)
     oms += family.omega0.matrix
     ok = _margins(*_sigma_range(_diagonal_blocks(oms, family.blocks)), sing_tol, cond_cap) > 0.0
@@ -767,7 +772,6 @@ def _integrate(
     steps: int,
     t_start: float,
     t_end: float,
-    quad_nodes: int,
     cond_cap: float,
     sing_tol: float,
     record: bool = False,
@@ -783,7 +787,7 @@ def _integrate(
     trail = np.empty((n, steps + 1, pts.shape[1])) if record else None
     if record:
         trail[:, 0] = pts
-    field_args = (quad_nodes, cond_cap, sing_tol)
+    field_args = (cond_cap, sing_tol)
     for k in range(steps):
         t = t_start + k * h
         k1, ok1 = _field_batch(family, t, pts, *field_args)
@@ -808,21 +812,19 @@ def flow_map(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flow a batch of points between two times; returns (endpoints, alive)."""
     steps = max(1, int(round(abs(t_end - t_start) / (1.0 / _steps(dt)))))
-    out, alive, _ = _integrate(
-        family, np.atleast_2d(np.asarray(points, dtype=float)), steps,
-        t_start, t_end, QUAD_NODES, COND_CAP, SING_TOL,
-    )
+    out, alive, _ = _integrate(family, np.atleast_2d(np.asarray(points, dtype=float)), steps,
+                               t_start, t_end, COND_CAP, SING_TOL)
     return out, alive
 
 
 def _lipschitz_estimate(family: MoserFamily, pts: np.ndarray, scale: float,
-                        quad_nodes: int, cond_cap: float, sing_tol: float, rng) -> float:
+                        cond_cap: float, sing_tol: float, rng) -> float:
     """Empirical Lipschitz constant of the velocity field near the seeds, at t = 0, 0.5, 1."""
     offsets = rng.standard_normal(pts.shape)
     offsets *= scale / np.maximum(np.linalg.norm(offsets, axis=1, keepdims=True), _EPS)
     ts = np.array([0.0, 0.5, 1.0])
-    v0, ok0 = _field_batch(family, ts, pts, quad_nodes, cond_cap, sing_tol)
-    v1, ok1 = _field_batch(family, ts, pts + offsets, quad_nodes, cond_cap, sing_tol)
+    v0, ok0 = _field_batch(family, ts, pts, cond_cap, sing_tol)
+    v1, ok1 = _field_batch(family, ts, pts + offsets, cond_cap, sing_tol)
     use = ok0 & ok1
     if not np.any(use):
         return 0.0
@@ -837,7 +839,6 @@ def moser_flow(
     r_start: float,
     dt: float = DT,
     record_trajectories: bool = False,
-    quad_nodes: int = QUAD_NODES,
     seed: int = 0,
     verify_samples: int = 12,
     closed_tol: float = 1e-6,
@@ -863,7 +864,7 @@ def moser_flow(
     if family.omega_bar.is_zero:
         return MoserReport(
             base_point=x0,
-            chart=ChartMap(family, x0, r_start, 0, quad_nodes, cond_cap, sing_tol),
+            chart=ChartMap(family, x0, r_start, 0, cond_cap, sing_tol),
             validity_radius=r_start,
             chart_radius=r_start,
             pullback_residual=0.0,
@@ -902,13 +903,12 @@ def moser_flow(
     seeds = np.array(seeds)
     shell_of = np.array(shell_of)
 
-    lip = _lipschitz_estimate(family, seeds, 1e-4 * r_start, quad_nodes, cond_cap, sing_tol, rng)
+    lip = _lipschitz_estimate(family, seeds, 1e-4 * r_start, cond_cap, sing_tol, rng)
     if lip * dt > LIPSCHITZ_CAP:
         raise StabilityError(lip, dt, LIPSCHITZ_CAP)
 
     out, alive, trail = _integrate(
-        family, seeds, steps, 0.0, 1.0, quad_nodes, cond_cap, sing_tol,
-        record=record_trajectories,
+        family, seeds, steps, 0.0, 1.0, cond_cap, sing_tol, record=record_trajectories,
     )
     if not alive[0]:
         raise ChartConstructionError(x0, out[0])
@@ -920,7 +920,7 @@ def moser_flow(
             break
 
     fixed_point_error = space.norm(out[0] - x0)
-    chart = ChartMap(family, x0, chart_radius, steps, quad_nodes, cond_cap, sing_tol)
+    chart = ChartMap(family, x0, chart_radius, steps, cond_cap, sing_tol)
 
     if chart_radius > 0.0 and verify_samples > 0:
         check = verify_darboux_chart(
@@ -1097,7 +1097,7 @@ def uniform_bound_check(
         ball = _sample_ball(rng, space, base, KUMAR_RADIUS_FACTOR * max(avail, 0.0),
                             KUMAR_SAMPLES)
         pts = np.vstack([base[None, :], ball])
-        vel, ok = _field_batch(family, ts, pts, QUAD_NODES, cond_cap, sing_tol)
+        vel, ok = _field_batch(family, ts, pts, cond_cap, sing_tol)
         if not np.all(ok):
             kumar = float("inf")
         elif space.has_identity_gram:

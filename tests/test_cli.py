@@ -80,9 +80,9 @@ MALFORMED = [
         [
             "tolerances.closed_tol: must be strictly positive",
             "tolerances.dt: must lie in (0, 1]",
-            "tolerances.quad_nodes: must be a positive integer",
             "tolerances.rank_tol: must be strictly positive",
             "tolerances: unknown key 'bogus'",
+            "tolerances: unknown key 'quad_nodes'",
         ],
         id="config-tolerance-values",
     ),
@@ -94,8 +94,8 @@ MALFORMED = [
         },
         [
             "tolerances.cond_cap: must be strictly positive",
-            "tolerances.quad_nodes: must be a positive integer",
             "tolerances.sing_tol: must be strictly positive",
+            "tolerances: unknown key 'quad_nodes'",
         ],
         id="config-tolerance-types",
     ),

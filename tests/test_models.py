@@ -515,13 +515,16 @@ OMEGA_4 = darboux_constant_form(2).matrix
 
 @lru_cache(maxsize=1)
 def declared_fields():
-    """Every constructor of a field with a declared degree, and its derived fields."""
+    """Every constructor of a field with a declared degree, and its derived
+    fields; and "sine", sin(x0) * J, a field of undeclared degree."""
     spec = MarsdenSpec(d=2, a=np.array([0.6, -0.8]), s_eigs=np.array([1.0, 0.1]))
     _, ce_fields = make_counterexample_tower(2, 3)
     quadratic = make_quadratic_field(2, 0.3, seed=5)
     family = moser.MoserFamily.darboux_target(ce_fields[2], 0.1 * np.ones(12))
     constant = moser.FormField.constant(darboux_constant_form(2), np.zeros(4), 1.0)
     return {
+        "sine": moser.FormField(ModelSpace(4), np.zeros(4), 1.0,
+                                eval_fn=lambda pts: np.sin(pts[..., :1, None]) * OMEGA_4),
         "marsden": make_marsden_field(spec),
         "counterexample": ce_fields[2],
         "quadratic": quadratic,
@@ -552,3 +555,43 @@ def test_declared_degree_is_the_field_degree(name):
         top, _ = finite_difference(field, x, u, field.degree)
         assert np.abs(above).max() <= 1e-12 * scale
         assert np.abs(top).max() >= 1e-4 * scale
+
+
+def quadrature(field, pts, count):
+    """The radial primitive by an explicit Gauss-Legendre rule of ``count`` nodes."""
+    nodes, weights = moser._unit_interval_quadrature(count)
+    diffs = pts - field.center
+    dim = field.space.dim
+    segs = (field.center + nodes[:, None, None] * diffs).reshape(-1, dim)
+    oms = field.omega_many(segs).reshape(count, len(pts), dim, dim)
+    return np.einsum("q,qni->ni", weights * nodes, np.einsum("qnji,nj->qni", oms, diffs))
+
+
+def primitive_points(field):
+    return moser._sample_ball(np.random.default_rng(17), field.space, field.center,
+                              0.9 * field.radius, 8)
+
+
+# Gauss-Legendre nodes exact for the integrand s * omega(c + s(x - c))(x - c)
+# of degree p + 1 in s: m nodes integrate degree 2m - 1.
+DERIVED_NODES = {0: 1, 1: 2, 2: 2}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_DEGREES))
+def test_radial_primitive_is_exact_at_the_degree_node_count(name):
+    field = declared_fields()[name]
+    pts = primitive_points(field)
+    alpha = moser._alpha_batch(field, pts)
+    np.testing.assert_array_equal(alpha, quadrature(field, pts, DERIVED_NODES[field.degree]))
+    many = quadrature(field, pts, 16)
+    assert np.abs(alpha - many).max() <= 1e-13 * np.abs(many).max()
+
+
+def test_radial_primitive_of_an_undeclared_field_takes_quad_nodes():
+    field = declared_fields()["sine"]
+    assert field.degree is None
+    pts = primitive_points(field)
+    alpha = moser._alpha_batch(field, pts)
+    np.testing.assert_array_equal(alpha, quadrature(field, pts, moser.QUAD_NODES))
+    # Not a polynomial: two nodes, exact up to degree 3, miss the integral.
+    assert np.abs(alpha - quadrature(field, pts, 2)).max() > 1e-8 * np.abs(alpha).max()

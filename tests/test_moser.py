@@ -162,8 +162,7 @@ def test_moser_vector_field_flags_flat_past_the_condition_cap():
     matrix[2:, 2:] = 1e-7 * OMEGA2
     family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
     x = np.array([0.1, 0.2, 0.3, 0.4])
-    _, ok = moser._field_batch(family, 0.5, x[None, :], moser.QUAD_NODES,
-                               moser.COND_CAP, moser.SING_TOL)
+    _, ok = moser._field_batch(family, 0.5, x[None, :], moser.COND_CAP, moser.SING_TOL)
     assert not ok[0]
     with pytest.raises(LeftValidityRegionError) as err:
         moser_vector_field(family, 0.5, x)
@@ -446,7 +445,7 @@ def test_field_batch_factors_only_blocks_and_matches_dense(monkeypatch):
     want_vel = -np.linalg.solve(np.swapaxes(oms, -1, -2), alphas[..., None])[..., 0]
 
     shapes = record_svd_shapes(monkeypatch)
-    vel, ok = moser._field_batch(family, t, pts, moser.QUAD_NODES, cond_cap, 1e-8)
+    vel, ok = moser._field_batch(family, t, pts, cond_cap, 1e-8)
     assert shapes == [(2, 6, 4, 4)]
     np.testing.assert_array_equal(ok, want_ok)
     np.testing.assert_allclose(vel[ok], want_vel[ok], rtol=1e-12, atol=1e-12)
@@ -466,7 +465,7 @@ def test_field_batch_over_a_time_grid_equals_per_time_calls():
     # A cap at the median condition number of the t = 1 flats: both verdicts occur.
     s = np.linalg.svd(omega0 + family.omega_bar.omega_many(pts), compute_uv=False)
     cond_cap = float(np.median(s[:, 0] / s[:, -1]))
-    args = (moser.QUAD_NODES, cond_cap, moser.SING_TOL)
+    args = (cond_cap, moser.SING_TOL)
     vel, ok = moser._field_batch(family, ts, pts, *args)
     assert vel.shape == (5, 7, 8) and ok.shape == (5, 7)
     assert ok.any() and not ok.all()
@@ -486,7 +485,7 @@ def test_condition_number_at_the_cap_is_invalid_on_every_path(monkeypatch):
     x = np.array([0.1, 0.2, 0.3, 0.4])
     for cap, valid in ((1024.0, False), (np.nextafter(1024.0, np.inf), True)):
         assert (validity_radius(family, x, cond_cap=cap) > 0.0) is valid
-        _, ok = moser._field_batch(family, 0.5, x[None, :], moser.QUAD_NODES, cap, moser.SING_TOL)
+        _, ok = moser._field_batch(family, 0.5, x[None, :], cap, moser.SING_TOL)
         assert bool(ok[0]) is valid
         kumar = uniform_bound_check([family], K=4.0, cond_cap=cap).per_level[0].kumar
         assert kumar == (0.0 if valid else float("inf"))
