@@ -850,9 +850,9 @@ def moser_flow(
 
     Seeds on the SHELL_FRACTIONS shells are flowed from t=0 to 1 in RK4 steps
     of about dt; the chart domain is the largest shell whose seeds all stayed
-    valid.  A zero difference field short-circuits to the identity chart.
-    The pullback residual is measured by verify_darboux_chart on fresh
-    samples.
+    valid.  A zero difference field short-circuits to the identity chart
+    once omega0, then its only flat, passes the validity test.  The pullback
+    residual is measured by verify_darboux_chart on fresh samples.
     """
     steps = _steps(dt)
     dt = 1.0 / steps
@@ -861,11 +861,27 @@ def moser_flow(
     if not r_start > 0.0:
         raise ValueError("r_start must be positive")
 
-    if family.omega_bar.is_zero:
+    zero_field = family.omega_bar.is_zero
+    if not zero_field:
+        closed = exterior_derivative_residual(family.omega_bar, CLOSED_SAMPLES, seed=seed)
+        if closed > closed_tol:
+            raise ValueError("family is not closed: exterior derivative residual %.3e" % closed)
+
+    if skip_validity_radius:
+        vr = r_start
+    elif zero_field:
+        # Every flat is omega0: valid everywhere or nowhere.
+        vr = r_start if _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0 else 0.0
+    else:
+        vr = validity_radius(family, x0, cond_cap=cond_cap, sing_tol=sing_tol, seed=seed)
+    if r_start > vr * (1.0 + 1e-9):
+        raise ValueError("r_start %.6g exceeds the validity radius %.6g" % (r_start, vr))
+
+    if zero_field:
         return MoserReport(
             base_point=x0,
             chart=ChartMap(family, x0, r_start, 0, cond_cap, sing_tol),
-            validity_radius=r_start,
+            validity_radius=vr,
             chart_radius=r_start,
             pullback_residual=0.0,
             steps=0,
@@ -873,21 +889,6 @@ def moser_flow(
             fixed_point_error=0.0,
             lipschitz_estimate=0.0,
         )
-
-    closed = exterior_derivative_residual(family.omega_bar, CLOSED_SAMPLES, seed=seed)
-    if closed > closed_tol:
-        raise ValueError(
-            "family is not closed: exterior derivative residual %.3e" % closed
-        )
-
-    if skip_validity_radius:
-        vr = r_start
-    else:
-        vr = validity_radius(family, x0, cond_cap=cond_cap, sing_tol=sing_tol, seed=seed)
-        if r_start > vr * (1.0 + 1e-9):
-            raise ValueError(
-                "r_start %.6g exceeds the validity radius %.6g" % (r_start, vr)
-            )
 
     rng = np.random.default_rng(seed)
     eye = np.eye(space.dim)

@@ -848,6 +848,23 @@ class TestRunner:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "exceeds the validity radius" in report["report"]["error"]["message"]
 
+    def test_moser_zero_field_of_a_degenerate_form_fails(self, tmp_path, capsys):
+        # The field is zero, so omega0 = 0 and every flat is singular.
+        write_json(
+            tmp_path / "f.json",
+            {"field": {"kind": "constant", "matrix": [[0, 0], [0, 0]]}, "r_start": 0.5},
+        )
+        cfg = write_json(tmp_path / "run.json", {"command": "moser", "input": "f.json"})
+        rc = main(["moser", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert "moser: PASS" not in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["report"]["error"] == {
+            "type": "ValueError",
+            "message": "r_start 0.5 exceeds the validity radius 0",
+        }
+
     def test_left_validity_region_fields_serialized(self, tmp_path, monkeypatch):
         def leaves_region(doc, cfg):
             raise LeftValidityRegionError(0.5, [1.0, -2.0], 3e-9)

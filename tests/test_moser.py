@@ -616,6 +616,20 @@ def test_moser_flow_zero_bar_short_circuits_to_identity():
     np.testing.assert_array_equal(report.chart(pt), pt)
 
 
+def test_moser_flow_zero_bar_keeps_the_validity_rule():
+    # omega0 = J + 1e-7 J has condition number 1e7 > COND_CAP: no point is valid.
+    matrix = np.zeros((4, 4))
+    matrix[:2, :2] = OMEGA2
+    matrix[2:, 2:] = 1e-7 * OMEGA2
+    family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
+    assert validity_radius(family, np.zeros(4)) == 0.0
+    with pytest.raises(ValueError, match="r_start 0.5 exceeds the validity radius 0$"):
+        moser_flow(family, np.zeros(4), 0.5)
+    assert moser_flow(family, np.zeros(4), 0.5, cond_cap=1e8).validity_radius == 0.5
+    skipped = moser_flow(family, np.zeros(4), 0.5, skip_validity_radius=True)
+    assert skipped.validity_radius == 0.5 and skipped.steps == 0
+
+
 def test_moser_flow_quadratic_perturbation_builds_chart():
     field = quadratic_perturbation_field(4, 0.05, seed=7)
     family = MoserFamily.darboux_target(field, np.zeros(4))
