@@ -399,6 +399,16 @@ def _explicit_tower(ok: dict, where: str, errors: list) -> None:
                 _apply(_skew, m, ok, at, errors)
 
 
+def _s_eigs(value, ok):
+    """The metric spectrum: d strictly positive, non-increasing numbers."""
+    _vector(lambda ok: ok["d"])(value, ok)
+    if not all(v > 0 for v in value):
+        raise _Invalid("must be strictly positive")
+    if any(b > a for a, b in zip(value, value[1:])):
+        raise _Invalid("must be non-increasing")
+    return value
+
+
 _LOOP = {
     "m": _Key(_POSITIVE_INT, required=True),
     "modes": _Key(_NON_NEGATIVE_INT, required=True),
@@ -406,8 +416,8 @@ _LOOP = {
 }
 # Shared by the counterexample tower and experiment; both declare "d" first.
 _COUNTEREXAMPLE = {
-    "a": _Key(_vector(lambda ok: ok["d"])),
-    "s_eigs": _Key(_vector(lambda ok: ok["d"])),
+    "a": _Key(_vector(lambda ok: ok["d"], nonzero=True)),
+    "s_eigs": _Key(_s_eigs),
     "region_radius": _Key(_POSITIVE),
 }
 _FACTOR = _Choice({
@@ -447,7 +457,7 @@ _FIELD = _Choice({
         "d": _Key(_POSITIVE_INT, required=True, stop=True),
         "a": _Key(_vector(lambda ok: ok["d"], nonzero=True), required=True),
         "shift_k": _Key(_POSITIVE_INT),
-        "s_eigs": _Key(_vector(lambda ok: ok["d"])),
+        "s_eigs": _Key(_s_eigs),
         "radius": _Key(_POSITIVE),
     }),
 })

@@ -505,18 +505,14 @@ def shrink_experiment(
     rows = []
     projected = []
     for i, family in enumerate(families):
-        base = family.base_point
-        if family.omega_bar.is_zero:
-            r = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
-        else:
-            r = validity_radius(
-                family,
-                base,
-                cond_cap=cond_cap,
-                sing_tol=sing_tol,
-                seed=seed + i,
-                extra_rays=ray_sets[i] or None,
-            )
+        r = validity_radius(
+            family,
+            family.base_point,
+            cond_cap=cond_cap,
+            sing_tol=sing_tol,
+            seed=seed + i,
+            extra_rays=ray_sets[i] or None,
+        )
         kappa = weakness_conditioning(family.omega0).kappa
         rows.append(
             ShrinkRow(

@@ -15,6 +15,8 @@ Conventions:
   sigma_min > sing_tol * sigma_max and condition number < cond_cap (by
   default SING_TOL and COND_CAP).  ``_margins`` > 0 is the one test, fed by
   ``_sigma_range`` from the singular values of the flat's diagonal blocks;
+* a constant field is a ``FormField`` of degree 0; ``validity_radius``
+  alone gives a zero difference field (``is_zero``) its radius;
 * ``validity_radius`` skips the rays that ``_certified_clear`` proves
   valid from a field's declared polynomial ``degree``, by Weyl's inequality;
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
@@ -122,11 +124,12 @@ def _unit_interval_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 class FormField:
     """Skew-matrix field on a ball (in the gram norm) of a model space.
 
-    ``eval_fn`` must map an array of points with shape (..., dim) to skew
-    matrices of shape (..., dim, dim).  ``derivative``, when given, takes
-    (x, h) and returns the directional derivative matrix.  The formulas
-    should tolerate points slightly outside the declared region: region
-    membership gates validity decisions, not evaluation.
+    ``eval_fn``, the field's one representation, must map an array of
+    points with shape (..., dim) to skew matrices of shape (..., dim, dim),
+    checked at the region center.  ``derivative``, when given, takes (x, h)
+    and returns the directional derivative matrix.  The formulas should
+    tolerate points slightly outside the declared region: region membership
+    gates validity decisions, not evaluation.
 
     ``blocks``, when given, partitions ``range(dim)`` into index groups of
     equal size (one row each of a (count, size) integer array) and declares
@@ -139,17 +142,17 @@ class FormField:
     in x, so along any line it is a matrix polynomial recovered exactly from
     ``degree + 1`` evaluations; ``validity_radius`` uses it to certify whole
     rays, and the radial primitive takes its quadrature node count from it.
-    A constant field has degree 0; an ``eval_fn`` declares none (None)
-    unless told, and the declaration is not checked: a wrong one makes both
-    the certificate and the primitive wrong.
+    ``constant`` builds a field of degree 0 with a zero derivative, which
+    ``is_zero`` when it vanishes at its center; any other ``eval_fn``
+    declares no degree (None) unless told, and the declaration is not
+    checked: a wrong one makes both the certificate and the primitive wrong.
     """
 
     space: ModelSpace
     center: np.ndarray
     radius: float
-    eval_fn: object = None
+    eval_fn: object
     derivative: object = None
-    constant_value: np.ndarray | None = None
     blocks: np.ndarray | None = None
     degree: int | None = None
 
@@ -163,16 +166,7 @@ class FormField:
         object.__setattr__(self, "center", c)
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        if (self.eval_fn is None) == (self.constant_value is None):
-            raise ValueError("provide exactly one of eval_fn or constant_value")
-        if self.constant_value is not None:
-            m = np.array(self.constant_value, dtype=float)
-            if m.shape != (self.space.dim, self.space.dim):
-                raise DimensionMismatchError("constant_value has the wrong shape")
-            m.flags.writeable = False
-            object.__setattr__(self, "constant_value", m)
-            object.__setattr__(self, "degree", 0)
-        elif self.degree is not None:
+        if self.degree is not None:
             if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
                 raise ValueError("degree must be a non-negative integer or None")
             object.__setattr__(self, "degree", int(self.degree))
@@ -188,6 +182,9 @@ class FormField:
             blocks.flags.writeable = False
             object.__setattr__(self, "blocks", blocks)
         probe = self.omega(self.center)
+        shape = (self.space.dim, self.space.dim)
+        if probe.shape != shape:
+            raise DimensionMismatchError("field values must have shape %r" % (shape,))
         defect = np.linalg.norm(probe + probe.T)
         if not np.all(np.isfinite(probe)):
             raise ValueError("field is not finite at the region center")
@@ -198,29 +195,22 @@ class FormField:
 
     @classmethod
     def constant(cls, form: SkewForm, center, radius: float) -> "FormField":
-        return cls(form.space, center, radius, constant_value=form.matrix)
+        return _constant_field(form.space, center, radius, form.matrix)
 
     @property
     def is_zero(self) -> bool:
-        return self.constant_value is not None and not np.any(self.constant_value)
+        return self.degree == 0 and not np.any(self.omega(self.center))
 
     def omega(self, x) -> np.ndarray:
         return self.omega_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def omega_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.constant_value is not None:
-            out = np.empty(pts.shape[:-1] + (self.space.dim, self.space.dim))
-            out[...] = self.constant_value
-            return out
-        return np.asarray(self.eval_fn(pts), dtype=float)
+        return np.asarray(self.eval_fn(np.asarray(pts, dtype=float)), dtype=float)
 
     def directional_derivative(self, x, h) -> np.ndarray:
         """D omega(x)[h]; analytic when available, else central differences."""
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        if self.constant_value is not None:
-            return np.zeros((self.space.dim, self.space.dim))
         if self.derivative is not None:
             return np.asarray(self.derivative(x, h), dtype=float)
         return (self.omega(x + FD_H * h) - self.omega(x - FD_H * h)) / (2.0 * FD_H)
@@ -247,14 +237,10 @@ class FormField:
             raise ValueError("new center lies outside the region")
         offset = np.array(offset_matrix, dtype=float)
         blocks = _blocks_kept(self.blocks, offset)
-        if self.constant_value is not None:
-            return FormField(
-                self.space,
-                new_center,
-                remaining,
-                constant_value=self.constant_value - offset,
-                blocks=blocks,
-            )
+        if self.degree == 0:
+            # Folded, so the shifted field keeps one matrix, not two.
+            return _constant_field(self.space, new_center, remaining,
+                                   self.omega(self.center) - offset, blocks)
         inner = self
 
         def shifted_eval(pts):
@@ -269,6 +255,21 @@ class FormField:
             blocks=blocks,
             degree=self.degree,
         )
+
+
+def _constant_field(space: ModelSpace, center, radius: float, value: np.ndarray,
+                    blocks: np.ndarray | None = None) -> FormField:
+    """The degree-0 field of ``value``.  Unlike a ``SkewForm``, it accepts
+    the roundoff of a near-zero difference such as ``shifted``'s."""
+    value = np.array(value, dtype=float)
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        out = np.empty(pts.shape[:-1] + value.shape)
+        out[...] = value
+        return out
+
+    return FormField(space, center, radius, eval_fn=evaluate,
+                     derivative=lambda x, h: np.zeros(value.shape), blocks=blocks, degree=0)
 
 
 def _vanishes_off_blocks(matrix: np.ndarray, blocks: np.ndarray) -> bool:
@@ -495,6 +496,10 @@ def validity_radius(
     same float either way.  That needs the difference field's declared
     ``degree``; the ``extra_rays``, which are aimed at a degeneracy, are
     always marched, and so is every ray of a field of undeclared degree.
+
+    A zero difference field (``FormField.is_zero``) makes every flat omega0:
+    the answer is then the room left in the region if omega0's cached
+    ``omega0_sigma_range`` passes ``_margins``, else 0.0.
     """
     if cond_cap <= 1.0:
         raise ValueError("cond_cap must exceed 1")
@@ -504,6 +509,8 @@ def validity_radius(
     available = field.radius - field.distance_from_center(x0)
     if available <= 0.0:
         return 0.0
+    if field.is_zero:
+        return available if _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0 else 0.0
     ts = np.linspace(0.0, 1.0, T_GRID)
 
     def margin_at(radii: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -842,17 +849,17 @@ def moser_flow(
     seed: int = 0,
     verify_samples: int = 12,
     closed_tol: float = 1e-6,
-    skip_validity_radius: bool = False,
     cond_cap: float = COND_CAP,
     sing_tol: float = SING_TOL,
 ) -> MoserReport:
     """Build the Darboux chart around x0 on the ball of radius r_start.
 
-    Seeds on the SHELL_FRACTIONS shells are flowed from t=0 to 1 in RK4 steps
-    of about dt; the chart domain is the largest shell whose seeds all stayed
-    valid.  A zero difference field short-circuits to the identity chart
-    once omega0, then its only flat, passes the validity test.  The pullback
-    residual is measured by verify_darboux_chart on fresh samples.
+    r_start must not exceed ``validity_radius``.  Seeds on the
+    SHELL_FRACTIONS shells are flowed from t=0 to 1 in RK4 steps of about
+    dt; the chart domain is the largest shell whose seeds all stayed valid.
+    A zero difference field skips the closedness check and short-circuits
+    to the identity chart, once ``validity_radius`` admits r_start.  The
+    pullback residual is measured by verify_darboux_chart on fresh samples.
     """
     steps = _steps(dt)
     dt = 1.0 / steps
@@ -867,13 +874,7 @@ def moser_flow(
         if closed > closed_tol:
             raise ValueError("family is not closed: exterior derivative residual %.3e" % closed)
 
-    if skip_validity_radius:
-        vr = r_start
-    elif zero_field:
-        # Every flat is omega0: valid everywhere or nowhere.
-        vr = r_start if _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0 else 0.0
-    else:
-        vr = validity_radius(family, x0, cond_cap=cond_cap, sing_tol=sing_tol, seed=seed)
+    vr = validity_radius(family, x0, cond_cap=cond_cap, sing_tol=sing_tol, seed=seed)
     if r_start > vr * (1.0 + 1e-9):
         raise ValueError("r_start %.6g exceeds the validity radius %.6g" % (r_start, vr))
 
@@ -1068,12 +1069,12 @@ def uniform_bound_check(
     flats of every time are factored as one stack.  The per-level table makes
     growth across levels visible; the three flags compare against K.
 
-    A level whose difference field is zero is evaluated at the first time
-    only.  There omega_t = omega0 at every time and point and the radial
-    primitive vanishes, so the grid and the ball would repeat the same
-    matrices: ``forward`` and ``inverse`` come from omega0 at the base
-    point, and ``kumar`` is 0.0, or inf when omega0's cached
-    ``omega0_sigma_range`` fails the validity test.
+    A level whose difference field is zero (``FormField.is_zero``) is
+    evaluated at the first time only.  There omega_t = omega0 at every time
+    and point and the radial primitive vanishes, so the grid and the ball
+    would repeat the same matrices: ``forward`` and ``inverse`` come from
+    omega0 at the base point, and ``kumar`` is 0.0, or inf when omega0's
+    cached ``omega0_sigma_range`` fails the rule ``validity_radius`` applies.
     """
     ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []

@@ -493,6 +493,46 @@ MALFORMED = [
         id="marsden-short-a",
     ),
     pytest.param(
+        {
+            "field": {"kind": "marsden", "d": 2, "a": [1.0, 0.0], "s_eigs": [1e-8, 1.0]},
+            "r_start": 0.1,
+        },
+        ["field.s_eigs: must be non-increasing"],
+        id="marsden-increasing-s-eigs",
+    ),
+    pytest.param(
+        {
+            "field": {"kind": "marsden", "d": 2, "a": [1.0, 0.0], "s_eigs": [1.0, 0.0]},
+            "r_start": 0.1,
+        },
+        ["field.s_eigs: must be strictly positive"],
+        id="marsden-zero-s-eig",
+    ),
+    pytest.param(
+        {
+            "tower": {
+                "kind": "counterexample",
+                "d": 2,
+                "depth": 2,
+                "a": [0.0, 0.0],
+                "s_eigs": [0.5, 1.0],
+            },
+        },
+        [
+            "tower.a: must be nonzero",
+            "tower.s_eigs: must be non-increasing",
+        ],
+        id="counterexample-tower-zero-a-increasing-s-eigs",
+    ),
+    pytest.param(
+        {"experiment": {"d": 2, "a": [0, 0], "s_eigs": [-1.0, -2.0]}, "n_max": 2},
+        [
+            "experiment.a: must be nonzero",
+            "experiment.s_eigs: must be strictly positive",
+        ],
+        id="experiment-zero-a-negative-s-eigs",
+    ),
+    pytest.param(
         {"field": {"kind": "marsden", "d": 1}, "r_start": 0.1},
         ["field.a: must be a list of numbers"],
         id="marsden-missing-a",
@@ -865,6 +905,23 @@ class TestRunner:
             "message": "r_start 0.5 exceeds the validity radius 0",
         }
 
+    def test_moser_zero_field_keeps_to_its_region(self, tmp_path, capsys):
+        # The difference field is zero, but the region ends at 0.2.
+        write_json(
+            tmp_path / "f.json",
+            {"field": {"kind": "constant", "matrix": [[0, 1], [-1, 0]], "radius": 0.2},
+             "r_start": 0.5},
+        )
+        cfg = write_json(tmp_path / "run.json", {"command": "moser", "input": "f.json"})
+        rc = main(["moser", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert "moser: PASS" not in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["report"]["error"] == {
+            "type": "ValueError",
+            "message": "r_start 0.5 exceeds the validity radius 0.2",
+        }
+
     def test_left_validity_region_fields_serialized(self, tmp_path, monkeypatch):
         def leaves_region(doc, cfg):
             raise LeftValidityRegionError(0.5, [1.0, -2.0], 3e-9)
@@ -996,6 +1053,17 @@ class TestRunner:
         cfg = write_json(tmp_path / "run.json", {"command": "shrink", "input": "exp.json"})
         rc = main(["shrink", "--config", str(cfg), "--output", str(tmp_path / "out")])
         assert rc == 1
+
+    def test_shrink_of_an_increasing_spectrum_is_an_input_error(self, tmp_path, capsys):
+        doc = {"experiment": {"kind": "counterexample", "d": 2, "s_eigs": [0.5, 1.0]},
+               "n_max": 2}
+        write_json(tmp_path / "exp.json", doc)
+        cfg = write_json(tmp_path / "run.json", {"command": "shrink", "input": "exp.json"})
+        rc = main(["shrink", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert "experiment.s_eigs: must be non-increasing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["validate", "--config", str(tmp_path / "exp.json")]) == 2
 
     def test_product_control_requires_product(self, tmp_path):
         write_json(

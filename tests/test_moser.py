@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from symptower import moser
-from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form
+from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm, darboux_constant_form
 from symptower.models import make_quadratic_field
 from symptower.moser import (
     GOLDEN_EVALS,
@@ -289,6 +289,46 @@ def test_degree_is_validated_and_kept():
             replace(field, degree=bad)
 
 
+def test_eval_fn_of_the_wrong_shape_is_rejected():
+    def three_by_three(pts):
+        return np.zeros(np.shape(pts)[:-1] + (3, 3))
+
+    with pytest.raises(DimensionMismatchError, match=r"shape \(2, 2\)"):
+        FormField(ModelSpace(2), np.zeros(2), 1.0, eval_fn=three_by_three)
+    with pytest.raises(DimensionMismatchError, match=r"shape \(4, 4\)"):
+        moser._constant_field(ModelSpace(4), np.zeros(4), 1.0, OMEGA2)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1.0])
+def test_constant_field_is_degree_zero_and_zero_exactly_when_its_matrix_is(scale):
+    field = constant_field(scale * OMEGA2)
+    assert field.degree == 0
+    assert field.is_zero == (scale == 0.0)
+    np.testing.assert_array_equal(field.derivative(np.ones(2), np.ones(2)), np.zeros((2, 2)))
+    # The shift folds the offset into the value, which it leaves as computed.
+    shifted = field.shifted(np.ones(2), scale * OMEGA2)
+    assert shifted.degree == 0 and shifted.is_zero
+    np.testing.assert_array_equal(shifted.omega_many(np.zeros((3, 2))), np.zeros((3, 2, 2)))
+
+
+def test_a_degree_one_field_vanishing_at_its_center_is_not_zero():
+    def linear(pts):
+        return np.asarray(pts, dtype=float)[..., :1, None] * OMEGA2
+
+    field = FormField(ModelSpace(2), np.zeros(2), 1.0, eval_fn=linear, degree=1)
+    assert not np.any(field.omega(field.center))
+    assert not field.is_zero
+    assert not replace(field, degree=None).is_zero
+
+
+def test_validity_radius_of_a_zero_field_is_the_room_left_at_an_off_center_point():
+    family = MoserFamily(darboux_constant_form(1), constant_field(np.zeros((2, 2)), radius=1.5))
+    x0 = np.array([0.3, -0.4])
+    assert family.omega_bar.is_zero
+    assert validity_radius(family, x0) == 1.5 - np.linalg.norm(x0)
+    assert validity_radius(family, np.array([1.2, 0.9])) == 0.0
+
+
 def test_validity_radius_of_the_moser_spec_field_is_the_marched_one(monkeypatch):
     family = MoserFamily.darboux_target(make_quadratic_field(2, 0.05, seed=7), np.zeros(4))
     r = validity_radius(family, np.zeros(4))
@@ -522,8 +562,8 @@ def test_total_field_is_omega0_plus_omega_bar_exactly(kind, coupled):
     rng = np.random.default_rng(8)
     blocks = np.arange(8).reshape(2, 4)
     if kind == "constant":
-        bar = FormField(ModelSpace(8), np.zeros(8), 1.0,
-                        constant_value=block_skew(rng, blocks, 0.3), blocks=blocks)
+        bar = replace(constant_field(block_skew(rng, blocks, 0.3), dim=8, radius=1.0),
+                      blocks=blocks)
     else:
         bar = linear_block_field(rng, blocks, 0.3)
     if coupled:
@@ -549,8 +589,8 @@ def test_form_field_blocks_are_checked():
             FormField(bar.space, bar.center, 1.0, eval_fn=bar.eval_fn, blocks=bad)
     coupled = darboux_constant_form(4)
     with pytest.raises(ValueError, match="zero off its blocks"):
-        FormField(coupled.space, np.zeros(8), 1.0, constant_value=coupled.matrix,
-                  blocks=[[0, 1, 2, 3], [4, 5, 6, 7]])
+        replace(FormField.constant(coupled, np.zeros(8), 1.0),
+                blocks=[[0, 1, 2, 3], [4, 5, 6, 7]])
 
 
 def test_golden_min_brackets_like_fifty_ternary_rounds():
@@ -625,9 +665,8 @@ def test_moser_flow_zero_bar_keeps_the_validity_rule():
     assert validity_radius(family, np.zeros(4)) == 0.0
     with pytest.raises(ValueError, match="r_start 0.5 exceeds the validity radius 0$"):
         moser_flow(family, np.zeros(4), 0.5)
-    assert moser_flow(family, np.zeros(4), 0.5, cond_cap=1e8).validity_radius == 0.5
-    skipped = moser_flow(family, np.zeros(4), 0.5, skip_validity_radius=True)
-    assert skipped.validity_radius == 0.5 and skipped.steps == 0
+    # Valid under a looser cap: the radius is the room left in the region.
+    assert moser_flow(family, np.zeros(4), 0.5, cond_cap=1e8).validity_radius == 4.0
 
 
 def test_moser_flow_quadratic_perturbation_builds_chart():
@@ -695,25 +734,26 @@ def test_moser_flow_no_chart_when_base_trajectory_escapes():
         )
 
 
-def test_moser_flow_lipschitz_guard():
+def test_moser_flow_lipschitz_guard(monkeypatch):
     field = quadratic_perturbation_field(4, 60.0, seed=3, radius=1.0)
     family = MoserFamily.darboux_target(field, np.zeros(4))
+    monkeypatch.setattr(moser, "validity_radius", lambda *args, **kwargs: 0.45)
     with pytest.raises(StabilityError, match="Lipschitz"):
-        moser_flow(family, np.zeros(4), 0.45, dt=0.5,
-                   closed_tol=np.inf, skip_validity_radius=True)
+        moser_flow(family, np.zeros(4), 0.45, dt=0.5, closed_tol=np.inf)
 
 
 @pytest.mark.parametrize("tolerance", [{"cond_cap": 1.05}, {"sing_tol": 0.95}])
-def test_moser_flow_integrates_under_its_own_tolerances(tolerance):
+def test_moser_flow_integrates_under_its_own_tolerances(tolerance, monkeypatch):
     # The flats' condition number reaches 1.06 at r = 0.3 and 1.08 at r = 0.4.
-    # With the validity radius skipped, only the integrator's liveness test
-    # can shrink the chart, and the chart's own re-integration must agree.
+    # With the validity radius stubbed to r_start, only the integrator's
+    # liveness test can shrink the chart, and the chart's own re-integration
+    # must agree.
     family = MoserFamily.darboux_target(
         quadratic_perturbation_field(4, 0.05, seed=7), np.zeros(4)
     )
+    monkeypatch.setattr(moser, "validity_radius", lambda *args, **kwargs: 0.4)
     runs = {
-        name: moser_flow(family, np.zeros(4), 0.4, dt=0.05,
-                         verify_samples=4, skip_validity_radius=True, **kw)
+        name: moser_flow(family, np.zeros(4), 0.4, dt=0.05, verify_samples=4, **kw)
         for name, kw in (("default", {}), ("tight", tolerance))
     }
     probes = 0.39 * np.eye(4)
