@@ -15,10 +15,13 @@ Conventions:
   sigma_min > sing_tol * sigma_max and condition number < cond_cap (by
   default SING_TOL and COND_CAP).  ``_margins`` > 0 is the one test, fed by
   ``_sigma_range`` from the singular values of the flat's diagonal blocks;
+  ``_block_sigma_range`` is the one factorization of those blocks, and
+  factors a block that repeats along the point axis once;
 * a constant field is a ``FormField`` of degree 0; ``validity_radius``
   alone gives a zero difference field (``is_zero``) its radius;
 * ``validity_radius`` skips the rays that ``_certified_clear`` proves
-  valid from a field's declared polynomial ``degree``, by Weyl's inequality;
+  valid, in one batch, from a field's declared polynomial ``degree``, by
+  Weyl's inequality;
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
   times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
   kumar bound of ``uniform_bound_check`` all call it;
@@ -430,9 +433,41 @@ def _diagonal_blocks(m: np.ndarray, blocks: np.ndarray | None) -> np.ndarray:
 
 def _sigma_range(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(count, ..., size, size) diagonal blocks -> (sigma_max, sigma_min) of
-    each flat: the singular values of the blocks together are the flat's."""
-    s = np.linalg.svd(blocks, compute_uv=False)
-    return s[..., 0].max(axis=0), s[..., -1].min(axis=0)
+    each flat: the singular values of the blocks together are the flat's.
+    Each block's come from ``_block_sigma_range``."""
+    smax, smin = _block_sigma_range(blocks)
+    return smax.max(axis=0), smin.min(axis=0)
+
+
+def _block_sigma_range(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(count, ..., size, size) -> (sigma_max, sigma_min) of every matrix,
+    each of shape (count, ...): the one factorization behind every validity
+    test of this module.
+
+    In a (count, ..., N, size, size) stack, axis -3 is the point axis.  A
+    block whose matrices are byte-identical along it, such as a block that a
+    marched ray leaves unchanged, is factored at its first point only, and
+    its values are repeated.  Bytes are compared, so 0.0 and -0.0 never
+    merge.  Such blocks are factored in one call and every other block in
+    one call of its own, so the stack is never copied; each matrix is
+    factored by itself either way, so the values are those of one
+    ``np.linalg.svd`` call on the whole stack.  A stack in which no block
+    repeats is that call, and a (count, size, size) stack has no point axis.
+    """
+    once = np.zeros(len(blocks), dtype=bool)
+    if blocks.ndim > 3 and blocks.shape[-3] > 1:
+        bits = blocks.view(np.uint64)
+        once = (bits == bits[..., :1, :, :]).reshape(len(blocks), -1).all(axis=1)
+    if not once.any():
+        s = np.linalg.svd(blocks, compute_uv=False)
+        return s[..., 0], s[..., -1]
+    smax, smin = np.empty(blocks.shape[:-2]), np.empty(blocks.shape[:-2])
+    s = np.linalg.svd(blocks[once, ..., :1, :, :], compute_uv=False)
+    smax[once], smin[once] = s[..., 0], s[..., -1]
+    for b in np.flatnonzero(~once):
+        s = np.linalg.svd(blocks[b], compute_uv=False)
+        smax[b], smin[b] = s[..., 0], s[..., -1]
+    return smax, smin
 
 
 def _margins(smax, smin, sing_tol: float, cond_cap: float):
@@ -490,12 +525,15 @@ def validity_radius(
     singular values of the diagonal blocks, and omega0, the flat at t = 0,
     is factored once per family.  Returns 0.0 when x0 itself fails.
 
-    A ray is skipped when ``_certified_clear`` proves every flat valid on
-    the whole segment its march would cover: there the march, its
-    bisection and its dip chases could not lower the answer, which is the
-    same float either way.  That needs the difference field's declared
-    ``degree``; the ``extra_rays``, which are aimed at a degeneracy, are
-    always marched, and so is every ray of a field of undeclared degree.
+    The ``extra_rays``, which are aimed at a degeneracy, are always
+    marched, first.  Every other non-zero ray then goes to one batched
+    ``_certified_clear`` call, on the segment a march would cover at the
+    smallest radius found by then; that radius only decreases, so every
+    later march lies inside the certified segment.  A certified ray is
+    skipped: there the march, its bisection and its dip chases could not
+    lower the answer, which is the same float either way.  The certificate
+    needs the difference field's declared ``degree``; a refused ray, and
+    every ray of a field of undeclared degree, is marched in turn.
 
     A zero difference field (``FormField.is_zero``) makes every flat omega0:
     the answer is then the room left in the region if omega0's cached
@@ -522,26 +560,37 @@ def validity_radius(
 
     rng = np.random.default_rng(seed)
     if extra_rays is None:
+        aimed = []
         rays = [sign * axis for axis in np.eye(space.dim) for sign in (1.0, -1.0)]
-        aimed = 0
     else:
-        rays = [np.asarray(r, dtype=float) for r in extra_rays]
-        aimed = len(rays)
+        aimed = [np.asarray(r, dtype=float) for r in extra_rays]
+        rays = []
     rays.extend(rng.standard_normal((RAY_COUNT, space.dim)))
     grid = np.linspace(0.0, available, MARCH_STEPS + 1)
+
+    def march_radii(best: float) -> np.ndarray:
+        return grid[:np.searchsorted(grid, best, "right") + 2]
+
+    def march(direction: np.ndarray, best: float) -> float:
+        radii = march_radii(best)
+        return _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
+                               radii, margin_at(radii, direction), best)
+
+    def units(vectors) -> np.ndarray:
+        norms = [space.norm(v) for v in vectors]
+        kept = [v / n for v, n in zip(vectors, norms) if n != 0.0]
+        return np.array(kept).reshape(len(kept), space.dim)
+
     best = available
-    for i, ray in enumerate(rays):
-        n = space.norm(ray)
-        if n == 0.0:
-            continue
-        direction = ray / n
-        radii = grid[:np.searchsorted(grid, best, "right") + 2]
-        if i >= aimed and _certified_clear(family, x0, direction, radii[-1], grid[1],
-                                           ts, sing_tol, cond_cap):
-            continue
-        margins = margin_at(radii, direction)
-        best = _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
-                               radii, margins, best)
+    for direction in units(aimed):
+        best = march(direction, best)
+        if best == 0.0:
+            return 0.0
+    rest = units(rays)
+    cleared = _certified_clear(family, x0, rest, march_radii(best)[-1], grid[1],
+                               ts, sing_tol, cond_cap)
+    for direction in rest[~cleared]:
+        best = march(direction, best)
         if best == 0.0:
             break
     return best
@@ -555,13 +604,14 @@ _CERT_SLACK = 1e-6
 _CERT_ROUNDOFF = 1e-10
 
 
-def _certified_clear(family: MoserFamily, x0: np.ndarray, direction: np.ndarray,
+def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray,
                      end: float, min_step: float, ts: np.ndarray,
-                     sing_tol: float, cond_cap: float) -> bool:
-    """True when every flat on the segment x0 + r * direction, r in [0, end],
-    passes ``_margins`` at every time of ``ts``.
+                     sing_tol: float, cond_cap: float) -> np.ndarray:
+    """(R,) verdicts for an (R, dim) stack of directions: True where every
+    flat on the segment x0 + r * direction, r in [0, end], passes
+    ``_margins`` at every time of ``ts``.
 
-    Needs the difference field's declared ``degree`` p: along the segment
+    Needs the difference field's declared ``degree`` p: along each segment
     it is a matrix polynomial P(s) in s = r / end, recovered from its values
     at p + 1 Chebyshev-Lobatto nodes.  The segment is covered by Taylor
     steps.  At a step's start s0 the diagonal blocks of the flats
@@ -571,57 +621,82 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, direction: np.ndarray,
     sigma_max is held below a common ceiling, the geometric mean of the
     largest block sigma_max and the largest value the smallest sigma_min
     allows; each block's room below it and above the floor it implies sets
-    its step, and h is the smallest, in closed form.  Gives up (False)
-    on an undeclared degree, a non-finite value, or as soon as a step would
-    end short of both ``min_step`` (in r) and the segment's end.
+    its step, and h is the smallest, in closed form.  Refuses (False) every
+    ray of a field of undeclared degree, a ray that meets a non-finite
+    value, and a ray as soon as a step would end short of both
+    ``min_step`` (in r) and the segment's end.
+
+    Each ray keeps its own s0 and h, and leaves the loop at its verdict.
+    The flats of up to MARCH_STEPS + 1 rays still running are laid out
+    (block, t, ray, size, size) for ``_block_sigma_range``, so the first
+    step, where every ray starts at s0 = 0 from the same flats, factors each
+    block once per time.  A ray's arithmetic does not depend on the other
+    rays in the stack.  The field is evaluated at all R * (p + 1) nodes in
+    one call.
     """
+    directions = np.asarray(directions, dtype=float)
+    verdicts = np.zeros(len(directions), dtype=bool)
     p = family.omega_bar.degree
-    if p is None:
-        return False
+    if p is None or not len(directions):
+        return verdicts
+    dim = family.space.dim
     nodes = 0.5 - 0.5 * np.cos(np.pi * np.arange(p + 1) / max(p, 1))
-    values = _diagonal_blocks(
-        family.omega_bar.omega_many(x0 + (end * nodes)[:, None] * direction), family.blocks)
-    if not np.all(np.isfinite(values)):
-        return False
-    coef = np.einsum("kj,bj...->bk...", np.linalg.inv(np.vander(nodes, increasing=True)), values)
+    pts = x0 + (end * nodes)[:, None, None] * directions
+    values = _diagonal_blocks(family.omega_bar.omega_many(pts.reshape(-1, dim)).reshape(
+        pts.shape + (dim,)), family.blocks)
+    live = np.nonzero(np.isfinite(values).all(axis=(0, 1, 3, 4)))[0]
+    # Sums over nodes and coefficients run in a fixed order, ray by ray.
+    inv = np.linalg.inv(np.vander(nodes, increasing=True))
+    coef = np.zeros(values.shape[:2] + (len(live),) + values.shape[3:])
+    for j in range(p + 1):
+        coef += inv[:, j, None, None, None] * values[:, j, live][:, None]
     omega0 = _diagonal_blocks(family.omega0.matrix, family.blocks)
     slack = _CERT_ROUNDOFF * (np.linalg.norm(omega0, axis=(-2, -1)).max()
-                              + np.linalg.norm(coef, axis=(-2, -1)).max(axis=0).sum())
+                              + np.linalg.norm(coef, axis=(-2, -1)).max(axis=0).sum(axis=0))
     # sigma_min >= q * sigma_max keeps both tests of _margins with room.
     q = max(sing_tol * (1.0 + _CERT_SLACK), 1.0 / (cond_cap * (1.0 - _CERT_SLACK)))
     ts = ts[ts > 0.0]
+    tcol = ts[:, None]
     k = np.arange(p + 1)
     binom = np.array([[math.comb(j, i) for j in k] for i in k], dtype=float)
-    s0, h_min = 0.0, min_step / end
-    while True:
-        taylor = np.einsum("kj,bj...->bk...",
-                           binom * s0 ** np.maximum(k - k[:, None], 0), coef)
-        flats = omega0[:, None] + ts[:, None, None] * taylor[:, :1]
-        sv = np.linalg.svd(flats, compute_uv=False)
-        smax, smin = sv[..., 0], sv[..., -1]
-        lowest = smax.max(axis=0) + slack
-        highest = (smin.min(axis=0) - slack) / q
-        if not np.all(highest > lowest):
-            return False
-        ceiling = np.sqrt(lowest * highest)
-        room = (np.minimum(ceiling - slack - smax, smin - slack - q * ceiling) / ts).min(axis=1)
+    power = np.maximum(k - k[:, None], 0)
+    s0, h_min = np.zeros(len(live)), min_step / end
+    waiting = np.arange(len(live))
+    while waiting.size:
+        # At most MARCH_STEPS + 1 rays a step, so the flats take no more
+        # memory than one march's.
+        run, waiting = waiting[:MARCH_STEPS + 1], waiting[MARCH_STEPS + 1:]
+        weights = binom * s0[run, None, None] ** power
+        taylor = np.zeros(coef.shape[:2] + (run.size,) + coef.shape[3:])
+        for j in range(p + 1):
+            taylor += weights[:, :, j].T[..., None, None] * coef[:, j, run][:, None]
+        flats = ts[:, None, None, None] * taylor[:, 0][:, None]
+        flats += omega0[:, None, None]
+        smax, smin = _block_sigma_range(flats)
+        cut = slack[run]
+        lowest = smax.max(axis=0) + cut
+        highest = (smin.min(axis=0) - cut) / q
         # For h <= 1, sum_k |D_bk| h^k <= n1 h + n2 h^2; solve that for the room.
         norms = np.linalg.norm(taylor[:, 1:], axis=(-2, -1))
         n1, n2 = norms[:, :1].sum(axis=1), norms[:, 1:].sum(axis=1)
-        with np.errstate(divide="ignore"):
-            h = np.min(2.0 * room / (n1 + np.sqrt(n1 * n1 + 4.0 * n2 * room)))
-        last = h >= 1.0 - s0
-        h = min(h, 1.0 - s0)
-        if not last and h < h_min:
-            return False
-        # The step is accepted by the validity rule itself, on the Weyl bounds.
-        moved = ts * (n1 * h + n2 * h * h)[:, None]
-        if not np.all(_margins((smax + moved).max(axis=0) + slack,
-                               (smin - moved).min(axis=0) - slack, sing_tol, cond_cap) > 0.0):
-            return False
-        if last:
-            return True
-        s0 += h
+        # A ray whose flats already fail (highest <= lowest) gets a meaningless
+        # step here; it is refused all the same.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ceiling = np.sqrt(lowest * highest)
+            room = (np.minimum(ceiling - cut - smax, smin - cut - q * ceiling) / tcol).min(axis=1)
+            h = np.min(2.0 * room / (n1 + np.sqrt(n1 * n1 + 4.0 * n2 * room)), axis=0)
+            last = h >= 1.0 - s0[run]
+            h = np.minimum(h, 1.0 - s0[run])
+            # The step is accepted by the validity rule itself, on the Weyl bounds.
+            moved = tcol * (n1 * h + n2 * h * h)[:, None]
+            kept = (np.all(highest > lowest, axis=0) & (last | (h >= h_min))
+                    & np.all(_margins((smax + moved).max(axis=0) + cut,
+                                      (smin - moved).min(axis=0) - cut,
+                                      sing_tol, cond_cap) > 0.0, axis=0))
+        verdicts[live[run[kept & last]]] = True
+        s0[run] += h
+        waiting = np.concatenate([run[kept & ~last], waiting])
+    return verdicts
 
 
 def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,

@@ -424,13 +424,14 @@ def test_validity_radius_marches_slot_rays_first_and_cuts_later_marches(monkeypa
 
 
 def recorded_certificates(monkeypatch) -> list:
-    """The verdicts of every later moser._certified_clear call, in order."""
+    """The verdicts of every later moser._certified_clear call, ray by ray, in order."""
     certify_fn = moser._certified_clear
     verdicts = []
 
     def recording(*args):
-        verdicts.append(certify_fn(*args))
-        return verdicts[-1]
+        out = certify_fn(*args)
+        verdicts.extend(out)
+        return out
 
     monkeypatch.setattr(moser, "_certified_clear", recording)
     return verdicts
@@ -438,9 +439,26 @@ def recorded_certificates(monkeypatch) -> list:
 
 def marched_everywhere(fn):
     """fn() with every certificate refused, so every ray is marched."""
+    margins_fn = moser._validity_margins
+    marches = []
+    refused = []
+
+    def counting(fam, pts, ts, sing_tol, cond_cap):
+        if len(pts) > 1:
+            marches.append(len(pts))
+        return margins_fn(fam, pts, ts, sing_tol, cond_cap)
+
+    def refusing(family, x0, directions, *args):
+        refused.append(len(directions))
+        return np.zeros(len(directions), dtype=bool)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(moser, "_certified_clear", lambda *args: False)
-        return fn()
+        m.setattr(moser, "_validity_margins", counting)
+        m.setattr(moser, "_certified_clear", refusing)
+        out = fn()
+    # The refusal is consulted, and every refused ray is marched after the aimed ones.
+    assert sum(refused) > 0 and len(marches) >= sum(refused)
+    return out
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -472,9 +490,10 @@ def test_certified_rays_keep_the_radius_for_any_direction(a, depth, run_seed):
 
 
 def certify(family, direction, end, min_step, cond_cap=SHRINK_COND_CAP):
+    """The verdict of a one-ray certificate."""
     ts = np.linspace(0.0, 1.0, moser.T_GRID)
-    return moser._certified_clear(family, family.base_point, direction, end, min_step,
-                                  ts, moser.SING_TOL, cond_cap)
+    return moser._certified_clear(family, family.base_point, np.asarray(direction)[None], end,
+                                  min_step, ts, moser.SING_TOL, cond_cap)[0]
 
 
 def test_certified_segment_is_valid_at_a_thousand_radii():
@@ -501,6 +520,44 @@ def test_certified_reach_on_the_slot_ray_stays_below_the_oracle(n):
     assert certify(family, slot_ray, 0.99 * star, 1e-4 * star)
     assert not certify(family, slot_ray, star, 1e-4 * star)
     assert not certify(family, slot_ray, 1.0 / n, 1e-4 * star)
+
+
+@pytest.mark.parametrize("cond_cap", [1e6, 30.0, 8.0])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a_ray_stack_gets_the_verdicts_of_one_ray_calls_on_the_counterexample(n, cond_cap):
+    families, ray_sets = counterexample_levels()
+    family = families[n - 1]
+    rng = np.random.default_rng(n)
+    rays = np.vstack(ray_sets[n - 1] + list(rng.standard_normal((moser.RAY_COUNT,
+                                                                  family.space.dim))))
+    directions = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    for end in (0.5 / n, 1.0 / n, 1.5):
+        stacked = moser._certified_clear(family, family.base_point, directions, end,
+                                         end / moser.MARCH_STEPS, ts, moser.SING_TOL, cond_cap)
+        one_ray = [certify(family, d, end, end / moser.MARCH_STEPS, cond_cap)
+                   for d in directions]
+        np.testing.assert_array_equal(stacked, one_ray)
+
+
+def test_the_slot_march_factors_untouched_blocks_at_one_point(monkeypatch):
+    families, ray_sets = counterexample_levels()
+    family = families[3]
+    family.omega0_sigma_range  # factored once per family, on first use
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert_within_oracle(4, level_radius(4))
+    times = moser.T_GRID - 1
+    # The base probe, then slot 4's march: slots 1-3, which the ray leaves
+    # unchanged, at one point each, and slot 4's block at every march point.
+    assert shapes[:3] == [(4, times, 1, 8, 8), (3, times, 1, 8, 8),
+                          (times, moser.MARCH_STEPS + 1, 8, 8)]
 
 
 def finite_difference(field, x, u, order, h=0.3):

@@ -238,10 +238,13 @@ def test_validity_radius_marches_axis_rays_only_without_extra_rays(monkeypatch, 
 
     certify_fn = moser._certified_clear
     certified = []
+    calls = []
 
     def certifying(*args):
-        certified.append(certify_fn(*args))
-        return certified[-1]
+        verdicts = certify_fn(*args)
+        calls.append(len(verdicts))
+        certified.extend(verdicts)
+        return verdicts
 
     monkeypatch.setattr(moser, "_validity_margins", counting)
     monkeypatch.setattr(moser, "_certified_clear", certifying)
@@ -252,12 +255,27 @@ def test_validity_radius_marches_axis_rays_only_without_extra_rays(monkeypatch, 
     # the extra rays, which are always marched, are marched.
     assert len(marches) == extra
     assert len(certified) == expected - extra and all(certified)
+    assert calls == [expected - extra]  # one batch holds every unaimed ray
 
 
 def certify(family, direction, end, min_step, cond_cap=moser.COND_CAP):
+    """The verdict of a one-ray certificate."""
     ts = np.linspace(0.0, 1.0, moser.T_GRID)
-    return moser._certified_clear(family, family.base_point, np.asarray(direction, float),
-                                  end, min_step, ts, moser.SING_TOL, cond_cap)
+    return moser._certified_clear(family, family.base_point, np.asarray(direction, float)[None],
+                                  end, min_step, ts, moser.SING_TOL, cond_cap)[0]
+
+
+def blow_up_family():
+    """A degree-1 family whose difference field is J, and inf where x_0 > 0.4."""
+
+    def blows_up(pts):
+        pts = np.asarray(pts, dtype=float)
+        out = np.broadcast_to(darboux_constant_form(2).matrix, pts.shape[:-1] + (4, 4)).copy()
+        out[pts[..., 0] > 0.4] = np.inf
+        return out
+
+    field = FormField(ModelSpace(4), np.zeros(4), 1.0, eval_fn=blows_up, degree=1)
+    return MoserFamily(darboux_constant_form(2), field)
 
 
 def test_certificate_needs_a_declared_degree_and_finite_values():
@@ -267,16 +285,36 @@ def test_certificate_needs_a_declared_degree_and_finite_values():
     assert certify(MoserFamily.darboux_target(declared, np.zeros(4)), axis, 0.5, 0.01)
     assert not certify(MoserFamily.darboux_target(quadratic, np.zeros(4)), axis, 0.5, 0.01)
 
-    def blows_up(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.broadcast_to(darboux_constant_form(2).matrix, pts.shape[:-1] + (4, 4)).copy()
-        out[pts[..., 0] > 0.4] = np.inf
-        return out
-
-    field = FormField(ModelSpace(4), np.zeros(4), 1.0, eval_fn=blows_up, degree=1)
-    family = MoserFamily(darboux_constant_form(2), field)
+    family = blow_up_family()
     assert certify(family, -axis, 0.5, 0.01)
     assert not certify(family, axis, 0.5, 0.01)
+
+
+def test_a_non_finite_value_refuses_only_its_own_ray_in_a_stack():
+    directions = np.vstack([-np.eye(4), np.eye(4)[1:], [np.eye(4)[0]]])
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    verdicts = moser._certified_clear(blow_up_family(), np.zeros(4), directions, 0.5, 0.01,
+                                      ts, moser.SING_TOL, moser.COND_CAP)
+    np.testing.assert_array_equal(verdicts, [True] * 7 + [False])
+
+
+def test_a_ray_stack_gets_the_verdicts_of_one_ray_calls_on_quadratic_fields():
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    rng = np.random.default_rng(11)
+    # More rays than one certificate step takes, so some wait for a later one.
+    rays = np.vstack([np.eye(4), -np.eye(4),
+                      rng.standard_normal((moser.MARCH_STEPS + moser.RAY_COUNT, 4))])
+    directions = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    seen = []
+    for epsilon in (0.05, 0.5, 2.0):
+        family = MoserFamily.darboux_target(make_quadratic_field(2, epsilon), np.zeros(4))
+        stacked = moser._certified_clear(family, np.zeros(4), directions, 1.0,
+                                         1.0 / moser.MARCH_STEPS, ts, moser.SING_TOL,
+                                         moser.COND_CAP)
+        one_ray = [certify(family, d, 1.0, 1.0 / moser.MARCH_STEPS) for d in directions]
+        np.testing.assert_array_equal(stacked, one_ray)
+        seen.extend(stacked)
+    assert any(seen) and not all(seen)
 
 
 def test_degree_is_validated_and_kept():
@@ -332,8 +370,25 @@ def test_validity_radius_of_a_zero_field_is_the_room_left_at_an_off_center_point
 def test_validity_radius_of_the_moser_spec_field_is_the_marched_one(monkeypatch):
     family = MoserFamily.darboux_target(make_quadratic_field(2, 0.05, seed=7), np.zeros(4))
     r = validity_radius(family, np.zeros(4))
-    monkeypatch.setattr(moser, "_certified_clear", lambda *args: False)
+    margins_fn = moser._validity_margins
+    marches = []
+    refused = []
+
+    def counting(fam, pts, ts, sing_tol, cond_cap):
+        if len(pts) > 1:
+            marches.append(len(pts))
+        return margins_fn(fam, pts, ts, sing_tol, cond_cap)
+
+    def refusing(family, x0, directions, *args):
+        refused.append(len(directions))
+        return np.zeros(len(directions), dtype=bool)
+
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    monkeypatch.setattr(moser, "_certified_clear", refusing)
     assert validity_radius(family, np.zeros(4)) == r
+    # Every axis and random ray is refused, so each one is marched.
+    assert refused == [2 * 4 + moser.RAY_COUNT]
+    assert len(marches) == refused[0]
 
 
 @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99, 0.999, 1.0])
@@ -446,6 +501,55 @@ def record_svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return shapes
+
+
+def repeated_block_stack(repeated, signed_zero=False):
+    """A (4, 3, 6, 4, 4) stack of (block, t, point) matrices; the blocks in
+    ``repeated`` take one matrix per time at every point.  With
+    ``signed_zero``, block 2 does too, except for a -0.0 at one point."""
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((4, 3, 6, 4, 4))
+    for b in repeated:
+        stack[b] = stack[b, :, :1]
+    if signed_zero:
+        stack[2] = stack[2, :, :1]
+        stack[2, :, :, 0, 0] = 0.0
+        stack[2, 1, 4, 0, 0] = -0.0
+    return stack
+
+
+@pytest.mark.parametrize("repeated, signed_zero, factored", [
+    ((), False, 4 * 3 * 6),
+    ((0, 1, 2, 3), False, 4 * 3),
+    ((1, 3), False, 2 * 3 + 2 * 3 * 6),
+    ((1, 3), True, 2 * 3 + 2 * 3 * 6),
+    ((0,), True, 3 + 3 * 3 * 6),
+])
+def test_a_repeated_block_is_factored_once_with_the_full_svd_values(
+        monkeypatch, repeated, signed_zero, factored):
+    stack = repeated_block_stack(repeated, signed_zero)
+    want = np.linalg.svd(stack, compute_uv=False)
+    shapes = record_svd_shapes(monkeypatch)
+    smax, smin = moser._block_sigma_range(stack)
+    np.testing.assert_array_equal(smax, want[..., 0])
+    np.testing.assert_array_equal(smin, want[..., -1])
+    # A block that differs only by the sign of a zero is not merged.
+    assert sum(int(np.prod(shape[:-2])) for shape in shapes) == factored
+    smax, smin = moser._sigma_range(stack)
+    np.testing.assert_array_equal(smax, want[..., 0].max(axis=0))
+    np.testing.assert_array_equal(smin, want[..., -1].min(axis=0))
+
+
+def test_block_sigma_range_without_a_point_axis_or_with_one_point(monkeypatch):
+    stack = repeated_block_stack((1,))
+    parts = (stack[:, 0, 0], stack[:, :, :1])
+    wants = [np.linalg.svd(part, compute_uv=False) for part in parts]
+    shapes = record_svd_shapes(monkeypatch)
+    for part, want in zip(parts, wants):
+        smax, smin = moser._block_sigma_range(part)
+        np.testing.assert_array_equal(smax, want[..., 0])
+        np.testing.assert_array_equal(smin, want[..., -1])
+    assert shapes == [(4, 4, 4), (4, 3, 1, 4, 4)]
 
 
 def test_block_margins_factor_only_blocks(monkeypatch):
