@@ -143,7 +143,8 @@ def _slot_field(space: ModelSpace, shifts: np.ndarray, s_eigs: np.ndarray,
             out[..., base, base] = gamma[..., k, :, :]
             out[..., base, fib] = a_blk[..., k, :, :]
             out[..., fib, base] = -a_blk[..., k, :, :]
-        return 0.5 * out
+        out *= 0.5
+        return out
 
     def derivative(z: np.ndarray, h: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)

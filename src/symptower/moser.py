@@ -21,7 +21,8 @@ Conventions:
   alone gives a zero difference field (``is_zero``) its radius;
 * ``validity_radius`` skips the rays that ``_certified_clear`` proves
   valid, in one batch, from a field's declared polynomial ``degree``, by
-  Weyl's inequality;
+  Weyl's inequality in the spectral norm, and the bisections and dip
+  chases that the same certificate proves cannot lower the radius;
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
   times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
   kumar bound of ``uniform_bound_check`` all call it;
@@ -62,6 +63,8 @@ T_GRID = 11
 # Seeded random rays of validity_radius, and the march steps along each ray.
 RAY_COUNT = 16
 MARCH_STEPS = 96
+# Relative width to which validity_radius bisects a crossing.
+BISECT_REL = 1e-3
 # Seed shells of moser_flow, as fractions of r_start, and the seeded random
 # directions added to the 2 * dim axis directions on every shell.
 SHELL_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -515,7 +518,8 @@ def validity_radius(
     two grid points past the smallest radius found so far: the first
     failure or a dip beyond that point cannot lower the answer, and the
     second point lets the first grid point past it count as an interior
-    dip.  The first sign change of the margin is bisected to 1e-3 relative.
+    dip.  The first sign change of the margin is bisected to BISECT_REL
+    relative.
     Thin degeneracy shells are narrower than the march step, so the four
     deepest local margin minima of a ray that never fails are refined by a
     golden-section search (``_golden_min``), which stops at the first
@@ -533,7 +537,11 @@ def validity_radius(
     skipped: there the march, its bisection and its dip chases could not
     lower the answer, which is the same float either way.  The certificate
     needs the difference field's declared ``degree``; a refused ray, and
-    every ray of a field of undeclared degree, is marched in turn.
+    every ray of a field of undeclared degree, is marched in turn.  On a
+    marched ray, a bisection or dip chase that starts below the smallest
+    radius found goes to the same certificate first, from its lower end to
+    just past that radius (``_first_crossing``); a certified one is skipped,
+    because it could not lower the answer either.
 
     A zero difference field (``FormField.is_zero``) makes every flat omega0:
     the answer is then the room left in the region if omega0's cached
@@ -573,8 +581,14 @@ def validity_radius(
 
     def march(direction: np.ndarray, best: float) -> float:
         radii = march_radii(best)
+
+        # A bracket's certificate takes no step finer than the bisection it replaces.
+        def clear(lo: float, end: float) -> bool:
+            return _certified_clear(family, x0 + lo * direction, direction[None], end - lo,
+                                    BISECT_REL * end, ts, sing_tol, cond_cap)[0]
+
         return _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
-                               radii, margin_at(radii, direction), best)
+                               radii, margin_at(radii, direction), best, clear)
 
     def units(vectors) -> np.ndarray:
         norms = [space.norm(v) for v in vectors]
@@ -615,16 +629,22 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray
     it is a matrix polynomial P(s) in s = r / end, recovered from its values
     at p + 1 Chebyshev-Lobatto nodes.  The segment is covered by Taylor
     steps.  At a step's start s0 the diagonal blocks of the flats
-    omega0 + t * P(s0) are factored; by Weyl's inequality the singular
-    values of block b move by at most t * sum_k |D_bk|_F h^k up to s0 + h,
-    where D_bk is block b of P's k-th Taylor coefficient at s0.  The flats'
-    sigma_max is held below a common ceiling, the geometric mean of the
-    largest block sigma_max and the largest value the smallest sigma_min
-    allows; each block's room below it and above the floor it implies sets
-    its step, and h is the smallest, in closed form.  Refuses (False) every
-    ray of a field of undeclared degree, a ray that meets a non-finite
-    value, and a ray as soon as a step would end short of both
-    ``min_step`` (in r) and the segment's end.
+    omega0 + t * P(s0) are factored.  By Weyl's inequality,
+    |sigma_i(A + E) - sigma_i(A)| <= |E|_2, the singular values of block b
+    move by at most t * sum_k |D_bk|_2 h^k up to s0 + h, where D_bk is
+    block b of P's k-th Taylor coefficient at s0; |D_bk|_2, its largest
+    singular value, comes from one values-only SVD of every (block, k, ray)
+    coefficient per step.  That SVD errs by a few units of roundoff times
+    |D_bk|, at most 2^p times the coefficients' norms at s = 0 for s0 <= 1,
+    so the absolute slack, _CERT_ROUNDOFF times those norms and omega0's,
+    covers it as it covers the rounding of the field values and of the
+    flats' SVDs.  The flats' sigma_max is held below a common ceiling, the
+    geometric mean of the largest block sigma_max and the largest value the
+    smallest sigma_min allows; each block's room below it and above the
+    floor it implies sets its step, and h is the smallest, in closed form.
+    Refuses (False) every ray of a field of undeclared degree, a ray that
+    meets a non-finite value, and a ray as soon as a step would end short
+    of both ``min_step`` (in r) and the segment's end.
 
     Each ray keeps its own s0 and h, and leaves the loop at its verdict.
     The flats of up to MARCH_STEPS + 1 rays still running are laid out
@@ -676,8 +696,8 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray
         cut = slack[run]
         lowest = smax.max(axis=0) + cut
         highest = (smin.min(axis=0) - cut) / q
-        # For h <= 1, sum_k |D_bk| h^k <= n1 h + n2 h^2; solve that for the room.
-        norms = np.linalg.norm(taylor[:, 1:], axis=(-2, -1))
+        # For h <= 1, sum_k |D_bk|_2 h^k <= n1 h + n2 h^2; solve that for the room.
+        norms = np.linalg.svd(taylor[:, 1:], compute_uv=False)[..., 0]
         n1, n2 = norms[:, :1].sum(axis=1), norms[:, 1:].sum(axis=1)
         # A ray whose flats already fail (highest <= lowest) gets a meaningless
         # step here; it is refused all the same.
@@ -700,21 +720,31 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray
 
 
 def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
-                    best: float) -> float:
+                    best: float, clear_fn) -> float:
     """``best`` lowered to the smallest radius where the margin turns non-positive.
 
     The first marched failure is refined by bisection; without one, the
     four deepest interior dips are chased.  A bracket whose lower end is
     at or above the running best is skipped: its crossing cannot lower it.
+    Any other bracket [lo, hi] is skipped when ``clear_fn(lo, end)``
+    certifies every margin on [lo, end] positive, where c =
+    ``_bisection_reach(best)`` and end = c for a failure's bracket that
+    ends past c (a failure's bracket ending at or below c is bisected) and
+    end = min(hi, c) for a dip's.  Every point a bisection then finds
+    invalid lies past c, so it would return a valid end at or above the
+    best; a dip's search could only find a crossing past c, whose
+    bisection is the same.
     """
     bad = np.nonzero(margins <= 0.0)[0]
     if bad.size:
         first = int(bad[0])
         if first == 0:
             return 0.0
-        if radii[first - 1] >= best:
+        lo, hi = radii[first - 1], radii[first]
+        reach = _bisection_reach(best)
+        if lo >= best or (hi > reach and clear_fn(lo, reach)):
             return best
-        return min(best, _bisect_crossing(margin_fn, radii[first - 1], radii[first]))
+        return min(best, _bisect_crossing(margin_fn, lo, hi))
     # No marched failure: chase interior dips the grid may have stepped over.
     # A tie on the left still counts, since a shell halfway between two
     # march points leaves equal margins on both.
@@ -724,7 +754,7 @@ def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
     candidates = sorted(dips, key=lambda i: margins[i])[:4]
     for i in candidates:
         lo, hi = radii[i - 1], radii[i + 1]
-        if lo >= best:
+        if lo >= best or clear_fn(lo, min(hi, _bisection_reach(best))):
             continue
         r_min, m_min = _golden_min(margin_fn, lo, hi)
         if m_min <= 0.0:
@@ -762,9 +792,25 @@ def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _bisect_crossing(f, lo: float, hi: float, rel: float = 1e-3) -> float:
-    """lo valid, hi invalid; shrink the bracket to rel and return the valid end."""
-    while hi - lo > rel * max(hi, _EPS):
+def _bisection_reach(best: float) -> float:
+    """A radius c past ``best``: a bisection whose invalid end stays above c
+    returns a valid end at or above ``best``.
+
+    ``_bisect_crossing`` stops once fl(hi - lo) <= fl(rel * hi), with
+    rel = BISECT_REL.  Then
+    lo > hi / 2, else fl(hi - lo) >= hi / 2 > fl(rel * hi), so hi - lo is
+    exact (Sterbenz) and, with u = 2**-53, hi - lo <= rel * hi * (1 + u):
+    lo >= hi * (1 - rel * (1 + u)) > c * (1 - rel * (1 + u)).  That is at
+    least ``best`` when c >= best / (1 - rel * (1 + u)), which exceeds
+    best / (1 - rel) by less than u relative.  Computing best / (1 - rel)
+    rounds three times, so it is widened by 8 ulps (16 u).
+    """
+    return best / (1.0 - BISECT_REL) * (1.0 + 8.0 * np.finfo(float).eps)
+
+
+def _bisect_crossing(f, lo: float, hi: float) -> float:
+    """lo valid, hi invalid; shrink the bracket to BISECT_REL and return the valid end."""
+    while hi - lo > BISECT_REL * max(hi, _EPS):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -832,15 +878,23 @@ def _field_batch(family: MoserFamily, t, pts: np.ndarray,
     axis to ``vel`` (T, N, dim) and ``ok`` (T, N).  The difference field and
     its radial primitive (``_alpha_batch``) are evaluated once per point
     whatever the times.  The flags come from the singular values of the
-    flats' diagonal blocks (``MoserFamily.blocks``).  Each flat then gets one
-    dense solve, the only Moser-velocity solve of this module; a failing
-    flat is swapped for the identity first, so its velocity is meaningless
-    but finite.
+    flats' diagonal blocks (``MoserFamily.blocks``); at a leading t = 0,
+    where every flat is omega0, from the family's cached
+    ``omega0_sigma_range``, as in ``_validity_margins``.  Each flat then
+    gets one dense solve, the only Moser-velocity solve of this module; a
+    failing flat is swapped for the identity first, so its velocity is
+    meaningless but finite.
     """
     alpha = _alpha_batch(family.omega_bar, pts)
-    oms = np.asarray(t, dtype=float)[..., None, None, None] * family.omega_bar.omega_many(pts)
+    ts = np.asarray(t, dtype=float)
+    oms = ts[..., None, None, None] * family.omega_bar.omega_many(pts)
     oms += family.omega0.matrix
-    ok = _margins(*_sigma_range(_diagonal_blocks(oms, family.blocks)), sing_tol, cond_cap) > 0.0
+    ok = np.empty(oms.shape[:-2], dtype=bool)
+    first = 1 if ts.ndim and ts[0] == 0.0 else 0
+    if first:
+        ok[0] = _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0
+    ok[first:] = _margins(*_sigma_range(_diagonal_blocks(oms[first:], family.blocks)),
+                          sing_tol, cond_cap) > 0.0
     oms[~ok] = np.eye(pts.shape[-1])
     # alpha gets the matrices' ndim, which numpy 1.x needs to read it as a stack of columns.
     rhs = np.broadcast_to(alpha, oms.shape[:-1])[..., None]

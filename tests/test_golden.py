@@ -1,10 +1,12 @@
 """Golden-report gate: the bundled run specs still write the committed reports.
 
 ``tests/golden/<command>/`` holds ``report.{json,csv,txt}`` of each bundled
-run spec.  A report matches when its text, with every number taken out, is
-identical, its integers are identical, and its floats agree within
-GOLDEN_REL_TOL, relative or absolute.  README gives the loop that regenerates the files;
-a change that moves a report says why in CHANGES.md.
+run spec, and ``tests/golden/shrink-16/`` those of a depth-16 shrink run,
+with its run config and experiment beside them.  A report matches when its
+text, with every number taken out, is identical, its integers are
+identical, and its floats agree within GOLDEN_REL_TOL, relative or
+absolute.  README gives the commands that regenerate the files; a change
+that moves a report says why in CHANGES.md.
 """
 
 import math
@@ -76,6 +78,14 @@ def test_moser_reports_match_golden(moser_runs):
 
 def test_shrink_reports_match_golden(shrink_runs):
     _assert_matches_golden("shrink", shrink_runs.dirs[0])
+
+
+def test_depth_16_shrink_reports_match_golden(tmp_path):
+    # Deeper than the bundled depth-10 spec: from level 9 on the certificate
+    # skips bisections that could not lower a level's radius.
+    config = GOLDEN / "shrink-16" / "run.json"
+    assert main(["shrink", "--config", str(config), "--output", str(tmp_path)]) == 0
+    _assert_matches_golden("shrink-16", tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Model builders: metric phase fields, product and loop towers, shrink runs."""
 
+import itertools
 from functools import lru_cache
 from math import comb
 
@@ -437,8 +438,19 @@ def recorded_certificates(monkeypatch) -> list:
     return verdicts
 
 
+def bisect_every_bracket(m: pytest.MonkeyPatch) -> None:
+    """Refuse every bracket certificate of moser._first_crossing, so each bracket is bisected."""
+    crossing = moser._first_crossing
+
+    def never_clear(margin_fn, radii, margins, best, clear_fn):
+        return crossing(margin_fn, radii, margins, best, lambda lo, end: False)
+
+    m.setattr(moser, "_first_crossing", never_clear)
+
+
 def marched_everywhere(fn):
-    """fn() with every certificate refused, so every ray is marched."""
+    """fn() with every certificate refused, so every ray is marched and every
+    bracket bisected."""
     margins_fn = moser._validity_margins
     marches = []
     refused = []
@@ -455,6 +467,7 @@ def marched_everywhere(fn):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(moser, "_validity_margins", counting)
         m.setattr(moser, "_certified_clear", refusing)
+        bisect_every_bracket(m)
         out = fn()
     # The refusal is consulted, and every refused ray is marched after the aimed ones.
     assert sum(refused) > 0 and len(marches) >= sum(refused)
@@ -498,17 +511,82 @@ def certify(family, direction, end, min_step, cond_cap=SHRINK_COND_CAP):
 
 def test_certified_segment_is_valid_at_a_thousand_radii():
     families, ray_sets = counterexample_levels()
-    family = families[3]
-    star = oracle_radius(4)
     ts = np.linspace(0.0, 1.0, moser.T_GRID)
-    random_ray = np.random.default_rng(4).standard_normal(family.space.dim)
-    random_ray /= np.linalg.norm(random_ray)
-    for direction, end in ((ray_sets[3][0], 0.999 * star), (random_ray, 1.5)):
-        assert certify(family, direction, end, 1e-4 * end)
-        radii = np.linspace(0.0, end, 1000)
-        pts = family.base_point + radii[:, None] * direction
-        margins = moser._validity_margins(family, pts, ts, moser.SING_TOL, SHRINK_COND_CAP)
-        assert np.all(margins > 0.0)
+    for n, cond_cap in itertools.product([1, 2, 3, 5], [1e6, 30.0, 8.0]):
+        family = families[n - 1]
+        rays = np.random.default_rng(n).standard_normal((2, family.space.dim))
+        directions = np.vstack([ray_sets[n - 1][0],
+                                rays / np.linalg.norm(rays, axis=1, keepdims=True)])
+        base = moser._validity_margins(family, family.base_point[None], ts, moser.SING_TOL,
+                                       cond_cap)[0]
+        certified = 0
+        for end in (0.5 / n, 0.99 / n, 1.5):
+            verdicts = moser._certified_clear(family, family.base_point, directions, end,
+                                              1e-4 * end, ts, moser.SING_TOL, cond_cap)
+            radii = np.linspace(0.0, end, 1000)
+            for direction in directions[verdicts]:
+                pts = family.base_point + radii[:, None] * direction
+                margins = moser._validity_margins(family, pts, ts, moser.SING_TOL, cond_cap)
+                assert np.all(margins > 0.0), (n, cond_cap, end)
+            certified += verdicts.sum()
+        # Nothing is certified from an invalid base point, and some segment is
+        # wherever the base point has room (level 2 at cap 8 has a margin of 4e-8).
+        if base <= 0.0:
+            assert certified == 0, (n, cond_cap)
+        elif base > 1e-3:
+            assert certified > 0, (n, cond_cap)
+    # Level 4's slot ray is certified up to 0.999 of its exact radius.
+    star = oracle_radius(4)
+    assert certify(families[3], ray_sets[3][0], 0.999 * star, 1e-4 * star)
+    radii = np.linspace(0.0, 0.999 * star, 1000)
+    pts = families[3].base_point + radii[:, None] * ray_sets[3][0]
+    assert np.all(moser._validity_margins(families[3], pts, ts, moser.SING_TOL,
+                                          SHRINK_COND_CAP) > 0.0)
+
+
+def test_certificate_steps_on_one_level_are_pinned(monkeypatch):
+    """The 16 seeded rays of level 4 to 13 march steps, as validity_radius
+    offers them: two loop steps of 16 and 8 rays (three, 37 ray-steps, when
+    the Weyl bounds took Frobenius norms)."""
+    families, _ = counterexample_levels()
+    family = families[3]
+    rays = np.random.default_rng(3).standard_normal((moser.RAY_COUNT, family.space.dim))
+    directions = rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    step = family.omega_bar.radius / moser.MARCH_STEPS
+    factor = moser._block_sigma_range
+    steps = []
+
+    def recording(blocks):
+        steps.append(blocks.shape[2])  # (block, t, ray, size, size)
+        return factor(blocks)
+
+    monkeypatch.setattr(moser, "_block_sigma_range", recording)
+    verdicts = moser._certified_clear(family, family.base_point, directions, 13 * step, step,
+                                      np.linspace(0.0, 1.0, moser.T_GRID), moser.SING_TOL,
+                                      SHRINK_COND_CAP)
+    assert verdicts.all()
+    assert steps == [16, 8]
+
+
+@pytest.mark.parametrize("n", range(8, 33))
+def test_bracket_skips_keep_the_radius_of_every_bracket_bisected(monkeypatch, n):
+    bisections = []
+    bisect = moser._bisect_crossing
+
+    def counting(*args):
+        bisections.append(1)
+        return bisect(*args)
+
+    monkeypatch.setattr(moser, "_bisect_crossing", counting)
+    r = level_radius(n)
+    skipping = len(bisections)
+    bisections.clear()
+    with pytest.MonkeyPatch.context() as m:
+        bisect_every_bracket(m)
+        assert level_radius(n) == r
+    # From level 9 on, the slot n - 1 ray's crossing lies past the best
+    # within the march, and its bisection is skipped.
+    assert skipping < len(bisections) or n < 9
 
 
 @pytest.mark.parametrize("n", range(2, 33))

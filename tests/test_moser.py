@@ -399,14 +399,16 @@ def test_certificate_covers_a_segment_in_bounded_steps(monkeypatch, fraction, mi
     rho = 0.8
     family = MoserFamily.darboux_target(replace(sphere_degenerating_field(rho), degree=2),
                                         np.zeros(4))
-    svd = np.linalg.svd
+    factor = moser._block_sigma_range
     steps = []
 
-    def counting(a, *args, **kwargs):
+    # One factorization of the flats per step; the step's coefficient norms
+    # take an SVD of their own.
+    def counting(blocks):
         steps.append(1)
-        return svd(a, *args, **kwargs)
+        return factor(blocks)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(moser, "_block_sigma_range", counting)
     end = fraction * rho
     ok = certify(family, np.eye(4)[1], end, min_step)
     assert len(steps) <= end / min_step + 1
@@ -414,6 +416,33 @@ def test_certificate_covers_a_segment_in_bounded_steps(monkeypatch, fraction, mi
         assert not ok
     elif (1.0 - fraction) * rho >= 2.0 * min_step:
         assert ok  # the segment stops two steps short of the shell
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(
+    best=st.floats(min_value=1e-6, max_value=1e3),
+    lo=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    past=st.floats(min_value=0.0, max_value=0.01),
+    width=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_a_bisection_whose_invalid_end_stays_past_the_reach_returns_at_least_the_best(
+        best, lo, past, width):
+    # Valid below the crossing x, invalid from it on; the tightest x is the
+    # first float past the reach.
+    reach = moser._bisection_reach(best)
+    x = np.nextafter(reach, np.inf) * (1.0 + past)
+    hi = x * (1.0 + width)
+    assert moser._bisect_crossing(lambda r: 1.0 if r < x else -1.0, lo * best, hi) >= best
+
+
+def test_a_crossing_short_of_the_reach_can_be_bisected_below_the_best():
+    best = 0.5
+    x = 0.5000205072692374
+    assert best < x < moser._bisection_reach(best)
+    got = moser._bisect_crossing(lambda r: 1.0 if r < x else -1.0, 0.31848084366072715,
+                                 0.6352588289971691)
+    assert got < best
 
 
 def dip_field(depth=0.5, at=0.5, width=0.08):
@@ -966,9 +995,10 @@ def test_uniform_bound_check_kumar_factors_only_blocks(monkeypatch):
     shapes = record_svd_shapes(monkeypatch)
     got = uniform_bound_check([family], K=4.0)
     assert got == want
-    # full flats only at the base point, for the operator norms; one stack each
+    # full flats only at the base point, for the operator norms; one stack
+    # each, with t = 0 served from omega0's blocks, factored once per family
     samples = 1 + moser.KUMAR_SAMPLES
-    assert shapes == [(moser.T_GRID, 8, 8), (2, moser.T_GRID, samples, 4, 4)]
+    assert shapes == [(moser.T_GRID, 8, 8), (2, 4, 4), (2, moser.T_GRID - 1, samples, 4, 4)]
 
 
 def test_uniform_bound_check_reads_its_cond_cap():
