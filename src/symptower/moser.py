@@ -733,7 +733,9 @@ def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
     end = min(hi, c) for a dip's.  Every point a bisection then finds
     invalid lies past c, so it would return a valid end at or above the
     best; a dip's search could only find a crossing past c, whose
-    bisection is the same.
+    bisection is the same.  Such brackets arise only on deep towers, where
+    a later ray's crossing lies within one march step past the best: in
+    the counterexample from level 9 on, never at depth 2.
     """
     bad = np.nonzero(margins <= 0.0)[0]
     if bad.size:
