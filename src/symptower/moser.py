@@ -63,6 +63,9 @@ T_GRID = 11
 # Seeded random rays of validity_radius, and the march steps along each ray.
 RAY_COUNT = 16
 MARCH_STEPS = 96
+# A march evaluates this many radii at a time, and stops after the chunk
+# that holds its first failure.
+MARCH_CHUNK = MARCH_STEPS // 4
 # Relative width to which validity_radius bisects a crossing.
 BISECT_REL = 1e-3
 # Seed shells of moser_flow, as fractions of r_start, and the seeded random
@@ -518,7 +521,9 @@ def validity_radius(
     two grid points past the smallest radius found so far: the first
     failure or a dip beyond that point cannot lower the answer, and the
     second point lets the first grid point past it count as an interior
-    dip.  The first sign change of the margin is bisected to BISECT_REL
+    dip.  It evaluates them MARCH_CHUNK at a time and stops after the chunk
+    that holds the first failure: past it, only that failure's bracket is
+    used.  The first sign change of the margin is bisected to BISECT_REL
     relative.
     Thin degeneracy shells are narrower than the march step, so the four
     deepest local margin minima of a ray that never fails are refined by a
@@ -581,6 +586,13 @@ def validity_radius(
 
     def march(direction: np.ndarray, best: float) -> float:
         radii = march_radii(best)
+        margins = np.empty(len(radii))
+        for start in range(0, len(radii), MARCH_CHUNK):
+            stop = start + MARCH_CHUNK
+            margins[start:stop] = margin_at(radii[start:stop], direction)
+            if np.any(margins[start:stop] <= 0.0):
+                radii, margins = radii[:stop], margins[:stop]
+                break
 
         # A bracket's certificate takes no step finer than the bisection it replaces.
         def clear(lo: float, end: float) -> bool:
@@ -588,7 +600,7 @@ def validity_radius(
                                     BISECT_REL * end, ts, sing_tol, cond_cap)[0]
 
         return _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
-                               radii, margin_at(radii, direction), best, clear)
+                               radii, margins, best, clear)
 
     def units(vectors) -> np.ndarray:
         norms = [space.norm(v) for v in vectors]

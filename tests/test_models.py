@@ -601,6 +601,27 @@ def test_bracket_skips_keep_the_radius_of_every_bracket_bisected(monkeypatch, n)
     assert skipping < len(bisections) or n < 9
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 32])
+def test_chunked_marches_keep_the_radius_of_whole_marches(monkeypatch, n):
+    points = []
+    margins = moser._validity_margins
+
+    def counting(family, pts, *args):
+        points.append(len(pts))
+        return margins(family, pts, *args)
+
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    r = level_radius(n)
+    chunked = sum(points)
+    points.clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(moser, "MARCH_CHUNK", moser.MARCH_STEPS + 1)
+        assert level_radius(n) == r
+    # At shallow levels the slot-n ray fails within the first chunks of its
+    # march, so the chunks past its first failure are never evaluated.
+    assert chunked < sum(points) or n > 2
+
+
 @pytest.mark.parametrize("n", range(2, 33))
 def test_certified_reach_on_the_slot_ray_stays_below_the_oracle(n):
     families, ray_sets = counterexample_levels()
