@@ -63,9 +63,9 @@ T_GRID = 11
 # Seeded random rays of validity_radius, and the march steps along each ray.
 RAY_COUNT = 16
 MARCH_STEPS = 96
-# A march evaluates this many radii at a time, and stops after the chunk
-# that holds its first failure.
-MARCH_CHUNK = MARCH_STEPS // 4
+# A march evaluates this many radii at a time, a quarter of its grid, and
+# stops after the chunk that holds its first failure.
+MARCH_CHUNK = math.ceil((MARCH_STEPS + 1) / 4)
 # Relative width to which validity_radius bisects a crossing.
 BISECT_REL = 1e-3
 # Seed shells of moser_flow, as fractions of r_start, and the seeded random

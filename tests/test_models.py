@@ -398,23 +398,40 @@ def test_validity_radius_marches_slot_rays_first_and_cuts_later_marches(monkeypa
     families, ray_sets = counterexample_levels()
     family, rays = families[2], ray_sets[2]
     margins_fn = moser._validity_margins
+    crossing = moser._first_crossing
+    chunks = []
     marches = []
 
     def counting(fam, pts, ts, sing_tol, cond_cap):
         if len(pts) > 1:
-            marches.append(np.array(pts))
+            chunks.append(np.array(pts))
         return margins_fn(fam, pts, ts, sing_tol, cond_cap)
 
+    def recording(margin_fn, radii, margins, best, clear_fn):
+        marches.append((radii, margins, best))
+        return crossing(margin_fn, radii, margins, best, clear_fn)
+
     monkeypatch.setattr(moser, "_validity_margins", counting)
+    monkeypatch.setattr(moser, "_first_crossing", recording)
     certified = recorded_certificates(monkeypatch)
     assert_within_oracle(3, level_radius(3))
     # The aimed slot rays are always marched, a random ray only when uncertified.
     assert len(marches) == len(rays) + certified.count(False)
-    first = marches[0]
-    assert len(first) == moser.MARCH_STEPS + 1
-    step = first[1] - family.base_point
+    field = family.omega_bar
+    grid = np.linspace(0.0, field.radius - field.distance_from_center(family.base_point),
+                       moser.MARCH_STEPS + 1)
+    # The first march walks the grid from 0, MARCH_CHUNK radii at a time, and
+    # stops after the chunk that holds its first failure.
+    radii, margins, _ = marches[0]
+    np.testing.assert_array_equal(radii, grid[:len(radii)])
+    assert all(len(c) <= moser.MARCH_CHUNK for c in chunks)
+    first_bad = np.nonzero(margins <= 0.0)[0][0]
+    assert len(radii) == min(moser.MARCH_CHUNK * (first_bad // moser.MARCH_CHUNK + 1), len(grid))
+    step = chunks[0][1] - family.base_point
     np.testing.assert_allclose(step / np.linalg.norm(step), rays[0] / np.linalg.norm(rays[0]))
-    assert all(len(m) < moser.MARCH_STEPS + 1 for m in marches[1:])
+    # Later marches end two grid points past the radius found so far.
+    for radii, _, best in marches[1:]:
+        assert len(radii) <= np.searchsorted(grid, best, "right") + 2 < len(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +682,11 @@ def test_the_slot_march_factors_untouched_blocks_at_one_point(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     assert_within_oracle(4, level_radius(4))
     times = moser.T_GRID - 1
-    # The base probe, then slot 4's march: slots 1-3, which the ray leaves
-    # unchanged, at one point each, and slot 4's block at every march point.
+    # The base probe, then the first chunk of slot 4's march: slots 1-3, which
+    # the ray leaves unchanged, at one point each, and slot 4's block at every
+    # point of the chunk.
     assert shapes[:3] == [(4, times, 1, 8, 8), (3, times, 1, 8, 8),
-                          (times, moser.MARCH_STEPS + 1, 8, 8)]
+                          (times, moser.MARCH_CHUNK, 8, 8)]
 
 
 def finite_difference(field, x, u, order, h=0.3):

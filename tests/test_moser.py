@@ -224,18 +224,25 @@ def test_validity_radius_zero_when_base_fails():
     assert validity_radius(family, np.zeros(2)) == 0.0
 
 
+def recorded_marches(monkeypatch) -> list:
+    """The margins of every march of validity_radius, one array per march,
+    as it hands them to moser._first_crossing."""
+    crossing = moser._first_crossing
+    marches = []
+
+    def recording(margin_fn, radii, margins, best, clear_fn):
+        marches.append(margins)
+        return crossing(margin_fn, radii, margins, best, clear_fn)
+
+    monkeypatch.setattr(moser, "_first_crossing", recording)
+    return marches
+
+
 @pytest.mark.parametrize("extra", [0, 3], ids=["axis-rays", "extra-rays"])
 def test_validity_radius_marches_axis_rays_only_without_extra_rays(monkeypatch, extra):
     omega0 = darboux_constant_form(2)
     family = MoserFamily(omega0, constant_field(0.5 * omega0.matrix, dim=4))
-    margins_fn = moser._validity_margins
-    marches = []
-
-    def counting(fam, pts, ts, sing_tol, cond_cap):
-        if len(pts) == moser.MARCH_STEPS + 1:
-            marches.append(len(pts))
-        return margins_fn(fam, pts, ts, sing_tol, cond_cap)
-
+    marches = recorded_marches(monkeypatch)
     certify_fn = moser._certified_clear
     certified = []
     calls = []
@@ -246,14 +253,13 @@ def test_validity_radius_marches_axis_rays_only_without_extra_rays(monkeypatch, 
         certified.extend(verdicts)
         return verdicts
 
-    monkeypatch.setattr(moser, "_validity_margins", counting)
     monkeypatch.setattr(moser, "_certified_clear", certifying)
     rays = np.random.default_rng(9).standard_normal((extra, 4)) if extra else None
     assert validity_radius(family, np.zeros(4), extra_rays=rays) == pytest.approx(4.0)
     expected = moser.RAY_COUNT + extra if extra else 2 * 4 + moser.RAY_COUNT
     # The field is constant, so every axis and random ray is certified; only
-    # the extra rays, which are always marched, are marched.
-    assert len(marches) == extra
+    # the extra rays, which are always marched, are marched, over the whole grid.
+    assert [len(margins) for margins in marches] == [moser.MARCH_STEPS + 1] * extra
     assert len(certified) == expected - extra and all(certified)
     assert calls == [expected - extra]  # one batch holds every unaimed ray
 
@@ -370,20 +376,13 @@ def test_validity_radius_of_a_zero_field_is_the_room_left_at_an_off_center_point
 def test_validity_radius_of_the_moser_spec_field_is_the_marched_one(monkeypatch):
     family = MoserFamily.darboux_target(make_quadratic_field(2, 0.05, seed=7), np.zeros(4))
     r = validity_radius(family, np.zeros(4))
-    margins_fn = moser._validity_margins
-    marches = []
+    marches = recorded_marches(monkeypatch)
     refused = []
-
-    def counting(fam, pts, ts, sing_tol, cond_cap):
-        if len(pts) > 1:
-            marches.append(len(pts))
-        return margins_fn(fam, pts, ts, sing_tol, cond_cap)
 
     def refusing(family, x0, directions, *args):
         refused.append(len(directions))
         return np.zeros(len(directions), dtype=bool)
 
-    monkeypatch.setattr(moser, "_validity_margins", counting)
     monkeypatch.setattr(moser, "_certified_clear", refusing)
     assert validity_radius(family, np.zeros(4)) == r
     # Every axis and random ray is refused, so each one is marched.
@@ -749,24 +748,24 @@ def test_validity_radius_dip_search_probe_count(monkeypatch):
     family = MoserFamily.darboux_target(dip_field(), np.zeros(4))
     margins_fn = moser._validity_margins
     probes = []
-    dips = []
 
     def counting(fam, pts, ts, sing_tol, cond_cap):
         out = margins_fn(fam, pts, ts, sing_tol, cond_cap)
         if len(pts) == 1:
             probes.append(out[0])
-        else:
-            m = out
-            interior = np.arange(1, len(m) - 1)
-            local = (m[interior] < m[interior - 1]) & (m[interior] < m[interior + 1])
-            dips.append(min(int(np.count_nonzero(local)), 4))
         return out
 
     monkeypatch.setattr(moser, "_validity_margins", counting)
+    marches = recorded_marches(monkeypatch)
     r = validity_radius(family, np.zeros(4), cond_cap=4.0)
     assert r == pytest.approx(1.0)
     assert min(probes) > 0.0  # the dip never crosses zero
-    assert len(dips) == 24  # 8 axis rays and 16 random ones
+    assert len(marches) == 24  # 8 axis rays and 16 random ones
+    dips = []
+    for m in marches:
+        interior = np.arange(1, len(m) - 1)
+        local = (m[interior] < m[interior - 1]) & (m[interior] < m[interior + 1])
+        dips.append(min(int(np.count_nonzero(local)), 4))
     chased = sum(dips)
     assert chased >= 16
     # one probe checks the base point; the ternary search took 101 per dip
