@@ -523,7 +523,8 @@ def validity_radius(
     second point lets the first grid point past it count as an interior
     dip.  It evaluates them MARCH_CHUNK at a time and stops after the chunk
     that holds the first failure: past it, only that failure's bracket is
-    used.  The first sign change of the margin is bisected to BISECT_REL
+    used, and a point's margin does not depend on the points evaluated
+    with it, so the answer is the same float.  The first sign change of the margin is bisected to BISECT_REL
     relative.
     Thin degeneracy shells are narrower than the march step, so the four
     deepest local margin minima of a ray that never fails are refined by a
