@@ -396,14 +396,17 @@ def make_loop_tower(m: int, modes: int, orders) -> tuple[Tower, FormSequence]:
 class ShrinkRow:
     """One tower level of the shrink experiment.
 
-    ``r_validity`` is measured at the level itself; ``bound`` is the
-    distance from the base point to the nearest degeneracy (the region
-    radius when there is none).
+    ``r_validity`` is measured at the level itself; ``r_witness`` is the
+    distance from the base point to the witness of that measurement, a
+    failing point at most BISECT_REL relative past it (None when no
+    failure lowered the radius); ``bound`` is the distance from the base
+    point to the nearest degeneracy (the region radius when there is none).
     """
 
     n: int
     dim: int
     r_validity: float
+    r_witness: float | None
     bound: float
     cond_at_base: float
 
@@ -496,7 +499,9 @@ def shrink_experiment(
     first projected radius as its floor, fits a power law to the projected
     radii; the experiment reports failure when that exponent is at most
     -0.5 and the radii strictly decrease.  Operator norm bounds (against
-    BOUND_K) ride along.
+    BOUND_K) ride along; each level's validity witness goes to
+    ``uniform_bound_check``, whose kumar is inf once that failing point
+    lies in its sampled ball, without sampling the ball.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError("n_max must be a positive integer, got %r" % (n_max,))
@@ -505,21 +510,26 @@ def shrink_experiment(
 
     rows = []
     projected = []
+    witnesses = []
     for i, family in enumerate(families):
-        r = validity_radius(
+        r, witness = validity_radius(
             family,
             family.base_point,
             cond_cap=cond_cap,
             sing_tol=sing_tol,
             seed=seed + i,
             extra_rays=ray_sets[i] or None,
+            return_witness=True,
         )
+        witnesses.append(witness)
         kappa = weakness_conditioning(family.omega0).kappa
         rows.append(
             ShrinkRow(
                 n=i + 1,
                 dim=family.space.dim,
                 r_validity=float(r),
+                r_witness=None if witness is None
+                else float(family.space.norm(witness - family.base_point)),
                 bound=float(bounds[i]),
                 cond_at_base=float(kappa),
             )
@@ -545,7 +555,8 @@ def shrink_experiment(
         )
 
     bounds_report = uniform_bound_check(
-        families, K=BOUND_K, seed=seed, sing_tol=sing_tol, cond_cap=cond_cap
+        families, K=BOUND_K, seed=seed, sing_tol=sing_tol, cond_cap=cond_cap,
+        witnesses=witnesses,
     )
     return ShrinkResult(
         rows=tuple(rows),

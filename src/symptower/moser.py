@@ -22,7 +22,9 @@ Conventions:
 * ``validity_radius`` skips the rays that ``_certified_clear`` proves
   valid, in one batch, from a field's declared polynomial ``degree``, by
   Weyl's inequality in the spectral norm, and the bisections and dip
-  chases that the same certificate proves cannot lower the radius;
+  chases that the same certificate proves cannot lower the radius, and
+  can return its witness, the failing end of the bisection that set the
+  radius, which ``uniform_bound_check`` tests first as a kumar sample;
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
   times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
   kumar bound of ``uniform_bound_check`` all call it;
@@ -511,7 +513,8 @@ def validity_radius(
     sing_tol: float = SING_TOL,
     seed: int = 0,
     extra_rays=None,
-) -> float:
+    return_witness: bool = False,
+):
     """Largest ball radius around x0 on which the family's flats stay usable.
 
     The flats are tested at T_GRID times.  The rays are marched in this
@@ -521,11 +524,12 @@ def validity_radius(
     two grid points past the smallest radius found so far: the first
     failure or a dip beyond that point cannot lower the answer, and the
     second point lets the first grid point past it count as an interior
-    dip.  It evaluates them MARCH_CHUNK at a time and stops after the chunk
-    that holds the first failure: past it, only that failure's bracket is
-    used, and a point's margin does not depend on the points evaluated
-    with it, so the answer is the same float.  The first sign change of the margin is bisected to BISECT_REL
-    relative.
+    dip.  It evaluates them MARCH_CHUNK at a time, a one-radius tail with
+    the chunk before it, and stops after the chunk that holds the first
+    failure: past it, only that failure's bracket is used, and a point's
+    margin does not depend on the points evaluated with it, so the answer
+    is the same float.  The first sign change of the margin is bisected to
+    BISECT_REL relative.
     Thin degeneracy shells are narrower than the march step, so the four
     deepest local margin minima of a ray that never fails are refined by a
     golden-section search (``_golden_min``), which stops at the first
@@ -552,17 +556,31 @@ def validity_radius(
     A zero difference field (``FormField.is_zero``) makes every flat omega0:
     the answer is then the room left in the region if omega0's cached
     ``omega0_sigma_range`` passes ``_margins``, else 0.0.
+
+    With ``return_witness`` the result is ``(radius, witness)``.  The
+    witness is a point that fails the rule: the invalid end of the
+    bisection that set the radius, so its distance from x0 exceeds the
+    radius by at most BISECT_REL relative.  It is None when no failure
+    lowered the radius: the room left, a failing x0, and a zero field.
     """
+    radius, witness = _validity_search(family, np.asarray(x0, dtype=float), cond_cap,
+                                       sing_tol, seed, extra_rays)
+    return (radius, witness) if return_witness else radius
+
+
+def _validity_search(family: MoserFamily, x0: np.ndarray, cond_cap: float, sing_tol: float,
+                     seed: int, extra_rays) -> tuple[float, np.ndarray | None]:
+    """``validity_radius``'s search: the radius and the witness."""
     if cond_cap <= 1.0:
         raise ValueError("cond_cap must exceed 1")
-    x0 = np.asarray(x0, dtype=float)
     space = family.space
     field = family.omega_bar
     available = field.radius - field.distance_from_center(x0)
     if available <= 0.0:
-        return 0.0
+        return 0.0, None
     if field.is_zero:
-        return available if _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0 else 0.0
+        valid = _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0
+        return (available if valid else 0.0), None
     ts = np.linspace(0.0, 1.0, T_GRID)
 
     def margin_at(radii: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -570,7 +588,7 @@ def validity_radius(
         return _validity_margins(family, pts, ts, sing_tol, cond_cap)
 
     if margin_at(np.array([0.0]), np.zeros(space.dim))[0] <= 0.0:
-        return 0.0
+        return 0.0, None
 
     rng = np.random.default_rng(seed)
     if extra_rays is None:
@@ -585,42 +603,47 @@ def validity_radius(
     def march_radii(best: float) -> np.ndarray:
         return grid[:np.searchsorted(grid, best, "right") + 2]
 
-    def march(direction: np.ndarray, best: float) -> float:
+    def march(direction: np.ndarray, best: float) -> tuple[float, np.ndarray | None]:
         radii = march_radii(best)
         margins = np.empty(len(radii))
-        for start in range(0, len(radii), MARCH_CHUNK):
-            stop = start + MARCH_CHUNK
+        # A one-radius tail joins the chunk before it.
+        start = 0
+        for stop in [*range(MARCH_CHUNK, len(radii) - 1, MARCH_CHUNK), len(radii)]:
             margins[start:stop] = margin_at(radii[start:stop], direction)
             if np.any(margins[start:stop] <= 0.0):
                 radii, margins = radii[:stop], margins[:stop]
                 break
+            start = stop
 
         # A bracket's certificate takes no step finer than the bisection it replaces.
         def clear(lo: float, end: float) -> bool:
             return _certified_clear(family, x0 + lo * direction, direction[None], end - lo,
                                     BISECT_REL * end, ts, sing_tol, cond_cap)[0]
 
-        return _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
-                               radii, margins, best, clear)
+        best, hi = _first_crossing(lambda r: margin_at(np.array([r]), direction)[0],
+                                   radii, margins, best, clear)
+        return best, None if hi is None else x0 + hi * direction
 
     def units(vectors) -> np.ndarray:
         norms = [space.norm(v) for v in vectors]
         kept = [v / n for v, n in zip(vectors, norms) if n != 0.0]
         return np.array(kept).reshape(len(kept), space.dim)
 
-    best = available
+    best, witness = available, None
     for direction in units(aimed):
-        best = march(direction, best)
+        best, found = march(direction, best)
+        witness = witness if found is None else found
         if best == 0.0:
-            return 0.0
+            return 0.0, witness
     rest = units(rays)
     cleared = _certified_clear(family, x0, rest, march_radii(best)[-1], grid[1],
                                ts, sing_tol, cond_cap)
     for direction in rest[~cleared]:
-        best = march(direction, best)
+        best, found = march(direction, best)
+        witness = witness if found is None else found
         if best == 0.0:
             break
-    return best
+    return best, witness
 
 
 # The certificate of _certified_clear holds the condition cap and the
@@ -733,8 +756,10 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray
 
 
 def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
-                    best: float, clear_fn) -> float:
-    """``best`` lowered to the smallest radius where the margin turns non-positive.
+                    best: float, clear_fn) -> tuple[float, float | None]:
+    """``best`` lowered to the smallest radius where the margin turns
+    non-positive, with the invalid end of the bisection that lowered it
+    (None when none did).
 
     The first marched failure is refined by bisection; without one, the
     four deepest interior dips are chased.  A bracket whose lower end is
@@ -754,12 +779,13 @@ def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
     if bad.size:
         first = int(bad[0])
         if first == 0:
-            return 0.0
+            return 0.0, None
         lo, hi = radii[first - 1], radii[first]
         reach = _bisection_reach(best)
         if lo >= best or (hi > reach and clear_fn(lo, reach)):
-            return best
-        return min(best, _bisect_crossing(margin_fn, lo, hi))
+            return best, None
+        lo, hi = _bisect_crossing(margin_fn, lo, hi)
+        return (lo, hi) if lo < best else (best, None)
     # No marched failure: chase interior dips the grid may have stepped over.
     # A tie on the left still counts, since a shell halfway between two
     # march points leaves equal margins on both.
@@ -767,14 +793,17 @@ def _first_crossing(margin_fn, radii: np.ndarray, margins: np.ndarray,
     dips = interior[(margins[interior] <= margins[interior - 1])
                     & (margins[interior] < margins[interior + 1])]
     candidates = sorted(dips, key=lambda i: margins[i])[:4]
+    witness = None
     for i in candidates:
         lo, hi = radii[i - 1], radii[i + 1]
         if lo >= best or clear_fn(lo, min(hi, _bisection_reach(best))):
             continue
         r_min, m_min = _golden_min(margin_fn, lo, hi)
         if m_min <= 0.0:
-            best = min(best, _bisect_crossing(margin_fn, lo, r_min))
-    return best
+            lo, hi = _bisect_crossing(margin_fn, lo, r_min)
+            if lo < best:
+                best, witness = lo, hi
+    return best, witness
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -823,15 +852,15 @@ def _bisection_reach(best: float) -> float:
     return best / (1.0 - BISECT_REL) * (1.0 + 8.0 * np.finfo(float).eps)
 
 
-def _bisect_crossing(f, lo: float, hi: float) -> float:
-    """lo valid, hi invalid; shrink the bracket to BISECT_REL and return the valid end."""
+def _bisect_crossing(f, lo: float, hi: float) -> tuple[float, float]:
+    """lo valid, hi invalid; shrink the bracket to BISECT_REL and return its (valid, invalid) ends."""
     while hi - lo > BISECT_REL * max(hi, _EPS):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 def _steps(dt: float) -> int:
@@ -1198,6 +1227,7 @@ def uniform_bound_check(
     seed: int = 0,
     sing_tol: float = SING_TOL,
     cond_cap: float = COND_CAP,
+    witnesses=None,
 ) -> UniformBoundReport:
     """Per-level operator norms of the family flats and their inverses.
 
@@ -1213,12 +1243,23 @@ def uniform_bound_check(
     flats of every time are factored as one stack.  The per-level table makes
     growth across levels visible; the three flags compare against K.
 
+    ``witnesses``, when given, holds one point or None per level, such as
+    the witnesses of ``validity_radius``.  A witness inside the kumar ball
+    (KUMAR_RADIUS_FACTOR times the room left, in the gram norm) is one more
+    sample, tested first, with the same rule, by ``_field_batch`` at the
+    T_GRID times.  If one of its flats fails, kumar is inf, the maximum,
+    and the ball is not sampled.  Otherwise the ball is sampled as without
+    it, and the witness's velocities do not enter the maximum, so a point
+    from the caller can make kumar inf only where a flat fails and never
+    moves a finite kumar.
+
     A level whose difference field is zero (``FormField.is_zero``) is
     evaluated at the first time only.  There omega_t = omega0 at every time
     and point and the radial primitive vanishes, so the grid and the ball
     would repeat the same matrices: ``forward`` and ``inverse`` come from
     omega0 at the base point, and ``kumar`` is 0.0, or inf when omega0's
     cached ``omega0_sigma_range`` fails the rule ``validity_radius`` applies.
+    Its witness would meet the same omega0 and is not read.
     """
     ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []
@@ -1238,10 +1279,18 @@ def uniform_bound_check(
             ok = _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0
             rows.append(LevelBounds(level, forward, inverse, 0.0 if ok else float("inf")))
             continue
-        rng = np.random.default_rng(seed + level)
         avail = family.omega_bar.radius - family.omega_bar.distance_from_center(base)
-        ball = _sample_ball(rng, space, base, KUMAR_RADIUS_FACTOR * max(avail, 0.0),
-                            KUMAR_SAMPLES)
+        reach = KUMAR_RADIUS_FACTOR * max(avail, 0.0)
+        witness = None if witnesses is None else witnesses[level]
+        if witness is not None:
+            witness = np.asarray(witness, dtype=float)
+            if (space.norm(witness - base) <= reach
+                    and not np.all(_field_batch(family, ts, witness[None, :],
+                                                cond_cap, sing_tol)[1])):
+                rows.append(LevelBounds(level, forward, inverse, float("inf")))
+                continue
+        rng = np.random.default_rng(seed + level)
+        ball = _sample_ball(rng, space, base, reach, KUMAR_SAMPLES)
         pts = np.vstack([base[None, :], ball])
         vel, ok = _field_batch(family, ts, pts, cond_cap, sing_tol)
         if not np.all(ok):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from symptower import moser
 from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form, weakness_conditioning
 from symptower.models import (
+    BOUND_K,
     SHRINK_EIGS_DECADES,
     MarsdenSpec,
     _shrink_levels,
@@ -22,7 +23,7 @@ from symptower.models import (
     make_quadratic_field,
     shrink_experiment,
 )
-from symptower.moser import exterior_derivative_residual, validity_radius
+from symptower.moser import exterior_derivative_residual, uniform_bound_check, validity_radius
 from symptower.tower import Thread, check_compatible_sequence, classify_tower
 
 # Hand-computed: d=2, a=(1,0), shift_k=1, s=(1,0.5), z=(1.5,1,2,-1).
@@ -320,6 +321,17 @@ class TestShrinkExperiment:
         assert result.assembly.ok
         assert result.bounds.forward_ok and result.bounds.inverse_ok and result.bounds.kumar_ok
         assert "persists" in result.diagnosis
+
+    def test_counterexample_kumar_is_inf_at_its_witnesses(self, ce_result):
+        for row, entry in zip(ce_result.rows, ce_result.bounds.per_level):
+            assert row.r_validity < row.r_witness <= row.r_validity / (1.0 - moser.BISECT_REL)
+            assert entry.kumar == float("inf")
+        assert not ce_result.bounds.kumar_ok
+
+    def test_product_control_has_no_witness_and_kumar_zero(self):
+        result = shrink_experiment({"kind": "product"}, n_max=4)
+        assert [row.r_witness for row in result.rows] == [None] * 4
+        assert [entry.kumar for entry in result.bounds.per_level] == [0.0] * 4
 
     def test_product_runs_are_reproducible(self):
         a = shrink_experiment({"kind": "product"}, n_max=3, seed=5)
@@ -637,6 +649,115 @@ def test_chunked_marches_keep_the_radius_of_whole_marches(monkeypatch, n):
     # At shallow levels the slot-n ray fails within the first chunks of its
     # march, so the chunks past its first failure are never evaluated.
     assert chunked < sum(points) or n > 2
+
+
+def test_a_one_radius_march_tail_joins_the_chunk_before_it(monkeypatch):
+    chunks, marches = [], []
+    margins_fn = moser._validity_margins
+    crossing = moser._first_crossing
+
+    def counting(family, pts, *args):
+        if len(pts) > 1:
+            chunks.append(len(pts))
+        return margins_fn(family, pts, *args)
+
+    def recording(margin_fn, radii, *args):
+        marches.append(len(radii))
+        return crossing(margin_fn, radii, *args)
+
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    monkeypatch.setattr(moser, "_first_crossing", recording)
+    assert_within_oracle(2, level_radius(2))
+    # Slot 2's march stops after its first chunk; slot 1's ends one grid
+    # point past a chunk, and that point is evaluated with the chunk.
+    assert marches == [moser.MARCH_CHUNK, moser.MARCH_CHUNK + 1]
+    assert chunks == marches
+
+
+# ---------------------------------------------------------------------------
+# the validity witness, and kumar's early exit at it
+# ---------------------------------------------------------------------------
+
+
+def level_witness(n: int):
+    """(radius, witness) of validity_radius at level n, as shrink_experiment asks."""
+    families, ray_sets = counterexample_levels()
+    family = families[n - 1]
+    return validity_radius(family, family.base_point, cond_cap=SHRINK_COND_CAP,
+                           seed=n - 1, extra_rays=ray_sets[n - 1], return_witness=True)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 32])
+def test_the_witness_fails_on_slot_n_just_past_the_radius(n):
+    families, _ = counterexample_levels()
+    family = families[n - 1]
+    r, witness = level_witness(n)
+    assert r == level_radius(n)
+    r_witness = family.space.norm(witness - family.base_point)
+    assert r < r_witness <= r / (1.0 - moser.BISECT_REL)
+    # The witness lies on slot n's shell: against the flat's sigma_max, only
+    # slot n's block has singular values that break the rule.
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    flats = family.omega0.matrix + ts[:, None, None] * family.omega_bar.omega(witness)
+    smax, smin = moser._block_sigma_range(moser._diagonal_blocks(flats, family.blocks))
+    broken = moser._margins(smax.max(axis=0), smin, moser.SING_TOL, SHRINK_COND_CAP) <= 0.0
+    assert np.flatnonzero(broken.any(axis=1)).tolist() == [n - 1]
+
+
+# kumar of levels 1-3 at seed 0 before the early exit existed, as in the
+# bundled shrink report: the sampled maximum over the ball, which misses
+# the failing flats in it.
+SAMPLED_KUMAR = ("0x1.769da809b5858p-1", "0x1.3f46241dba42fp+0", "0x1.d280e190f9bdfp+0")
+
+
+def kumar_hex(witnesses) -> list:
+    families, _ = counterexample_levels()
+    report = uniform_bound_check(families[:3], K=BOUND_K, cond_cap=SHRINK_COND_CAP,
+                                 witnesses=witnesses)
+    return [row.kumar.hex() for row in report.per_level]
+
+
+def test_a_failing_witness_in_the_kumar_ball_makes_kumar_inf_from_one_point(monkeypatch):
+    witnesses = [level_witness(n)[1] for n in (1, 2, 3)]
+    batch = moser._field_batch
+    points = []
+
+    def counting(family, t, pts, *args):
+        points.append(len(pts))
+        return batch(family, t, pts, *args)
+
+    monkeypatch.setattr(moser, "_field_batch", counting)
+    assert kumar_hex(witnesses) == [float("inf").hex()] * 3
+    assert points == [1, 1, 1]
+
+
+def test_kumar_is_the_sampled_one_without_a_failing_witness_in_the_ball():
+    families, _ = counterexample_levels()
+    ts = np.linspace(0.0, 1.0, moser.T_GRID)
+    outside, passing = [], []
+    for n, family in zip((1, 2, 3), families):
+        space, base = family.space, family.base_point
+        reach = moser.KUMAR_RADIUS_FACTOR * family.omega_bar.radius
+        # A failing point outside the ball: the witness moved along slot n's
+        # fiber coordinates, which keep slot n's shell.
+        fiber = np.zeros(space.dim)
+        fiber[(2 * n - 1) * 4] = 1.0
+        far = level_witness(n)[1] + 1.5 * reach * fiber
+        assert space.norm(far - base) > reach
+        assert not moser._field_batch(family, ts, far[None, :], SHRINK_COND_CAP,
+                                      moser.SING_TOL)[1].all()
+        outside.append(far)
+        # A passing point inside it whose velocity exceeds the sampled kumar,
+        # the fastest of 200 other draws from the ball.
+        pts = moser._sample_ball(np.random.default_rng(100 + n), space, base, reach, 200)
+        vel, ok = moser._field_batch(family, ts, pts, SHRINK_COND_CAP, moser.SING_TOL)
+        speed = np.where(ok.all(axis=0), np.linalg.norm(vel, axis=-1).max(axis=0), 0.0)
+        assert speed.max() > float.fromhex(SAMPLED_KUMAR[n - 1])
+        passing.append(pts[np.argmax(speed)])
+    assert kumar_hex(None) == list(SAMPLED_KUMAR)
+    assert kumar_hex([None] * 3) == list(SAMPLED_KUMAR)
+    assert kumar_hex(outside) == list(SAMPLED_KUMAR)
+    assert kumar_hex(passing) == list(SAMPLED_KUMAR)
 
 
 @pytest.mark.parametrize("n", range(2, 33))

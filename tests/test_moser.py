@@ -432,16 +432,33 @@ def test_a_bisection_whose_invalid_end_stays_past_the_reach_returns_at_least_the
     reach = moser._bisection_reach(best)
     x = np.nextafter(reach, np.inf) * (1.0 + past)
     hi = x * (1.0 + width)
-    assert moser._bisect_crossing(lambda r: 1.0 if r < x else -1.0, lo * best, hi) >= best
+    valid, invalid = moser._bisect_crossing(lambda r: 1.0 if r < x else -1.0, lo * best, hi)
+    assert best <= valid < x <= invalid
 
 
 def test_a_crossing_short_of_the_reach_can_be_bisected_below_the_best():
     best = 0.5
     x = 0.5000205072692374
     assert best < x < moser._bisection_reach(best)
-    got = moser._bisect_crossing(lambda r: 1.0 if r < x else -1.0, 0.31848084366072715,
-                                 0.6352588289971691)
-    assert got < best
+    got, invalid = moser._bisect_crossing(lambda r: 1.0 if r < x else -1.0,
+                                          0.31848084366072715, 0.6352588289971691)
+    assert got < best and got < x <= invalid
+
+
+@pytest.mark.parametrize("marched", [[1.0, 1.0, -1.0], [1.0, 0.5, 1.0]], ids=["failure", "dip"])
+def test_only_a_bisection_that_lowers_the_best_leaves_a_witness(marched):
+    radii, margins = np.array([0.25, 0.45, 0.9]), np.array(marched)
+    # A crossing past the reach is bisected to a valid end at or above the best.
+    x = np.nextafter(moser._bisection_reach(0.5), np.inf)
+
+    def crossing(best):
+        return moser._first_crossing(lambda r: 1.0 if r < x else -1.0, radii, margins, best,
+                                     lambda lo, end: False)
+
+    assert crossing(0.5) == (0.5, None)
+    # Below the best, the bisection's invalid end is the witness.
+    got, witness = crossing(0.75)
+    assert got < x <= witness and witness - got <= moser.BISECT_REL * witness
 
 
 def dip_field(depth=0.5, at=0.5, width=0.08):
@@ -743,19 +760,26 @@ def test_golden_min_brackets_like_fifty_ternary_rounds():
     assert len(calls) < 10  # stops at the first failing point
 
 
+def probing(monkeypatch, name: str, probes: list) -> None:
+    """Record every margin that moser.<name> reads through its margin function."""
+    search = getattr(moser, name)
+
+    def recording(margin_fn, *args):
+        def counted(r):
+            probes.append(margin_fn(r))
+            return probes[-1]
+
+        return search(counted, *args)
+
+    monkeypatch.setattr(moser, name, recording)
+
+
 def test_validity_radius_dip_search_probe_count(monkeypatch):
     """Each dip that does not cross zero costs exactly GOLDEN_EVALS single-radius probes."""
     family = MoserFamily.darboux_target(dip_field(), np.zeros(4))
-    margins_fn = moser._validity_margins
-    probes = []
-
-    def counting(fam, pts, ts, sing_tol, cond_cap):
-        out = margins_fn(fam, pts, ts, sing_tol, cond_cap)
-        if len(pts) == 1:
-            probes.append(out[0])
-        return out
-
-    monkeypatch.setattr(moser, "_validity_margins", counting)
+    probes, bisected = [], []
+    probing(monkeypatch, "_golden_min", probes)
+    probing(monkeypatch, "_bisect_crossing", bisected)
     marches = recorded_marches(monkeypatch)
     r = validity_radius(family, np.zeros(4), cond_cap=4.0)
     assert r == pytest.approx(1.0)
@@ -768,8 +792,9 @@ def test_validity_radius_dip_search_probe_count(monkeypatch):
         dips.append(min(int(np.count_nonzero(local)), 4))
     chased = sum(dips)
     assert chased >= 16
-    # one probe checks the base point; the ternary search took 101 per dip
-    assert len(probes) == 1 + GOLDEN_EVALS * chased
+    # the ternary search took 101 per dip; no dip is bisected
+    assert len(probes) == GOLDEN_EVALS * chased
+    assert not bisected
 
 
 # ---------------------------------------------------------------------------
