@@ -509,7 +509,6 @@ def shrink_experiment(
     tower, families, bounds, ray_sets = _shrink_levels(tower_spec, n_max)
 
     rows = []
-    projected = []
     witnesses = []
     for i, family in enumerate(families):
         r, witness = validity_radius(
@@ -534,8 +533,8 @@ def shrink_experiment(
                 cond_at_base=float(kappa),
             )
         )
-        projected.append(float(r) * tower.radius_shrink(0, i))
 
+    projected = [row.r_validity * shrink for row, shrink in zip(rows, tower.radius_shrinks(0))]
     floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
     assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
     fitted = assembly.fitted_exponent

@@ -1334,9 +1334,9 @@ def assemble_projective_darboux(
 
     ``per_level_radii[j]`` is the chart radius at level j.  For each base
     level the limiting radius is the smallest ball guaranteed inside every
-    projected higher-level chart domain (``Tower.radius_shrink``).  A
-    power-law fit of the radii against n = j + 1 feeds the diagnosis when
-    the floor is missed.
+    projected higher-level chart domain (``Tower.radius_shrinks``, which
+    holds one composite at a time).  A power-law fit of the radii against
+    n = j + 1 feeds the diagnosis when the floor is missed.
     """
     radii = [float(r) for r in per_level_radii]
     if len(radii) != tower.depth + 1:
@@ -1344,10 +1344,10 @@ def assemble_projective_darboux(
             "missing level radius: need %d, got %d" % (tower.depth + 1, len(radii))
         )
 
-    limiting = []
-    for i in range(tower.depth + 1):
-        values = [radii[j] * tower.radius_shrink(i, j) for j in range(i, tower.depth + 1)]
-        limiting.append(min(values))
+    limiting = [
+        min(r * shrink for r, shrink in zip(radii[i:], tower.radius_shrinks(i)))
+        for i in range(tower.depth + 1)
+    ]
     ok = all(v >= min_radius for v in limiting)
 
     fitted = _power_law_exponent(range(1, tower.depth + 2), radii)

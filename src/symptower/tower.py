@@ -3,7 +3,8 @@
 A tower is a chain ``levels[N] -> ... -> levels[1] -> levels[0]`` of model
 spaces connected by bonding maps.  A composite is formed on first use as
 ``composite(i, j - 1) @ bondings[j - 1]`` and cached, so the cocycle identity
-holds by construction and a walk factors only the composites it reads.
+holds by construction and a walk factors only the composites it reads;
+``radius_shrinks`` walks a row with the same products and caches none.
 Threads are per-level vectors consistent with the bondings; form sequences
 attach one skew form per level.
 
@@ -100,26 +101,37 @@ class Tower:
             raise ValueError("need 0 <= i <= j <= depth, got (%d, %d)" % (i, j))
         return LinearMap(self.levels[j], self.levels[i], self._composite_matrix(i, j))
 
-    def radius_shrink(self, i: int, j: int) -> float:
-        """Factor by which the composite levels[j] -> levels[i] shrinks a ball.
+    def radius_shrinks(self, i: int) -> list[float]:
+        """Factors by which the composites levels[j] -> levels[i] shrink a ball, j = i..depth.
 
         A ball of radius r in levels[j] maps onto a set containing the ball
-        of radius r times this factor: the smallest singular value of the
+        of radius r times factor j - i: the smallest singular value of the
         gram-normalized composite, or 0.0 when the composite is not onto.
+        The row is walked with the products of ``composite(i, j)``, so the
+        factors are the same floats, but only the current composite is
+        kept and none is cached.
         """
-        if i == j:
-            return 1.0
-        src, tgt = self.levels[j], self.levels[i]
-        normalized = self.composite(i, j).matrix
-        if not src.has_identity_gram:
-            normalized = normalized @ src.gram_inv_sqrt
+        if not 0 <= i <= self.depth:
+            raise ValueError("need 0 <= i <= depth, got %d" % i)
+        tgt = self.levels[i]
+        tgt_sqrt = None
         if not tgt.has_identity_gram:
             w, v = np.linalg.eigh(tgt.gram_matrix)
-            normalized = ((v * np.sqrt(w)) @ v.T) @ normalized
-        s = np.linalg.svd(normalized, compute_uv=False)
-        if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
-            return 0.0
-        return float(s[tgt.dim - 1])
+            tgt_sqrt = (v * np.sqrt(w)) @ v.T
+        shrinks = [1.0]
+        m = np.eye(tgt.dim)
+        for j in range(i + 1, self.depth + 1):
+            m = m @ self.bondings[j - 1].matrix
+            src = self.levels[j]
+            normalized = m if src.has_identity_gram else m @ src.gram_inv_sqrt
+            if tgt_sqrt is not None:
+                normalized = tgt_sqrt @ normalized
+            s = np.linalg.svd(normalized, compute_uv=False)
+            if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
+                shrinks.append(0.0)
+            else:
+                shrinks.append(float(s[tgt.dim - 1]))
+        return shrinks
 
 
 def build_tower(

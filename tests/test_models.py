@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from symptower import moser
+from symptower import models, moser
 from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form, weakness_conditioning
 from symptower.models import (
     BOUND_K,
@@ -338,6 +338,21 @@ class TestShrinkExperiment:
         b = shrink_experiment({"kind": "product"}, n_max=3, seed=5)
         assert a.rows == b.rows
         assert a.level1_radii == b.level1_radii
+
+    @pytest.mark.parametrize("spec", [{"kind": "product"}, {"kind": "counterexample", "d": 2}])
+    def test_caches_no_composite_above_level_0(self, monkeypatch, spec):
+        towers = []
+        shrink_levels = models._shrink_levels
+
+        def recording(tower_spec, n_max):
+            built = shrink_levels(tower_spec, n_max)
+            towers.append(built[0])
+            return built
+
+        monkeypatch.setattr(models, "_shrink_levels", recording)
+        shrink_experiment(spec, n_max=4)
+        (tower,) = towers
+        assert not [key for key in tower._composites if key[0] > 0]
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown tower kind"):

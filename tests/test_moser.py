@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from symptower import moser
 from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm, darboux_constant_form
-from symptower.models import make_quadratic_field
+from symptower.models import make_product_tower, make_quadratic_field
 from symptower.moser import (
     GOLDEN_EVALS,
     ChartConstructionError,
@@ -1064,6 +1065,21 @@ def test_assemble_detects_power_law_decay():
     assert out.limiting_radius_by_level[0] == pytest.approx(0.25)
     assert out.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
     assert "decay" in out.diagnosis
+
+
+def test_assemble_holds_one_composite_at_a_time():
+    # The 28-level product control: its composite triangle took 9.6 MiB.
+    tower, _ = make_product_tower([darboux_constant_form(2)] * 28)
+    radii = [1.0 / n for n in range(1, 29)]
+    tracemalloc.start()
+    try:
+        out = assemble_projective_darboux(radii, tower, min_radius=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not tower._composites
+    assert out.limiting_radius_by_level[0] == 1.0 / 28
 
 
 def test_assemble_single_level_and_missing_report():

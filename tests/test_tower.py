@@ -14,6 +14,7 @@ from symptower.linalg import (
     column_spaces_equal,
     darboux_constant_form,
 )
+from symptower.models import make_counterexample_tower, make_product_tower
 from symptower.tower import (
     CompatibilityReport,
     FormSequence,
@@ -101,6 +102,77 @@ def test_compatibility_check_forms_only_the_base_composites():
     cached = set(fs.tower._composites)
     assert (0, 31) in cached
     assert not {(i, j) for i, j in cached if 0 < i < j}
+
+
+def composite_shrink(tower, i, j):
+    """Smallest singular value of the gram-normalized cached composite(i, j), 0.0 if not onto."""
+    if i == j:
+        return 1.0
+    src, tgt = tower.levels[j], tower.levels[i]
+    normalized = tower.composite(i, j).matrix
+    if not src.has_identity_gram:
+        normalized = normalized @ src.gram_inv_sqrt
+    if not tgt.has_identity_gram:
+        w, v = np.linalg.eigh(tgt.gram_matrix)
+        normalized = ((v * np.sqrt(w)) @ v.T) @ normalized
+    s = np.linalg.svd(normalized, compute_uv=False)
+    if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
+        return 0.0
+    return float(s[tgt.dim - 1])
+
+
+def explicit_gram_tower():
+    """Grams on every level, both ends included; dims 3, 4, 4, 5."""
+    rng = np.random.default_rng(18)
+    levels = [random_space(rng, d, with_gram=True) for d in (3, 4, 4, 5)]
+    bondings = [
+        LinearMap(levels[i + 1], levels[i], rng.standard_normal((levels[i].dim, levels[i + 1].dim)))
+        for i in range(3)
+    ]
+    return build_tower(levels, bondings)
+
+
+def non_surjective_tower():
+    """R^4 -> R^2 -> R^3: the lower bonding is not onto, so neither is any composite onto level 0."""
+    levels = [ModelSpace(3), ModelSpace(2, gram=np.diag([1.0, 4.0])), ModelSpace(4)]
+    bondings = [
+        LinearMap(levels[1], levels[0], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
+        LinearMap(levels[2], levels[1], coordinate_projection(4, 2)),
+    ]
+    return build_tower(levels, bondings)
+
+
+SHRINK_TOWERS = {
+    "product-control-28": lambda: make_product_tower([darboux_constant_form(2)] * 28)[0],
+    **{
+        "counterexample-%d" % depth: (lambda depth=depth: make_counterexample_tower(2, depth)[0])
+        for depth in range(1, 9)
+    },
+    "explicit-grams": explicit_gram_tower,
+    "non-surjective": non_surjective_tower,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_TOWERS))
+def test_radius_shrinks_walk_equals_the_composite_svds_bit_for_bit(name):
+    tower = SHRINK_TOWERS[name]()
+    rows = [tower.radius_shrinks(i) for i in range(tower.depth + 1)]
+    assert not tower._composites  # the walk caches no composite
+    for i, row in enumerate(rows):
+        assert [x.hex() for x in row] == [
+            composite_shrink(tower, i, j).hex() for j in range(i, tower.depth + 1)
+        ]
+    if name == "non-surjective":
+        assert rows[0][1:] == [0.0, 0.0] and rows[1][1] > 0.0
+
+
+def test_radius_shrinks_checks_the_row():
+    tower = coordinate_tower([2, 4])
+    assert tower.radius_shrinks(1) == [1.0]
+    with pytest.raises(ValueError, match="depth"):
+        tower.radius_shrinks(2)
+    with pytest.raises(ValueError, match="depth"):
+        tower.radius_shrinks(-1)
 
 
 def test_single_level_tower():
