@@ -131,8 +131,10 @@ class ModelSpace:
             sym_defect = np.linalg.norm(g - g.T)
             if sym_defect > 1e-12 * max(1.0, np.linalg.norm(g)):
                 raise ValueError("gram matrix is not symmetric")
-            if np.linalg.eigvalsh(g)[0] <= 0.0:
-                raise ValueError("gram matrix is not positive definite")
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                raise ValueError("gram matrix is not positive definite") from None
             object.__setattr__(self, "gram", g)
 
     @property

@@ -45,8 +45,10 @@ def random_skew(rng, dim):
 
 
 def test_model_space_rejects_bad_gram():
-    with pytest.raises(ValueError):
-        ModelSpace(2, gram=np.array([[1.0, 2.0], [2.0, 1.0]]))  # not pos def
+    with pytest.raises(ValueError, match="not positive definite"):
+        ModelSpace(2, gram=np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    with pytest.raises(ValueError, match="not positive definite"):
+        ModelSpace(2, gram=np.array([[1.0, 1.0], [1.0, 1.0]]))  # singular
     with pytest.raises(ValueError):
         ModelSpace(2, gram=np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
     with pytest.raises(DimensionMismatchError):
