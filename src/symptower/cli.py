@@ -570,13 +570,26 @@ def _document_errors(doc, command: str | None = None) -> list:
     return errors
 
 
+def _load_input(config: RunConfig):
+    """The input document a run config names, schema-checked for its command."""
+    doc = _load_json(config.input)
+    errors = _document_errors(doc, config.command)
+    if errors:
+        raise ConfigError(["%s: %s" % (config.input, line) for line in errors])
+    return doc
+
+
 def validate_spec(path) -> ParseReport:
-    """Schema-check a document or run config, listing every violation with its location."""
+    """Schema-check a document or run config, listing every violation with its location.
+
+    A run config is checked together with the input document it names, as
+    ``run`` reads it.
+    """
     path = Path(path)
     try:
         doc = _load_json(path)
         if isinstance(doc, dict) and ("input" in doc or "command" in doc):
-            load_run_config(path)
+            _load_input(load_run_config(path))
             return ParseReport(path=str(path), errors=())
     except ConfigError as exc:
         return ParseReport(path=str(path), errors=exc.errors)
@@ -893,11 +906,7 @@ _PIPELINES = {
 def run(config: RunConfig) -> int:
     """Execute one pipeline and write its reports; returns the exit status."""
     try:
-        doc = _load_json(config.input)
-        errors = _document_errors(doc, config.command)
-        if errors:
-            raise ConfigError(["%s: %s" % (config.input, line) for line in errors])
-        result = _PIPELINES[config.command](doc, config)
+        result = _PIPELINES[config.command](_load_input(config), config)
     except ConfigError as exc:
         for line in exc.errors:
             print("input error: %s" % line, file=sys.stderr)

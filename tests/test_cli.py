@@ -802,6 +802,35 @@ class TestValidateSpec:
         report = validate_spec(write_json(tmp_path / "c.json", doc))
         assert any("dt" in e for e in report.errors)
 
+    def test_runconfig_with_a_missing_input_fails(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", {"command": "shrink", "input": "absent.json"})
+        report = validate_spec(cfg)
+        assert len(report.errors) == 1
+        assert report.errors[0].startswith("cannot read %s" % (tmp_path / "absent.json"))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "1 errors" in capsys.readouterr().out
+
+    def test_runconfig_input_is_checked_as_the_run_reads_it(self, tmp_path):
+        exp = write_json(
+            tmp_path / "exp.json",
+            {"experiment": {"kind": "counterexample", "d": 2, "s_eigs": [0.5, 1.0]}, "n_max": 2},
+        )
+        cfg = write_json(tmp_path / "run.json", {"command": "shrink", "input": "exp.json"})
+        report = validate_spec(cfg)
+        assert report.errors == (
+            "%s: experiment.s_eigs: must be non-increasing" % exp.resolve(),
+        )
+        assert main(["validate", "--config", str(cfg)]) == 2
+
+    def test_runconfig_input_must_suit_the_command(self, tmp_path):
+        write_json(tmp_path / "loop.json", {"loop": {"m": 1, "modes": 1, "orders": [0]}})
+        cfg = write_json(tmp_path / "run.json", {"command": "moser", "input": "loop.json"})
+        report = validate_spec(cfg)
+        assert report.errors == (
+            "%s: document for moser must have a 'field' section"
+            % (tmp_path / "loop.json").resolve(),
+        )
+
 
 class TestRunner:
     def test_check_tower_bundled(self, tmp_path):
