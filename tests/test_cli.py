@@ -810,26 +810,18 @@ class TestValidateSpec:
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "1 errors" in capsys.readouterr().out
 
-    def test_runconfig_input_is_checked_as_the_run_reads_it(self, tmp_path):
-        exp = write_json(
-            tmp_path / "exp.json",
-            {"experiment": {"kind": "counterexample", "d": 2, "s_eigs": [0.5, 1.0]}, "n_max": 2},
-        )
-        cfg = write_json(tmp_path / "run.json", {"command": "shrink", "input": "exp.json"})
-        report = validate_spec(cfg)
-        assert report.errors == (
-            "%s: experiment.s_eigs: must be non-increasing" % exp.resolve(),
-        )
+    @pytest.mark.parametrize("command, doc, error", [
+        ("shrink",
+         {"experiment": {"kind": "counterexample", "d": 2, "s_eigs": [0.5, 1.0]}, "n_max": 2},
+         "experiment.s_eigs: must be non-increasing"),
+        ("moser", {"loop": {"m": 1, "modes": 1, "orders": [0]}},
+         "document for moser must have a 'field' section"),
+    ], ids=["increasing-spectrum", "wrong-section"])
+    def test_runconfig_input_is_checked_as_the_run_reads_it(self, tmp_path, command, doc, error):
+        inp = write_json(tmp_path / "input.json", doc)
+        cfg = write_json(tmp_path / "run.json", {"command": command, "input": "input.json"})
+        assert validate_spec(cfg).errors == ("%s: %s" % (inp.resolve(), error),)
         assert main(["validate", "--config", str(cfg)]) == 2
-
-    def test_runconfig_input_must_suit_the_command(self, tmp_path):
-        write_json(tmp_path / "loop.json", {"loop": {"m": 1, "modes": 1, "orders": [0]}})
-        cfg = write_json(tmp_path / "run.json", {"command": "moser", "input": "loop.json"})
-        report = validate_spec(cfg)
-        assert report.errors == (
-            "%s: document for moser must have a 'field' section"
-            % (tmp_path / "loop.json").resolve(),
-        )
 
 
 class TestRunner:
