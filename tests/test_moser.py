@@ -1068,7 +1068,7 @@ def test_assemble_detects_power_law_decay():
 
 
 def test_assemble_holds_one_composite_at_a_time():
-    # The 28-level product control: its composite triangle took 9.6 MiB.
+    # The 28-level product control, whose whole composite triangle is 9.6 MiB.
     tower, _ = make_product_tower([darboux_constant_form(2)] * 28)
     radii = [1.0 / n for n in range(1, 29)]
     tracemalloc.start()
