@@ -18,6 +18,11 @@ so on); a section with a ``kind`` lists the keys of each kind.
 violation with its location.  Only relations the per-key rules cannot
 express are code: the explicit tower's shapes and the run config's
 command-line overrides.
+
+Validation uses the standard library alone, so ``symptower validate``
+never imports numpy.  ``run`` imports the library before it reads the
+input, and the builders, pipelines and serializers import the names they
+use when they are called.
 """
 
 from __future__ import annotations
@@ -25,47 +30,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import SKEW_TOL
 
-from .linalg import (
-    RANK_TOL,
-    SKEW_TOL,
-    LinearMap,
-    ModelSpace,
-    SkewForm,
-    darboux_constant_form,
-    weakness_conditioning,
-)
-from .models import (
-    MarsdenSpec,
-    field_sequence_at,
-    make_counterexample_tower,
-    make_loop_tower,
-    make_marsden_field,
-    make_product_tower,
-    make_quadratic_field,
-    shrink_experiment,
-)
-from .moser import (
-    COND_CAP,
-    DT,
-    SING_TOL,
-    FormField,
-    MoserFamily,
-    moser_flow,
-)
-from .tower import (
-    FormSequence,
-    Thread,
-    build_tower,
-    check_compatible_sequence,
-    classify_tower,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .linalg import SkewForm
+    from .moser import FormField
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -304,14 +283,26 @@ def _vector(length=None, nonzero: bool = False):
             raise _Invalid("must be a list of numbers")
         if n is not None and len(value) != n:
             raise _Invalid("expected %d entries, got %d" % (n, len(value)))
-        if nonzero and not np.linalg.norm(value) > 0:
+        if nonzero and not _norm(value) > 0:
             raise _Invalid("must be nonzero")
         return value
 
     return rule
 
 
-def _matrix(value, ok=None) -> np.ndarray:
+def _norm(values: list) -> float:
+    """The Euclidean norm of numbers, with np.linalg.norm's verdicts.
+
+    The squares are summed exactly, but each square underflows and
+    overflows as a float, as numpy's do: [1e-200] has norm 0.
+    """
+    try:
+        return math.sqrt(math.fsum(map(operator.mul, values, values)))
+    except OverflowError:  # the squares sum past the largest float
+        return math.inf
+
+
+def _matrix(value, ok=None) -> list:
     if (
         not isinstance(value, list)
         or not value
@@ -320,26 +311,39 @@ def _matrix(value, ok=None) -> np.ndarray:
         or any(not _is_number(v) for row in value for v in row)
     ):
         raise _Invalid("must be a rectangular matrix of numbers")
-    return np.array(value, dtype=float)
+    return value
 
 
-def _skew(m: np.ndarray, ok=None) -> np.ndarray:
-    defect = float(np.linalg.norm(m + m.T) / max(1.0, np.linalg.norm(m)))
+def _shape(m: list) -> tuple[int, int]:
+    """The (rows, columns) of a checked matrix."""
+    return len(m), len(m[0])
+
+
+def _skew_defect(m: list) -> float:
+    """``|m + m.T| / max(1, |m|)`` of a square matrix, in Frobenius norms."""
+    entries = list(chain.from_iterable(m))
+    sums = list(map(operator.add, entries, chain.from_iterable(zip(*m))))
+    return _norm(sums) / max(1.0, _norm(entries))
+
+
+def _skew(m: list, ok=None) -> list:
+    defect = _skew_defect(m)
     if defect > SKEW_TOL:
         # Kept anyway: its shape still sizes the sibling keys.
         raise _Invalid("matrix is not skew (symmetry defect %.3e)" % defect, kept=m)
     return m
 
 
-def _skew_matrix(value, ok) -> np.ndarray:
+def _skew_matrix(value, ok) -> list:
     m = _matrix(value)
-    if m.shape[0] != m.shape[1]:
+    rows, columns = _shape(m)
+    if rows != columns:
         raise _Invalid("must be square")
     return _skew(m)
 
 
-def _gram(value, ok) -> np.ndarray:
-    if _matrix(value).shape != ok["matrix"].shape:
+def _gram(value, ok) -> list:
+    if _shape(_matrix(value)) != _shape(ok["matrix"]):
         raise _Invalid("shape does not match the matrix")
     return value
 
@@ -347,7 +351,7 @@ def _gram(value, ok) -> np.ndarray:
 def _phase_dim(field: dict) -> int | None:
     """The phase dimension a checked field section fixes, if it fixes one."""
     if "matrix" in field:  # constant
-        return field["matrix"].shape[0]
+        return len(field["matrix"])
     for key in ("l", "d"):  # quadratic, marsden
         if key in field:
             return 2 * field[key]
@@ -372,7 +376,7 @@ def _explicit_tower(ok: dict, where: str, errors: list) -> None:
             errors.append("%s: unknown key %r" % (at, key))
         if "gram" in level:
             gram = _apply(_matrix, level["gram"], ok, at + ".gram", errors)
-            if gram is not None and gram.shape != (dim, dim):
+            if gram is not None and _shape(gram) != (dim, dim):
                 errors.append("%s.gram: expected shape (%d, %d)" % (at, dim, dim))
     for key, count in (("bondings", len(dims) - 1), ("forms", len(dims))):
         items = ok.get(key)
@@ -386,14 +390,14 @@ def _explicit_tower(ok: dict, where: str, errors: list) -> None:
             if m is None:
                 continue
             if key == "bondings":
-                if None not in dims[i : i + 2] and m.shape != (dims[i], dims[i + 1]):
+                if None not in dims[i : i + 2] and _shape(m) != (dims[i], dims[i + 1]):
                     errors.append(
                         "%s: expected shape (%d, %d) mapping level %d -> level %d, got (%d, %d)"
-                        % (at, dims[i], dims[i + 1], i + 1, i, *m.shape)
+                        % (at, dims[i], dims[i + 1], i + 1, i, *_shape(m))
                     )
-            elif dims[i] is not None and m.shape != (dims[i], dims[i]):
+            elif dims[i] is not None and _shape(m) != (dims[i], dims[i]):
                 errors.append(
-                    "%s: expected shape (%d, %d), got (%d, %d)" % (at, dims[i], dims[i], *m.shape)
+                    "%s: expected shape (%d, %d), got (%d, %d)" % (at, dims[i], dims[i], *_shape(m))
                 )
             else:
                 _apply(_skew, m, ok, at, errors)
@@ -451,7 +455,7 @@ _FIELD = _Choice({
         "matrix": _Key(_skew_matrix, required=True, stop=True),
         "gram": _Key(_gram),
         "radius": _Key(_POSITIVE),
-        "center": _Key(_vector(lambda ok: ok["matrix"].shape[0])),
+        "center": _Key(_vector(lambda ok: len(ok["matrix"]))),
     }),
     "marsden": _Section({
         "d": _Key(_POSITIVE_INT, required=True, stop=True),
@@ -610,12 +614,24 @@ def _build_checked(builder, *args, **kwargs):
 
 def _skew_form(section) -> SkewForm:
     """The form of a section with a 'matrix' and an optional 'gram'."""
+    import numpy as np
+
+    from .linalg import ModelSpace, SkewForm
+
     matrix = np.array(section["matrix"], dtype=float)
     gram = np.array(section["gram"], dtype=float) if "gram" in section else None
     return SkewForm(ModelSpace(matrix.shape[0], gram), matrix)
 
 
 def _build_tower_doc(tower):
+    import numpy as np
+
+    from .linalg import LinearMap, ModelSpace, SkewForm, darboux_constant_form
+    from .models import (
+        field_sequence_at, make_counterexample_tower, make_loop_tower, make_product_tower,
+    )
+    from .tower import FormSequence, Thread, build_tower
+
     kind = tower["kind"]
     if kind == "product":
         return make_product_tower([
@@ -648,6 +664,11 @@ def _build_tower_doc(tower):
 
 
 def _build_field(fobj) -> FormField:
+    import numpy as np
+
+    from .models import MarsdenSpec, make_marsden_field, make_quadratic_field
+    from .moser import FormField
+
     kind = fobj["kind"]
     if kind == "quadratic":
         return make_quadratic_field(
@@ -688,6 +709,9 @@ def _table(columns: str, records) -> tuple:
 
 
 def _pipeline_check_tower(doc, cfg: RunConfig):
+    from .linalg import RANK_TOL
+    from .tower import check_compatible_sequence, classify_tower
+
     tower, fs = _build_checked(_build_tower_doc, doc["tower"])
     tol = float(cfg.tolerances.get("rank_tol", RANK_TOL))
     comp = check_compatible_sequence(fs, tol=tol)
@@ -714,6 +738,10 @@ def _pipeline_check_tower(doc, cfg: RunConfig):
 
 
 def _pipeline_moser(doc, cfg: RunConfig):
+    import numpy as np
+
+    from .moser import COND_CAP, DT, SING_TOL, MoserFamily, moser_flow
+
     field_obj = _build_checked(_build_field, doc["field"])
     base = np.asarray(doc.get("base_point", np.zeros(field_obj.space.dim)), dtype=float)
     family = _build_checked(MoserFamily.darboux_target, field_obj, base)
@@ -750,6 +778,9 @@ def _pipeline_moser(doc, cfg: RunConfig):
 
 def _pipeline_shrink(doc, cfg: RunConfig):
     """shrink and product-control: one experiment, judged two ways."""
+    from .models import shrink_experiment
+    from .moser import COND_CAP, SING_TOL
+
     control = cfg.command == "product-control"
     if control and doc["experiment"].get("kind", "counterexample") != "product":
         raise ConfigError(["experiment.kind: product-control requires kind 'product'"])
@@ -779,6 +810,13 @@ def _pipeline_shrink(doc, cfg: RunConfig):
 
 
 def _pipeline_loop_check(doc, cfg: RunConfig):
+    import numpy as np
+
+    from .linalg import RANK_TOL, weakness_conditioning
+    from .models import make_loop_tower
+    from .moser import FormField, MoserFamily, moser_flow
+    from .tower import check_compatible_sequence
+
     loop = doc["loop"]
     tower, fs = _build_checked(make_loop_tower, loop["m"], loop["modes"], loop["orders"])
     tol = float(cfg.tolerances.get("rank_tol", RANK_TOL))
@@ -834,30 +872,44 @@ def _pipeline_loop_check(doc, cfg: RunConfig):
 
 
 def _json_safe(value):
-    # Non-finite floats become strings so strict JSON stays loadable.
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _json_safe(value.tolist())
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
-    if isinstance(value, float):
-        return value if math.isfinite(value) else repr(value)
-    return value
+    """A payload as plain JSON values.
+
+    Non-finite floats become strings so strict JSON stays loadable.
+    """
+    import numpy as np
+
+    def safe(value):
+        if isinstance(value, dict):
+            return {str(k): safe(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [safe(v) for v in value]
+        if isinstance(value, np.ndarray):
+            return safe(value.tolist())
+        if isinstance(value, (np.integer,)):
+            return int(value)
+        if isinstance(value, (np.floating,)):
+            value = float(value)
+        if isinstance(value, float):
+            return value if math.isfinite(value) else repr(value)
+        return value
+
+    return safe(value)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_lines(header: str, rows) -> list:
+    """The csv table's lines: the header, then one line per row."""
+    import numpy as np
+
+    def cell(value) -> str:
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    return [header] + [",".join(cell(v) for v in row) for row in rows]
 
 
 def _write_reports(cfg: RunConfig, result: _Result):
@@ -875,9 +927,7 @@ def _write_reports(cfg: RunConfig, result: _Result):
             json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     if "csv" in cfg.formats and result.table is not None:
-        header, rows = result.table
-        lines = [header]
-        lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+        lines = _csv_lines(*result.table)
         (out / "report.csv").write_text("\n".join(lines) + "\n")
     if "text" in cfg.formats:
         lines = ["%s: %s" % (cfg.command, "PASS" if result.passed else "FAIL")]
@@ -905,6 +955,10 @@ _PIPELINES = {
 
 def run(config: RunConfig) -> int:
     """Execute one pipeline and write its reports; returns the exit status."""
+    # The library loads before the document is read: loaded after it, its
+    # modules raised the process's peak RSS by about 1 MiB.
+    from . import linalg, models, moser, tower  # noqa: F401
+
     try:
         result = _PIPELINES[config.command](_load_input(config), config)
     except ConfigError as exc:

@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
+from symptower import SKEW_TOL
+
 # Relative cutoff for every rank decision made from singular values.
 RANK_TOL = 1e-10
-# Relative antisymmetry tolerance enforced by the SkewForm constructor.
-SKEW_TOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):

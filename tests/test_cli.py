@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from symptower import cli
 from symptower.cli import ConfigError, load_run_config, main, validate_spec
@@ -822,6 +824,36 @@ class TestValidateSpec:
         cfg = write_json(tmp_path / "run.json", {"command": command, "input": "input.json"})
         assert validate_spec(cfg).errors == ("%s: %s" % (inp.resolve(), error),)
         assert main(["validate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("a, errors", [
+        ([1e-200, 0, 0, 0], ["experiment.a: must be nonzero"]),
+        ([1e-150, 0, 0, 0], []),
+    ], ids=["square-underflows", "square-normal"])
+    def test_nonzero_direction_is_judged_by_its_float_squares(self, tmp_path, a, errors):
+        doc = {"experiment": {"kind": "counterexample", "d": 4, "a": a}, "n_max": 2}
+        assert list(validate_spec(write_json(tmp_path / "e.json", doc)).errors) == errors
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(["random", "skew", "near-threshold"]),
+    st.floats(min_value=-8.0, max_value=8.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_schema_skew_defect_matches_numpy(n, kind, log_scale, entropy):
+    rng = np.random.default_rng(entropy)
+    m = rng.standard_normal((n, n)) * 10.0**log_scale
+    if kind != "random":
+        m = m - m.T
+    if kind == "near-threshold":
+        sym = rng.standard_normal((n, n))
+        sym = sym + sym.T
+        target = cli.SKEW_TOL * (1.0 + rng.uniform(-1e-6, 1e-6)) * max(1.0, np.linalg.norm(m))
+        m = m + sym * (target / np.linalg.norm(2 * sym))
+    expect = float(np.linalg.norm(m + m.T) / max(1.0, np.linalg.norm(m)))
+    assert cli._skew_defect(m.tolist()) == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 class TestRunner:
