@@ -94,8 +94,21 @@ class RunConfig:
     dump_trajectories: bool = False
 
 
+def _numbers(values) -> bool:
+    """Whether every entry is an int or float that is finite as a float.
+
+    The types are tested together, and ``math.isfinite`` over the list: it
+    rejects JSON's ``1e400`` and ``NaN``, and overflows on an integer past
+    the largest float.
+    """
+    try:
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return _numbers((v,))
 
 
 def _is_int(v) -> bool:
@@ -279,7 +292,7 @@ def _vector(length=None, nonzero: bool = False):
 
     def rule(value, ok):
         n = None if length is None else length(ok)
-        if not isinstance(value, list) or any(not _is_number(v) for v in value):
+        if not isinstance(value, list) or not _numbers(value):
             raise _Invalid("must be a list of numbers")
         if n is not None and len(value) != n:
             raise _Invalid("expected %d entries, got %d" % (n, len(value)))
@@ -308,7 +321,7 @@ def _matrix(value, ok=None) -> list:
         or not value
         or any(not isinstance(row, list) for row in value)
         or len({len(row) for row in value}) != 1
-        or any(not _is_number(v) for row in value for v in row)
+        or not all(map(_numbers, value))
     ):
         raise _Invalid("must be a rectangular matrix of numbers")
     return value

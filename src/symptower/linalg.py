@@ -159,6 +159,13 @@ class ModelSpace:
         return (v / w) @ v.T
 
     @cached_property
+    def gram_sqrt(self) -> np.ndarray:
+        if self.gram is None:
+            return np.eye(self.dim)
+        w, v = self._gram_eig
+        return (v * np.sqrt(w)) @ v.T
+
+    @cached_property
     def gram_inv_sqrt(self) -> np.ndarray:
         if self.gram is None:
             return np.eye(self.dim)

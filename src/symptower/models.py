@@ -30,6 +30,7 @@ from .moser import (
     FormField,
     MoserFamily,
     UniformBoundReport,
+    _power_law_exponent,
     assemble_projective_darboux,
     uniform_bound_check,
     validity_radius,
@@ -494,12 +495,12 @@ def shrink_experiment(
     """Measure per-level chart radii and decide whether a uniform one survives.
 
     For each level the validity radius around the phase origin is measured
-    (slot-directed rays make the degeneracy hyperplanes unmissable), then
-    projected down to the first level.  The chart assembly, with half the
-    first projected radius as its floor, fits a power law to the projected
-    radii; the experiment reports failure when that exponent is at most
-    -0.5 and the radii strictly decrease.  Operator norm bounds (against
-    BOUND_K) ride along; each level's validity witness goes to
+    (slot-directed rays make the degeneracy hyperplanes unmissable) and goes
+    to the chart assembly, with half the first projected radius as its
+    floor.  A power law is fitted to the radii projected down to the first
+    level; the experiment reports failure when that exponent is at most
+    -0.5 and the projected radii strictly decrease.  Operator norm bounds
+    (against BOUND_K) ride along; each level's validity witness goes to
     ``uniform_bound_check``, whose kumar is inf once that failing point
     lies in its sampled ball, without sampling the ball.
     """
@@ -534,10 +535,11 @@ def shrink_experiment(
             )
         )
 
-    projected = [row.r_validity * shrink for row, shrink in zip(rows, tower.radius_shrinks(0))]
+    radii = [row.r_validity for row in rows]
+    projected = [r * shrink for r, shrink in zip(radii, tower.radius_shrinks(0))]
     floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
-    assembly = assemble_projective_darboux(projected, tower, min_radius=floor)
-    fitted = assembly.fitted_exponent
+    assembly = assemble_projective_darboux(radii, tower, min_radius=floor)
+    fitted = _power_law_exponent(range(1, n_max + 1), projected)
     decreasing = all(b < a for a, b in zip(projected, projected[1:]))
     failing = fitted is not None and fitted <= -0.5 and decreasing
     if failing:

@@ -26,8 +26,8 @@ Conventions:
   can return its witness, the failing end of the bisection that set the
   radius, which ``uniform_bound_check`` tests first as a kumar sample;
 * ``_field_batch`` is the one Moser-velocity solve, at one time or a grid of
-  times: the integrator, ``moser_vector_field``, the Lipschitz probe and the
-  kumar bound of ``uniform_bound_check`` all call it;
+  times: the integrator ``_integrate``, the Lipschitz probe and the kumar
+  bound of ``uniform_bound_check`` all call it;
 * ``_alpha_batch`` is the one radial primitive, exact for a field of
   declared ``degree`` and QUAD_NODES-point Gauss-Legendre for any other;
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
@@ -53,7 +53,7 @@ COND_CAP = 1e6
 QUAD_NODES = 16
 # Reject integration when measured_lipschitz * dt exceeds this.
 LIPSCHITZ_CAP = 0.5
-# Default RK4 step of moser_flow and flow_map.
+# Default RK4 step of moser_flow.
 DT = 1e-3
 # Central-difference step of FormField.directional_derivative without an
 # analytic derivative.
@@ -398,24 +398,6 @@ def _alpha_batch(field_bar: FormField, pts: np.ndarray) -> np.ndarray:
     oms = field_bar.omega_many(segs.reshape(-1, dim)).reshape(count, pts.shape[0], dim, dim)
     covs = np.einsum("qnji,nj->qni", oms, diffs)
     return np.einsum("q,qni->ni", weights * nodes, covs)
-
-
-def moser_vector_field(family: MoserFamily, t: float, x) -> np.ndarray:
-    """Solve flat(omega_t at x) X = -alpha_x for the Moser velocity.
-
-    A one-point call of the integrator's ``_field_batch``: alpha is the
-    radial primitive of the family's difference field, and the flat must
-    pass the SING_TOL / COND_CAP test, else LeftValidityRegionError.
-    """
-    x = np.asarray(x, dtype=float)
-    if not family.omega_bar.contains(x, slack=1e-9):
-        raise ValueError("not star-shaped reachable: point leaves the region")
-    vel, ok = _field_batch(family, t, x[None, :], COND_CAP, SING_TOL)
-    if not ok[0]:
-        flat = family.omega0.matrix + t * family.omega_bar.omega(x)
-        _, smin = _sigma_range(_diagonal_blocks(flat, family.blocks))
-        raise LeftValidityRegionError(t, x, smin)
-    return vel[0]
 
 
 def _sample_ball(rng, space: ModelSpace, center: np.ndarray, radius: float,
@@ -981,20 +963,6 @@ def _integrate(
         if record:
             trail[:, k + 1] = pts
     return pts, alive, trail
-
-
-def flow_map(
-    family: MoserFamily,
-    points: np.ndarray,
-    dt: float = DT,
-    t_start: float = 0.0,
-    t_end: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flow a batch of points between two times; returns (endpoints, alive)."""
-    steps = max(1, int(round(abs(t_end - t_start) / (1.0 / _steps(dt)))))
-    out, alive, _ = _integrate(family, np.atleast_2d(np.asarray(points, dtype=float)), steps,
-                               t_start, t_end, COND_CAP, SING_TOL)
-    return out, alive
 
 
 def _lipschitz_estimate(family: MoserFamily, pts: np.ndarray, scale: float,

@@ -1,12 +1,13 @@
 """Finite-depth projective towers of model spaces.
 
 A tower is a chain ``levels[N] -> ... -> levels[1] -> levels[0]`` of model
-spaces connected by bonding maps.  A composite is formed on first use as
-``composite(i, j - 1) @ bondings[j - 1]`` and cached, so the cocycle identity
-holds by construction and a walk factors only the composites it reads;
-``radius_shrinks`` walks a row with the same products and caches none.
-Threads are per-level vectors consistent with the bondings; form sequences
-attach one skew form per level.
+spaces connected by bonding maps.  Composites come from one row walk,
+``Tower._row(i)``, which multiplies ``bondings[i] @ ... @ bondings[j - 1]``
+from the left and keeps only the current product: ``composite``,
+``radius_shrinks`` and the compatibility check read it, so every composite
+is the same float whoever asks, and the tower holds none.  Threads are
+per-level vectors consistent with the bondings, pushed down them one bonding
+at a time; form sequences attach one skew form per level.
 
 The checks in this module decide whether the bondings respect the forms
 (compatibility), split the levels into canonical blocks coming from the
@@ -15,7 +16,8 @@ kernel chain, and transport forms downward through submersions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -54,10 +56,6 @@ class Tower:
 
     levels: tuple[ModelSpace, ...]
     bondings: tuple[LinearMap, ...]
-    # composite matrices (i, j), filled on first use
-    _composites: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         levels = tuple(self.levels)
@@ -85,21 +83,24 @@ class Tower:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def _composite_matrix(self, i: int, j: int) -> np.ndarray:
-        m = self._composites.get((i, j))
-        if m is None:
-            if i == j:
-                m = np.eye(self.levels[i].dim)
-            else:
-                m = self._composite_matrix(i, j - 1) @ self.bondings[j - 1].matrix
-            self._composites[(i, j)] = m
-        return m
+    def _row(self, i: int):
+        """Yield ``(j, composite(i, j) matrix)`` for j = i..depth.
+
+        Each matrix is the previous one times ``bondings[j - 1].matrix``,
+        starting from the identity; only the current one is kept.
+        """
+        m = np.eye(self.levels[i].dim)
+        yield i, m
+        for j in range(i + 1, self.depth + 1):
+            m = m @ self.bondings[j - 1].matrix
+            yield j, m
 
     def composite(self, i: int, j: int) -> LinearMap:
         """The map levels[j] -> levels[i] obtained by chaining bondings."""
         if not 0 <= i <= j <= self.depth:
             raise ValueError("need 0 <= i <= j <= depth, got (%d, %d)" % (i, j))
-        return LinearMap(self.levels[j], self.levels[i], self._composite_matrix(i, j))
+        m = next(m for k, m in self._row(i) if k == j)
+        return LinearMap(self.levels[j], self.levels[i], m)
 
     def radius_shrinks(self, i: int) -> list[float]:
         """Factors by which the composites levels[j] -> levels[i] shrink a ball, j = i..depth.
@@ -107,25 +108,16 @@ class Tower:
         A ball of radius r in levels[j] maps onto a set containing the ball
         of radius r times factor j - i: the smallest singular value of the
         gram-normalized composite, or 0.0 when the composite is not onto.
-        The row is walked with the products of ``composite(i, j)``, so the
-        factors are the same floats, but only the current composite is
-        kept and none is cached.
         """
         if not 0 <= i <= self.depth:
             raise ValueError("need 0 <= i <= depth, got %d" % i)
         tgt = self.levels[i]
-        tgt_sqrt = None
-        if not tgt.has_identity_gram:
-            w, v = np.linalg.eigh(tgt.gram_matrix)
-            tgt_sqrt = (v * np.sqrt(w)) @ v.T
         shrinks = [1.0]
-        m = np.eye(tgt.dim)
-        for j in range(i + 1, self.depth + 1):
-            m = m @ self.bondings[j - 1].matrix
+        for j, m in islice(self._row(i), 1, None):
             src = self.levels[j]
             normalized = m if src.has_identity_gram else m @ src.gram_inv_sqrt
-            if tgt_sqrt is not None:
-                normalized = tgt_sqrt @ normalized
+            if not tgt.has_identity_gram:
+                normalized = tgt.gram_sqrt @ normalized
             s = np.linalg.svd(normalized, compute_uv=False)
             if len(s) < tgt.dim or s[tgt.dim - 1] <= 1e-14 * s[0]:
                 shrinks.append(0.0)
@@ -151,7 +143,6 @@ def build_tower(
     for i, space in enumerate(levels):
         if space.dim > max_dim:
             raise ValueError("level %d: dimension %d exceeds cap %d" % (i, space.dim, max_dim))
-    # composites are formed on first use, so a walk pays only for those it reads
     return Tower(levels, bondings)
 
 
@@ -191,10 +182,10 @@ class Thread:
     @classmethod
     def from_top(cls, tower: Tower, x_top) -> "Thread":
         """Thread obtained by pushing a top-level vector down the bondings."""
-        top = np.asarray(x_top, dtype=float)
-        comps = [tower.composite(i, tower.depth).matrix @ top for i in range(tower.depth)]
-        comps.append(top)
-        return cls(tower, tuple(comps))
+        comps = [np.asarray(x_top, dtype=float)]
+        for bonding in reversed(tower.bondings):
+            comps.append(bonding.matrix @ comps[-1])
+        return cls(tower, tuple(reversed(comps)))
 
     def component(self, i: int) -> np.ndarray:
         return self.components[i]
@@ -303,9 +294,9 @@ def check_compatible_sequence(fs: FormSequence, tol: float = RANK_TOL) -> Compat
         for i in range(tower.depth)
     )
     failed = []
-    for j in range(2, tower.depth + 1):
-        rep = check_weak_isometry(tower.composite(0, j), fs.forms[j], fs.forms[0], tol)
-        if not rep.ok:
+    for j, m in islice(tower._row(0), 2, None):
+        composite = LinearMap(tower.levels[j], tower.levels[0], m)
+        if not check_weak_isometry(composite, fs.forms[j], fs.forms[0], tol).ok:
             failed.append((0, j))
     ok = all(r.ok for r in per_level) and not failed
     return CompatibilityReport(ok=ok, per_level=per_level, failed_composites=tuple(failed))

@@ -42,6 +42,38 @@ def quick_moser_config(tmp_path: Path, **doc_overrides) -> Path:
     )
 
 
+# Numbers a float cannot hold finitely, with the command that reads each
+# document and its one diagnostic: JSON's 1e400 parses to inf, and a
+# 401-digit integer overflows a float.
+NON_FINITE = [
+    pytest.param(
+        "check-tower",
+        {"tower": {"kind": "explicit", "levels": [{"dim": 2}], "bondings": [],
+                   "forms": [[[0, float("inf")], [-float("inf"), 0]]]}},
+        "tower.forms[0]: must be a rectangular matrix of numbers",
+        id="explicit-form-inf",
+    ),
+    pytest.param(
+        "check-tower",
+        {"tower": {"kind": "product", "factors": [{"matrix": [[0, 10**400], [-10**400, 0]]}]}},
+        "tower.factors[0].matrix: must be a rectangular matrix of numbers",
+        id="product-factor-401-digits",
+    ),
+    pytest.param(
+        "check-tower",
+        {"tower": {"kind": "counterexample", "d": 1, "depth": 1,
+                   "thread_top": [-float("inf"), 0.0]}},
+        "tower.thread_top: must be a list of numbers",
+        id="thread-top-inf",
+    ),
+    pytest.param(
+        "moser",
+        {"field": {"kind": "quadratic", "l": 1, "epsilon": float("nan")}, "r_start": 0.5},
+        "field.epsilon: must be a number",
+        id="epsilon-nan",
+    ),
+]
+
 # Malformed documents of every section, kind and run-config key, with the
 # exact diagnostics each must produce (compared as sorted lists).
 MALFORMED = [
@@ -665,7 +697,7 @@ MALFORMED = [
         ["unknown key 'loop'"],
         id="field-and-loop",
     ),
-
+    *(pytest.param(p.values[1], [p.values[2]], id=p.id) for p in NON_FINITE),
 ]
 
 
@@ -1117,6 +1149,15 @@ class TestRunner:
         assert "experiment.s_eigs: must be non-increasing" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert main(["validate", "--config", str(tmp_path / "exp.json")]) == 2
+
+    @pytest.mark.parametrize("command, doc, error", NON_FINITE)
+    def test_a_non_finite_number_is_an_input_error(self, tmp_path, capsys, command, doc, error):
+        inp = write_json(tmp_path / "input.json", doc)
+        cfg = write_json(tmp_path / "run.json", {"command": command, "input": "input.json"})
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "%s: %s" % (inp.resolve(), error) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_product_control_requires_product(self, tmp_path):
         write_json(

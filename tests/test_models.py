@@ -9,7 +9,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from symptower import models, moser
-from symptower.linalg import ModelSpace, SkewForm, darboux_constant_form, weakness_conditioning
+from symptower.linalg import (
+    LinearMap,
+    ModelSpace,
+    SkewForm,
+    darboux_constant_form,
+    weakness_conditioning,
+)
 from symptower.models import (
     BOUND_K,
     SHRINK_EIGS_DECADES,
@@ -24,7 +30,7 @@ from symptower.models import (
     shrink_experiment,
 )
 from symptower.moser import exterior_derivative_residual, uniform_bound_check, validity_radius
-from symptower.tower import Thread, check_compatible_sequence, classify_tower
+from symptower.tower import Thread, build_tower, check_compatible_sequence, classify_tower
 
 # Hand-computed: d=2, a=(1,0), shift_k=1, s=(1,0.5), z=(1.5,1,2,-1).
 # w=(0.5,1), |w|^2=1.25, A=diag(2.25,1.75), Gamma=[[0,5],[-5,0]], halved.
@@ -339,20 +345,19 @@ class TestShrinkExperiment:
         assert a.rows == b.rows
         assert a.level1_radii == b.level1_radii
 
-    @pytest.mark.parametrize("spec", [{"kind": "product"}, {"kind": "counterexample", "d": 2}])
-    def test_caches_no_composite_above_level_0(self, monkeypatch, spec):
-        towers = []
+    def test_assembly_scales_each_level_radius_once(self, monkeypatch):
         shrink_levels = models._shrink_levels
 
-        def recording(tower_spec, n_max):
-            built = shrink_levels(tower_spec, n_max)
-            towers.append(built[0])
-            return built
+        def halving(tower_spec, n_max):
+            tower, *rest = shrink_levels(tower_spec, n_max)
+            bondings = [LinearMap(b.source, b.target, 0.5 * b.matrix) for b in tower.bondings]
+            return (build_tower(tower.levels, bondings), *rest)
 
-        monkeypatch.setattr(models, "_shrink_levels", recording)
-        shrink_experiment(spec, n_max=4)
-        (tower,) = towers
-        assert not [key for key in tower._composites if key[0] > 0]
+        monkeypatch.setattr(models, "_shrink_levels", halving)
+        result = shrink_experiment({"kind": "product"}, n_max=4)
+        assert [row.r_validity for row in result.rows] == [1.0] * 4
+        assert result.level1_radii == (1.0, 0.5, 0.25, 0.125)
+        assert result.assembly.limiting_radius_by_level == (0.125, 0.25, 0.5, 1.0)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown tower kind"):

@@ -18,9 +18,7 @@ from symptower.moser import (
     StabilityError,
     assemble_projective_darboux,
     exterior_derivative_residual,
-    flow_map,
     moser_flow,
-    moser_vector_field,
     radial_primitive,
     uniform_bound_check,
     validity_radius,
@@ -120,11 +118,19 @@ def test_radial_primitive_rejects_outside_point():
 # ---------------------------------------------------------------------------
 
 
+def moser_velocity(family, t, x, cond_cap=moser.COND_CAP):
+    """The Moser velocity at one point, and whether its flat is valid."""
+    vel, ok = moser._field_batch(family, t, np.asarray(x, dtype=float)[None, :],
+                                 cond_cap, moser.SING_TOL)
+    return vel[0], bool(ok[0])
+
+
 def test_moser_vector_field_frozen_2d():
     omega0 = darboux_constant_form(1)
     field = constant_field(0.2 * (-OMEGA2))
     family = MoserFamily(omega0, field)
-    x = moser_vector_field(family, 0.5, [1.0, 2.0])
+    x, ok = moser_velocity(family, 0.5, [1.0, 2.0])
+    assert ok
     np.testing.assert_allclose(x, MOSER_X, atol=1e-14)
     # cross-check against the explicit 2x2 inverse
     omega_t = omega0.matrix + 0.5 * field.omega([1.0, 2.0])
@@ -136,38 +142,38 @@ def test_moser_vector_field_frozen_2d():
 def test_moser_vector_field_vanishes_for_zero_bar_and_at_base():
     omega0 = darboux_constant_form(1)
     family = MoserFamily(omega0, constant_field(np.zeros((2, 2))))
-    np.testing.assert_array_equal(
-        moser_vector_field(family, 0.7, [0.5, -0.2]), np.zeros(2)
-    )
+    np.testing.assert_array_equal(moser_velocity(family, 0.7, [0.5, -0.2])[0], np.zeros(2))
     field = quadratic_perturbation_field(4, 0.05, seed=5)
     centered = MoserFamily.darboux_target(field, np.zeros(4))
-    np.testing.assert_array_equal(
-        moser_vector_field(centered, 0.3, np.zeros(4)), np.zeros(4)
-    )
+    np.testing.assert_array_equal(moser_velocity(centered, 0.3, np.zeros(4))[0], np.zeros(4))
 
 
 def test_moser_vector_field_flags_singular_flat():
     omega0 = darboux_constant_form(1)
     family = MoserFamily(omega0, constant_field(-OMEGA2))
+    vel, ok = moser_velocity(family, 1.0, [1.0, 0.0])
+    assert not ok
+    assert np.isfinite(vel).all()  # the failing flat was swapped for the identity
+    flat = family.omega0.matrix + family.omega_bar.omega([1.0, 0.0])
+    assert moser._sigma_range(flat[None])[1] <= 1e-12
+    # A chart evaluated through that flat raises instead.
+    chart = moser.ChartMap(family, np.zeros(2), 1.0, 4, moser.COND_CAP, moser.SING_TOL)
     with pytest.raises(LeftValidityRegionError, match="left validity region") as err:
-        moser_vector_field(family, 1.0, [1.0, 0.0])
+        chart([1.0, 0.0])
     assert err.value.t == 1.0
-    assert err.value.sigma_min <= 1e-12
 
 
 def test_moser_vector_field_flags_flat_past_the_condition_cap():
     # sigma_min / sigma_max = 1e-7 clears SING_TOL, but the condition
-    # number 1e7 exceeds COND_CAP: the integrator's batch already rejects it.
+    # number 1e7 exceeds COND_CAP: the integrator's batch rejects it.
     matrix = np.zeros((4, 4))
     matrix[:2, :2] = OMEGA2
     matrix[2:, 2:] = 1e-7 * OMEGA2
     family = MoserFamily(SkewForm(ModelSpace(4), matrix), constant_field(np.zeros((4, 4)), dim=4))
     x = np.array([0.1, 0.2, 0.3, 0.4])
-    _, ok = moser._field_batch(family, 0.5, x[None, :], moser.COND_CAP, moser.SING_TOL)
-    assert not ok[0]
-    with pytest.raises(LeftValidityRegionError) as err:
-        moser_vector_field(family, 0.5, x)
-    assert err.value.sigma_min == pytest.approx(1e-7, rel=1e-9)
+    assert not moser_velocity(family, 0.5, x)[1]
+    assert moser_velocity(family, 0.5, x, cond_cap=1.01e7)[1]
+    assert family.omega0_sigma_range[1] == pytest.approx(1e-7, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +671,7 @@ def test_field_batch_over_a_time_grid_equals_per_time_calls():
         np.testing.assert_array_equal(ok[k], want_ok)
 
 
-def test_condition_number_at_the_cap_is_invalid_on_every_path(monkeypatch):
+def test_condition_number_at_the_cap_is_invalid_on_every_path():
     # omega0 = J + J / 1024: powers of two make the condition number exactly 1024.
     matrix = np.zeros((4, 4))
     matrix[:2, :2] = OMEGA2
@@ -679,13 +685,6 @@ def test_condition_number_at_the_cap_is_invalid_on_every_path(monkeypatch):
         assert bool(ok[0]) is valid
         kumar = uniform_bound_check([family], K=4.0, cond_cap=cap).per_level[0].kumar
         assert kumar == (0.0 if valid else float("inf"))
-        monkeypatch.setattr(moser, "COND_CAP", cap)
-        if valid:
-            np.testing.assert_array_equal(moser_vector_field(family, 0.5, x), np.zeros(4))
-        else:
-            with pytest.raises(LeftValidityRegionError) as err:
-                moser_vector_field(family, 0.5, x)
-            assert err.value.t == 0.5 and err.value.sigma_min == 1.0 / 1024.0
 
 
 def test_block_margins_fall_back_when_omega0_couples_blocks(monkeypatch):
@@ -844,9 +843,10 @@ def test_moser_flow_is_reversible():
     family = MoserFamily.darboux_target(field, np.zeros(4))
     rng = np.random.default_rng(11)
     pts = 0.3 * rng.standard_normal((6, 4))
-    fwd, alive = flow_map(family, pts, dt=0.02)
+    args = (moser.COND_CAP, moser.SING_TOL)
+    fwd, alive, _ = moser._integrate(family, pts, 50, 0.0, 1.0, *args)
     assert alive.all()
-    back, alive2 = flow_map(family, fwd, dt=0.02, t_start=1.0, t_end=0.0)
+    back, alive2, _ = moser._integrate(family, fwd, 50, 1.0, 0.0, *args)
     assert alive2.all()
     np.testing.assert_allclose(back, pts, atol=1e-5)
 
@@ -1078,7 +1078,6 @@ def test_assemble_holds_one_composite_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert not tower._composites
     assert out.limiting_radius_by_level[0] == 1.0 / 28
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -79,7 +81,7 @@ def test_composites_of_coordinate_tower():
     np.testing.assert_array_equal(tower.composite(0, 2).matrix, chained.matrix)
 
 
-def test_lazy_composites_equal_the_chained_products_bit_for_bit():
+def test_row_walk_equals_the_chained_products_bit_for_bit():
     rng = np.random.default_rng(6)
     levels = [random_space(rng, int(rng.integers(1, 7)), with_gram=True) for _ in range(6)]
     bondings = [
@@ -87,25 +89,32 @@ def test_lazy_composites_equal_the_chained_products_bit_for_bit():
         for i in range(5)
     ]
     tower = build_tower(levels, bondings)
-    pairs = [(i, j) for j in range(6) for i in range(j + 1)]
-    rng.shuffle(pairs)  # the cache must not depend on the order of first use
-    for i, j in pairs:
+    for i in range(6):
+        walked = list(tower._row(i))
+        assert [j for j, _ in walked] == list(range(i, 6))
         chained = np.eye(levels[i].dim)
-        for k in range(i, j):
-            chained = chained @ bondings[k].matrix
-        np.testing.assert_array_equal(tower.composite(i, j).matrix, chained)
+        for j, m in walked:
+            if j > i:
+                chained = chained @ bondings[j - 1].matrix
+            np.testing.assert_array_equal(m, chained)
+            np.testing.assert_array_equal(tower.composite(i, j).matrix, chained)
 
 
-def test_compatibility_check_forms_only_the_base_composites():
-    fs = product_form_sequence(32)
-    assert check_compatible_sequence(fs).ok
-    cached = set(fs.tower._composites)
-    assert (0, 31) in cached
-    assert not {(i, j) for i, j in cached if 0 < i < j}
+def test_compatibility_check_forms_only_the_base_composites(monkeypatch):
+    walked = []
+    row = Tower._row
+
+    def recording(tower, i):
+        walked.append(i)
+        return row(tower, i)
+
+    monkeypatch.setattr(Tower, "_row", recording)
+    assert check_compatible_sequence(product_form_sequence(32)).ok
+    assert walked == [0]
 
 
 def composite_shrink(tower, i, j):
-    """Smallest singular value of the gram-normalized cached composite(i, j), 0.0 if not onto."""
+    """Smallest singular value of the gram-normalized composite(i, j), 0.0 if not onto."""
     if i == j:
         return 1.0
     src, tgt = tower.levels[j], tower.levels[i]
@@ -157,7 +166,6 @@ SHRINK_TOWERS = {
 def test_radius_shrinks_walk_equals_the_composite_svds_bit_for_bit(name):
     tower = SHRINK_TOWERS[name]()
     rows = [tower.radius_shrinks(i) for i in range(tower.depth + 1)]
-    assert not tower._composites  # the walk caches no composite
     for i, row in enumerate(rows):
         assert [x.hex() for x in row] == [
             composite_shrink(tower, i, j).hex() for j in range(i, tower.depth + 1)
@@ -209,6 +217,27 @@ def test_thread_from_top_is_exactly_consistent():
         np.testing.assert_array_equal(
             thread.component(i), tower.composite(i, 2).matrix @ top
         )
+
+
+def test_thread_from_top_pushes_down_the_bondings():
+    for n in range(1, 33):
+        tower, _ = make_counterexample_tower(4, n)
+        top = np.random.default_rng(n).standard_normal(tower.levels[-1].dim)
+        if n == 32:
+            tracemalloc.start()
+            try:
+                thread = Thread.from_top(tower, top)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Filling the composite triangle of this column took 71.0 MiB.
+            assert peak < 2**20
+        else:
+            thread = Thread.from_top(tower, top)
+        for i in range(tower.depth + 1):
+            np.testing.assert_array_equal(
+                thread.component(i), tower.composite(i, tower.depth).matrix @ top
+            )
 
 
 def test_thread_rejects_inconsistent_components():
