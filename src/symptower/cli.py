@@ -333,10 +333,18 @@ def _shape(m: list) -> tuple[int, int]:
 
 
 def _skew_defect(m: list) -> float:
-    """``|m + m.T| / max(1, |m|)`` of a square matrix, in Frobenius norms."""
+    """``|m + m.T| / max(1, |m|)`` of a square matrix, in Frobenius norms.
+
+    A matrix whose largest entry is 1 or more is scaled first by the power
+    of two ``unit`` that brings that entry below 1, which keeps every bit of
+    the quotient and lets no sum overflow.
+    """
+    top = max(map(abs, chain.from_iterable(m)), default=0.0)
+    unit = math.ldexp(1.0, -max(math.frexp(top)[1], 0))
+    m = [[v * unit for v in row] for row in m]
     entries = list(chain.from_iterable(m))
     sums = list(map(operator.add, entries, chain.from_iterable(zip(*m))))
-    return _norm(sums) / max(1.0, _norm(entries))
+    return _norm(sums) / max(unit, _norm(entries))
 
 
 def _skew(m: list, ok=None) -> list:

@@ -220,8 +220,11 @@ class SkewForm:
 
     def __post_init__(self) -> None:
         m = _as_matrix(self.matrix, self.space.dim, self.space.dim, "form matrix")
-        defect = np.linalg.norm(m + m.T)
-        scale = np.linalg.norm(m)
+        # Scaled by the power of two that brings the largest entry below 1,
+        # which keeps the ratio's bits and lets no sum overflow.
+        scaled = np.ldexp(m, -max(int(np.frexp(np.max(np.abs(m), initial=0.0))[1]), 0))
+        defect = np.linalg.norm(scaled + scaled.T)
+        scale = np.linalg.norm(scaled)
         if scale > 0.0 and defect > SKEW_TOL * scale:
             raise ValueError(
                 "form matrix is not antisymmetric (relative defect %.3e)"

@@ -30,6 +30,7 @@ from .moser import (
     FormField,
     MoserFamily,
     UniformBoundReport,
+    _Draws,
     _power_law_exponent,
     assemble_projective_darboux,
     uniform_bound_check,
@@ -215,7 +216,7 @@ def make_quadratic_field(
     """
     base = darboux_constant_form(l_dim)
     dim = 2 * l_dim
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     q = rng.standard_normal((dim, dim, dim))
     # Symmetry in the last two slots makes the cyclic sums cancel exactly.
     q = 0.5 * (q + np.swapaxes(q, 1, 2))

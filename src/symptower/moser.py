@@ -31,12 +31,16 @@ Conventions:
 * ``_alpha_batch`` is the one radial primitive, exact for a field of
   declared ``degree`` and QUAD_NODES-point Gauss-Legendre for any other;
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
-  reported domain ball.
+  reported domain ball;
+* every seeded draw comes from ``_Draws``, the standard library's
+  ``random``, so no run loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -353,7 +357,7 @@ def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0) 
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     dim = field.space.dim
     margin = FD_H if field.derivative is None else 0.0
     pts = _sample_ball(rng, field.space, field.center,
@@ -398,6 +402,39 @@ def _alpha_batch(field_bar: FormField, pts: np.ndarray) -> np.ndarray:
     oms = field_bar.omega_many(segs.reshape(-1, dim)).reshape(count, pts.shape[0], dim, dim)
     covs = np.einsum("qnji,nj->qni", oms, diffs)
     return np.einsum("q,qni->ni", weights * nodes, covs)
+
+
+class _Draws:
+    """Seeded draws with the two numpy ``Generator`` methods the sampling calls.
+
+    Uniforms are ``random.Random(seed).random()``, the one stream Python
+    keeps the same across versions.  Normals are Box-Muller pairs of those
+    uniforms, computed with ``math`` in Python floats.  A run that draws
+    only through this class never loads ``numpy.random``.
+    """
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("seed must be non-negative, got %d" % seed)
+        self._uniform = random.Random(seed).random
+
+    def random(self, count: int) -> np.ndarray:
+        """``count`` uniforms in [0, 1)."""
+        uniform = self._uniform
+        return np.array([uniform() for _ in range(count)])
+
+    def standard_normal(self, shape: tuple) -> np.ndarray:
+        """Standard normals of ``shape``, a pair per two uniforms; an odd
+        count drops the last pair's second."""
+        count = math.prod(shape)
+        uniform = self._uniform
+        out = []
+        for _ in range((count + 1) // 2):
+            radius = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+            angle = math.tau * uniform()
+            out += (radius * math.cos(angle), radius * math.sin(angle))
+        return np.array(out[:count]).reshape(shape)
 
 
 def _sample_ball(rng, space: ModelSpace, center: np.ndarray, radius: float,
@@ -572,7 +609,7 @@ def _validity_search(family: MoserFamily, x0: np.ndarray, cond_cap: float, sing_
     if margin_at(np.array([0.0]), np.zeros(space.dim))[0] <= 0.0:
         return 0.0, None
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     if extra_rays is None:
         aimed = []
         rays = [sign * axis for axis in np.eye(space.dim) for sign in (1.0, -1.0)]
@@ -1032,7 +1069,7 @@ def moser_flow(
             lipschitz_estimate=0.0,
         )
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     eye = np.eye(space.dim)
     dirs = [eye[k] for k in range(space.dim)] + [-eye[k] for k in range(space.dim)]
     dirs.extend(rng.standard_normal((EXTRA_DIRECTIONS, space.dim)))
@@ -1126,7 +1163,7 @@ def verify_darboux_chart(
     if radius <= 0.0:
         raise ValueError("verification radius must be positive")
 
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     sample_radius = max(radius - 2.0 * FD_STEP, 0.25 * radius)
     base_pts = _sample_ball(rng, space, center, sample_radius, samples)
 
@@ -1234,11 +1271,14 @@ def uniform_bound_check(
     for level, family in enumerate(per_level_families):
         base = family.base_point
         space = family.space
-        gis = space.gram_inv_sqrt
         zero_field = family.omega_bar.is_zero
         times = ts[:1] if zero_field else ts
         oms = family.omega0.matrix + times[:, None, None] * family.omega_bar.omega(base)
-        s = np.linalg.svd(gis @ np.swapaxes(oms, -1, -2) @ gis, compute_uv=False)
+        flats = np.swapaxes(oms, -1, -2)
+        # Multiplying by an identity gram_inv_sqrt is exact, so it is skipped.
+        if not space.has_identity_gram:
+            flats = space.gram_inv_sqrt @ flats @ space.gram_inv_sqrt
+        s = np.linalg.svd(flats, compute_uv=False)
         forward = float(s[:, 0].max())
         smin = float(s[:, -1].min())
         inverse = float("inf") if smin <= _EPS else 1.0 / smin
@@ -1257,7 +1297,7 @@ def uniform_bound_check(
                                                 cond_cap, sing_tol)[1])):
                 rows.append(LevelBounds(level, forward, inverse, float("inf")))
                 continue
-        rng = np.random.default_rng(seed + level)
+        rng = _Draws(seed + level)
         ball = _sample_ball(rng, space, base, reach, KUMAR_SAMPLES)
         pts = np.vstack([base[None, :], ball])
         vel, ok = _field_batch(family, ts, pts, cond_cap, sing_tol)

@@ -1159,6 +1159,27 @@ class TestRunner:
         assert "%s: %s" % (inp.resolve(), error) in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("form, code, error", [
+        ([[1e308, 1e308], [1e308, 0.0]], 2,
+         "tower.forms[0]: matrix is not skew (symmetry defect 2.000e+00)"),
+        ([[0.0, 1e308], [-1e308, 0.0]], 0, None),
+    ], ids=["non-skew", "skew"])
+    def test_a_form_whose_sums_overflow_keeps_its_skew_verdict(
+        self, tmp_path, capsys, form, code, error
+    ):
+        doc = {"tower": {"kind": "explicit", "levels": [{"dim": 2}], "bondings": [],
+                         "forms": [form]}}
+        inp = write_json(tmp_path / "tower.json", doc)
+        cfg = write_json(tmp_path / "run.json", {"command": "check-tower", "input": "tower.json"})
+        assert main(["validate", "--config", str(inp)]) == code
+        out = capsys.readouterr().out
+        assert main(["check-tower", "--config", str(cfg), "--output", str(tmp_path / "out")]) == code
+        captured = capsys.readouterr()
+        if error is None:
+            assert "0 errors" in out and "check-tower: PASS" in captured.out
+        else:
+            assert error in out and "%s: %s" % (inp.resolve(), error) in captured.err
+
     def test_product_control_requires_product(self, tmp_path):
         write_json(
             tmp_path / "exp.json",

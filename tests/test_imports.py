@@ -1,4 +1,5 @@
-"""What importing the package costs: lazy exports, and a validate without numpy."""
+"""What importing the package costs: lazy exports, a validate without numpy,
+and runs without numpy.random."""
 
 import json
 import os
@@ -36,6 +37,21 @@ print(json.dumps({"steps": steps, "errors": errors, "non_skew": non_skew, "codes
 """
 
 
+# Run in a fresh interpreter in which importing numpy.random fails: each
+# bundled run spec through main, with its exit code.
+_RUN_WITHOUT_NUMPY_RANDOM = """
+import json, sys
+sys.modules["numpy.random"] = None
+from symptower import cli
+out, *runs = sys.argv[1:]
+codes = {}
+for run in runs:
+    command, spec = run.split("=", 1)
+    codes[command] = cli.main([command, "--config", spec, "--output", out + "/" + command])
+print(json.dumps(codes))
+"""
+
+
 def _run(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -69,6 +85,25 @@ def test_validate_imports_no_numpy(tmp_path):
     assert len(result["non_skew"]) == 1
     assert "tower.forms[0]: matrix is not skew (symmetry defect" in result["non_skew"][0]
     assert result["codes"] == [0, 2]
+
+
+def test_run_commands_never_load_numpy_random(tmp_path):
+    # Older numpy, such as the 1.24 floor, imports numpy.random with numpy.
+    probe = _run("import sys, numpy; print('numpy.random' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    if probe.stdout.strip() == "True":
+        pytest.skip("importing this numpy loads numpy.random")
+    runs = {}
+    for spec in sorted((ROOT / "specs").glob("*.json")):
+        command = json.loads(spec.read_text()).get("command")
+        if command is not None:
+            runs[command] = "%s=%s" % (command, spec)
+    assert sorted(runs) == ["check-tower", "loop-check", "moser", "product-control", "shrink"]
+
+    proc = _run(_RUN_WITHOUT_NUMPY_RANDOM, str(tmp_path), *runs.values())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {command: 0 for command in runs}
 
 
 def test_exports_are_their_modules_objects():

@@ -89,6 +89,15 @@ def test_skew_form_rejects_symmetric_part():
         SkewForm(space, np.array([[0.0, 1.0], [-1.0 + 1e-6, 0.0]]))
 
 
+def test_skew_form_judges_a_matrix_whose_sums_overflow():
+    # m + m.T overflows to inf here; the check scales m by a power of two first.
+    space = ModelSpace(2)
+    with pytest.raises(ValueError, match=r"antisymmetric \(relative defect 2\.000e\+00\)"):
+        SkewForm(space, np.array([[1e308, 1e308], [1e308, 0.0]]))
+    form = SkewForm(space, np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    assert form.matrix[0, 1] == 1e308
+
+
 def test_flat_operator_covector_convention():
     space = ModelSpace(2)
     form = SkewForm(space, np.array([[0.0, 1.0], [-1.0, 0.0]]))

@@ -724,10 +724,9 @@ def test_the_witness_fails_on_slot_n_just_past_the_radius(n):
     assert np.flatnonzero(broken.any(axis=1)).tolist() == [n - 1]
 
 
-# kumar of levels 1-3 at seed 0 before the early exit existed, as in the
-# bundled shrink report: the sampled maximum over the ball, which misses
-# the failing flats in it.
-SAMPLED_KUMAR = ("0x1.769da809b5858p-1", "0x1.3f46241dba42fp+0", "0x1.d280e190f9bdfp+0")
+# kumar of levels 1-3 at seed 0 without a failing witness: the sampled
+# maximum over the ball, which misses the failing flats in it.
+SAMPLED_KUMAR = ("0x1.2e1011c5896bep-1", "0x1.3eed5e829b8e7p+0", "0x1.8a3990e084c9ap+0")
 
 
 def kumar_hex(witnesses) -> list:

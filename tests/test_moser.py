@@ -1,3 +1,5 @@
+import math
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -174,6 +176,44 @@ def test_moser_vector_field_flags_flat_past_the_condition_cap():
     assert not moser_velocity(family, 0.5, x)[1]
     assert moser_velocity(family, 0.5, x, cond_cap=1.01e7)[1]
     assert family.omega0_sigma_range[1] == pytest.approx(1e-7, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+# ---------------------------------------------------------------------------
+
+
+def box_muller(seed: int, count: int) -> list:
+    """The reference stream: cos and sin normals from each pair of uniforms."""
+    uniform = random.Random(seed).random
+    out = []
+    while len(out) < count:
+        radius = math.sqrt(-2.0 * math.log(1.0 - uniform()))
+        angle = 2.0 * math.pi * uniform()
+        out += [radius * math.cos(angle), radius * math.sin(angle)]
+    return out[:count]
+
+
+@pytest.mark.parametrize("seed_value", [0, 7, np.int64(7), 2**40])
+def test_draws_follow_the_standard_library_stream(seed_value):
+    seed_int = int(seed_value)
+    uniform = random.Random(seed_int).random
+    assert moser._Draws(seed_value).random(5).tolist() == [uniform() for _ in range(5)]
+    normals = moser._Draws(seed_value).standard_normal((3, 3))
+    assert normals.shape == (3, 3) and normals.dtype == np.float64
+    # An odd count drops the last pair's sine.
+    assert normals.ravel().tolist() == box_muller(seed_int, 9)
+    draws = moser._Draws(seed_value)
+    draws.standard_normal((1,))
+    assert draws.standard_normal((2,)).tolist() == box_muller(seed_int, 4)[2:]
+    assert moser._Draws(seed_value).standard_normal((0, 4)).shape == (0, 4)
+
+
+def test_draws_reject_a_negative_or_non_integer_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        moser._Draws(-1)
+    with pytest.raises(TypeError):
+        moser._Draws(1.5)
 
 
 # ---------------------------------------------------------------------------
