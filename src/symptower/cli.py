@@ -16,8 +16,9 @@ number, a vector whose length a sibling key fixes, a nested section, and
 so on); a section with a ``kind`` lists the keys of each kind.
 ``_Section.walk`` checks a document against the table and reports every
 violation with its location.  Only relations the per-key rules cannot
-express are code: the explicit tower's shapes and the run config's
-command-line overrides.
+express are code: the explicit tower's shapes, the product experiment
+that ``product-control`` needs and the run config's command-line
+overrides.
 
 Validation uses the standard library alone, so ``symptower validate``
 never imports numpy.  ``run`` imports the library before it reads the
@@ -592,6 +593,10 @@ def _document_errors(doc, command: str | None = None) -> list:
         ]
     errors: list = []
     _DOCUMENTS[section].walk(doc, "", errors)
+    experiment = doc.get("experiment")
+    if (command == "product-control" and isinstance(experiment, dict)
+            and experiment.get("kind", "counterexample") == "counterexample"):
+        errors.append("experiment.kind: product-control requires kind 'product'")
     return errors
 
 
@@ -803,8 +808,6 @@ def _pipeline_shrink(doc, cfg: RunConfig):
     from .moser import COND_CAP, SING_TOL
 
     control = cfg.command == "product-control"
-    if control and doc["experiment"].get("kind", "counterexample") != "product":
-        raise ConfigError(["experiment.kind: product-control requires kind 'product'"])
     result = shrink_experiment(
         doc["experiment"],
         int(doc["n_max"]),

@@ -148,36 +148,11 @@ def _slot_field(space: ModelSpace, shifts: np.ndarray, s_eigs: np.ndarray,
         out *= 0.5
         return out
 
-    def derivative(z: np.ndarray, h: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        h = np.asarray(h, dtype=float)
-        xs = z[: n * d].reshape(n, d)
-        es = z[n * d :].reshape(n, d)
-        hx = h[: n * d].reshape(n, d)
-        he = h[n * d :].reshape(n, d)
-        ws = xs - shifts
-        out = np.zeros((2 * n * d, 2 * n * d))
-        for k in range(n):
-            da = 2.0 * float(ws[k] @ hx[k]) * eye
-            dg = 2.0 * (
-                np.outer(he[k], ws[k])
-                + np.outer(es[k], hx[k])
-                - np.outer(hx[k], es[k])
-                - np.outer(ws[k], he[k])
-            )
-            base = slice(k * d, (k + 1) * d)
-            fib = slice((n + k) * d, (n + k + 1) * d)
-            out[base, base] = dg
-            out[base, fib] = da
-            out[fib, base] = -da
-        return 0.5 * out
-
     blocks = None
     if n > 1:
         slot = np.arange(d)
         blocks = [np.concatenate([k * d + slot, (n + k) * d + slot]) for k in range(n)]
-    return FormField(space, center, radius, eval_fn=evaluate, derivative=derivative,
-                     blocks=blocks, degree=2)
+    return FormField(space, center, radius, eval_fn=evaluate, blocks=blocks, degree=2)
 
 
 def make_marsden_field(
@@ -187,8 +162,8 @@ def make_marsden_field(
 ) -> FormField:
     """Closed form field of the metric phase space described by ``spec``.
 
-    The matrix at ``(x, e)`` is ``0.5 [[Gamma, A_x], [-A_x, 0]]`` and the
-    directional derivative is supplied analytically.  The region defaults
+    The matrix at ``(x, e)`` is ``0.5 [[Gamma, A_x], [-A_x, 0]]``, of
+    degree 2 in the point.  The region defaults
     to a ball around the phase origin wide enough to reach past the
     degeneracy point at distance ``|a| / shift_k``.
     """
@@ -228,12 +203,7 @@ def make_quadratic_field(
         j = np.einsum("ijk,...k->...ij", q, pts)
         return base.matrix + epsilon * (np.swapaxes(j, -1, -2) - j)
 
-    def derivative(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        j = np.einsum("ijk,k->ij", q, np.asarray(h, dtype=float))
-        return epsilon * (j.T - j)
-
-    return FormField(base.space, center, radius, eval_fn=evaluate, derivative=derivative,
-                     degree=1)
+    return FormField(base.space, center, radius, eval_fn=evaluate, degree=1)
 
 
 def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:

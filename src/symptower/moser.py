@@ -30,6 +30,10 @@ Conventions:
   bound of ``uniform_bound_check`` all call it;
 * ``_alpha_batch`` is the one radial primitive, exact for a field of
   declared ``degree`` and QUAD_NODES-point Gauss-Legendre for any other;
+* ``FormField.directional_derivative``, which feeds the closedness check
+  ``exterior_derivative_residual``, interpolates a field of declared
+  ``degree`` along a line at the nodes of ``_line_basis``, as
+  ``_certified_clear`` does, and takes FD_H central differences of any other;
 * charts map forward: F = time-1 flow, with F^* omega = omega0 on the
   reported domain ball;
 * every seeded draw comes from ``_Draws``, the standard library's
@@ -59,8 +63,8 @@ QUAD_NODES = 16
 LIPSCHITZ_CAP = 0.5
 # Default RK4 step of moser_flow.
 DT = 1e-3
-# Central-difference step of FormField.directional_derivative without an
-# analytic derivative.
+# Central-difference step of FormField.directional_derivative without a
+# declared degree.
 FD_H = 1e-6
 # Random unit triples per point in exterior_derivative_residual.
 TRIPLES = 4
@@ -129,6 +133,18 @@ class ChartConstructionError(ValueError):
 
 
 @lru_cache(maxsize=8)
+def _line_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """p + 1 Chebyshev-Lobatto nodes on [0, 1] and the inverse of their
+    Vandermonde matrix, whose row k maps a degree-p polynomial's values at
+    the nodes to its k-th coefficient."""
+    nodes = 0.5 - 0.5 * np.cos(np.pi * np.arange(p + 1) / max(p, 1))
+    inv = np.linalg.inv(np.vander(nodes, increasing=True))
+    nodes.flags.writeable = False
+    inv.flags.writeable = False
+    return nodes, inv
+
+
+@lru_cache(maxsize=8)
 def _unit_interval_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
     xs, ws = np.polynomial.legendre.leggauss(nodes)
@@ -141,10 +157,9 @@ class FormField:
 
     ``eval_fn``, the field's one representation, must map an array of
     points with shape (..., dim) to skew matrices of shape (..., dim, dim),
-    checked at the region center.  ``derivative``, when given, takes (x, h)
-    and returns the directional derivative matrix.  The formulas should
-    tolerate points slightly outside the declared region: region membership
-    gates validity decisions, not evaluation.
+    checked at the region center.  The formulas should tolerate points
+    slightly outside the declared region: region membership gates validity
+    decisions, not evaluation.
 
     ``blocks``, when given, partitions ``range(dim)`` into index groups of
     equal size (one row each of a (count, size) integer array) and declares
@@ -156,18 +171,18 @@ class FormField:
     ``degree``, when given, declares the field a polynomial of that degree
     in x, so along any line it is a matrix polynomial recovered exactly from
     ``degree + 1`` evaluations; ``validity_radius`` uses it to certify whole
-    rays, and the radial primitive takes its quadrature node count from it.
-    ``constant`` builds a field of degree 0 with a zero derivative, which
-    ``is_zero`` when it vanishes at its center; any other ``eval_fn``
-    declares no degree (None) unless told, and the declaration is not
-    checked: a wrong one makes both the certificate and the primitive wrong.
+    rays, the radial primitive takes its quadrature node count from it, and
+    ``directional_derivative`` its interpolation nodes.  ``constant`` builds
+    a field of degree 0, which ``is_zero`` when it vanishes at its center;
+    any other ``eval_fn`` declares no degree (None) unless told, and the
+    declaration is not checked: a wrong one makes the certificate, the
+    primitive and the derivative wrong.
     """
 
     space: ModelSpace
     center: np.ndarray
     radius: float
     eval_fn: object
-    derivative: object = None
     blocks: np.ndarray | None = None
     degree: int | None = None
 
@@ -223,12 +238,19 @@ class FormField:
         return np.asarray(self.eval_fn(np.asarray(pts, dtype=float)), dtype=float)
 
     def directional_derivative(self, x, h) -> np.ndarray:
-        """D omega(x)[h]; analytic when available, else central differences."""
+        """D omega(x)[h]: for a declared degree p, the slope at s = 0 of the
+        matrix polynomial omega(x + s * h) from its values at the p + 1 nodes
+        of ``_line_basis``, exactly zero for p = 0; undeclared, FD_H central
+        differences."""
         x = np.asarray(x, dtype=float)
         h = np.asarray(h, dtype=float)
-        if self.derivative is not None:
-            return np.asarray(self.derivative(x, h), dtype=float)
-        return (self.omega(x + FD_H * h) - self.omega(x - FD_H * h)) / (2.0 * FD_H)
+        p = self.degree
+        if p is None:
+            return (self.omega(x + FD_H * h) - self.omega(x - FD_H * h)) / (2.0 * FD_H)
+        if p == 0:
+            return np.zeros((self.space.dim, self.space.dim))
+        nodes, inv = _line_basis(p)
+        return np.tensordot(inv[1], self.omega_many(x + nodes[:, None] * h), axes=1)
 
     def distance_from_center(self, x) -> float:
         return self.space.norm(np.asarray(x, dtype=float) - self.center)
@@ -266,7 +288,6 @@ class FormField:
             new_center,
             remaining,
             eval_fn=shifted_eval,
-            derivative=self.derivative,
             blocks=blocks,
             degree=self.degree,
         )
@@ -283,8 +304,7 @@ def _constant_field(space: ModelSpace, center, radius: float, value: np.ndarray,
         out[...] = value
         return out
 
-    return FormField(space, center, radius, eval_fn=evaluate,
-                     derivative=lambda x, h: np.zeros(value.shape), blocks=blocks, degree=0)
+    return FormField(space, center, radius, eval_fn=evaluate, blocks=blocks, degree=0)
 
 
 def _vanishes_off_blocks(matrix: np.ndarray, blocks: np.ndarray) -> bool:
@@ -352,14 +372,14 @@ def exterior_derivative_residual(field: FormField, samples: int, seed: int = 0) 
 
     Constant argument fields make the bracket terms vanish, so the cyclic
     sum of directional derivatives is the whole exterior derivative.  Points
-    are drawn inside a slightly shrunken ball so difference stencils never
-    leave the region.
+    are drawn inside a slightly shrunken ball so the difference stencils of
+    a field of undeclared degree never leave the region.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = _Draws(seed)
     dim = field.space.dim
-    margin = FD_H if field.derivative is None else 0.0
+    margin = FD_H if field.degree is None else 0.0
     pts = _sample_ball(rng, field.space, field.center,
                        max(field.radius - 2.0 * margin, 0.5 * field.radius), samples)
     worst = 0.0
@@ -682,7 +702,7 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray
 
     Needs the difference field's declared ``degree`` p: along each segment
     it is a matrix polynomial P(s) in s = r / end, recovered from its values
-    at p + 1 Chebyshev-Lobatto nodes.  The segment is covered by Taylor
+    at the p + 1 nodes of ``_line_basis``.  The segment is covered by Taylor
     steps.  At a step's start s0 the diagonal blocks of the flats
     omega0 + t * P(s0) are factored.  By Weyl's inequality,
     |sigma_i(A + E) - sigma_i(A)| <= |E|_2, the singular values of block b
@@ -715,13 +735,12 @@ def _certified_clear(family: MoserFamily, x0: np.ndarray, directions: np.ndarray
     if p is None or not len(directions):
         return verdicts
     dim = family.space.dim
-    nodes = 0.5 - 0.5 * np.cos(np.pi * np.arange(p + 1) / max(p, 1))
+    nodes, inv = _line_basis(p)
     pts = x0 + (end * nodes)[:, None, None] * directions
     values = _diagonal_blocks(family.omega_bar.omega_many(pts.reshape(-1, dim)).reshape(
         pts.shape + (dim,)), family.blocks)
     live = np.nonzero(np.isfinite(values).all(axis=(0, 1, 3, 4)))[0]
     # Sums over nodes and coefficients run in a fixed order, ray by ray.
-    inv = np.linalg.inv(np.vander(nodes, increasing=True))
     coef = np.zeros(values.shape[:2] + (len(live),) + values.shape[3:])
     for j in range(p + 1):
         coef += inv[:, j, None, None, None] * values[:, j, live][:, None]
@@ -1251,12 +1270,12 @@ def uniform_bound_check(
     ``witnesses``, when given, holds one point or None per level, such as
     the witnesses of ``validity_radius``.  A witness inside the kumar ball
     (KUMAR_RADIUS_FACTOR times the room left, in the gram norm) is one more
-    sample, tested first, with the same rule, by ``_field_batch`` at the
-    T_GRID times.  If one of its flats fails, kumar is inf, the maximum,
-    and the ball is not sampled.  Otherwise the ball is sampled as without
-    it, and the witness's velocities do not enter the maximum, so a point
-    from the caller can make kumar inf only where a flat fails and never
-    moves a finite kumar.
+    sample, tested first, with the same rule, by ``_validity_margins`` at
+    the T_GRID times; no velocity is solved for there.  If one of its flats
+    fails, kumar is inf, the maximum, and the ball is not sampled.
+    Otherwise the ball is sampled as without it, so a point from the caller
+    can make kumar inf only where a flat fails and never moves a finite
+    kumar.
 
     A level whose difference field is zero (``FormField.is_zero``) is
     evaluated at the first time only.  There omega_t = omega0 at every time
@@ -1293,8 +1312,8 @@ def uniform_bound_check(
         if witness is not None:
             witness = np.asarray(witness, dtype=float)
             if (space.norm(witness - base) <= reach
-                    and not np.all(_field_batch(family, ts, witness[None, :],
-                                                cond_cap, sing_tol)[1])):
+                    and not _validity_margins(family, witness[None, :], ts,
+                                              sing_tol, cond_cap)[0] > 0.0):
                 rows.append(LevelBounds(level, forward, inverse, float("inf")))
                 continue
         rng = _Draws(seed + level)

@@ -41,7 +41,7 @@ from symptower.linalg import (
 THREAD_TOL = 1e-10
 # Stabilization tolerance for per-level value sequences.
 STAB_TOL = 1e-8
-# Desk-scale caps; build_tower accepts overrides.
+# Desk-scale caps.
 MAX_DEPTH = 32
 MAX_DIM = 512
 
@@ -126,23 +126,18 @@ class Tower:
         return shrinks
 
 
-def build_tower(
-    levels,
-    consecutive_bondings,
-    max_depth: int = MAX_DEPTH,
-    max_dim: int = MAX_DIM,
-) -> Tower:
+def build_tower(levels, consecutive_bondings) -> Tower:
     """Validate shapes and caps, then assemble the tower.
 
     Errors name the offending level or bonding index.
     """
     levels = tuple(levels)
     bondings = tuple(consecutive_bondings)
-    if len(levels) - 1 > max_depth:
-        raise ValueError("tower depth %d exceeds cap %d" % (len(levels) - 1, max_depth))
+    if len(levels) - 1 > MAX_DEPTH:
+        raise ValueError("tower depth %d exceeds cap %d" % (len(levels) - 1, MAX_DEPTH))
     for i, space in enumerate(levels):
-        if space.dim > max_dim:
-            raise ValueError("level %d: dimension %d exceeds cap %d" % (i, space.dim, max_dim))
+        if space.dim > MAX_DIM:
+            raise ValueError("level %d: dimension %d exceeds cap %d" % (i, space.dim, MAX_DIM))
     return Tower(levels, bondings)
 
 

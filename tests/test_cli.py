@@ -1180,16 +1180,21 @@ class TestRunner:
         else:
             assert error in out and "%s: %s" % (inp.resolve(), error) in captured.err
 
-    def test_product_control_requires_product(self, tmp_path):
-        write_json(
+    def test_product_control_requires_product(self, tmp_path, capsys):
+        inp = write_json(
             tmp_path / "exp.json",
             {"experiment": {"kind": "counterexample", "d": 2}, "n_max": 2},
         )
         cfg = write_json(
             tmp_path / "run.json", {"command": "product-control", "input": "exp.json"}
         )
+        error = "%s: experiment.kind: product-control requires kind 'product'" % inp.resolve()
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.splitlines() == [error, "1 errors"]
         rc = main(["product-control", "--config", str(cfg), "--output", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["input error: " + error]
+        assert not (tmp_path / "out").exists()
 
     def test_loop_check_small(self, tmp_path):
         write_json(tmp_path / "loop.json", {"loop": {"m": 1, "modes": 2, "orders": [0, 2]}})

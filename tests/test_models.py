@@ -119,7 +119,7 @@ class TestMarsdenField:
         oms = field.omega_many(pts)
         assert np.max(np.abs(oms + np.swapaxes(oms, -1, -2))) == 0.0
 
-    def test_analytic_derivative_matches_differences(self):
+    def test_interpolated_derivative_matches_differences(self):
         field = make_marsden_field(default_spec())
         rng = np.random.default_rng(4)
         for _ in range(10):
@@ -738,16 +738,19 @@ def kumar_hex(witnesses) -> list:
 
 def test_a_failing_witness_in_the_kumar_ball_makes_kumar_inf_from_one_point(monkeypatch):
     witnesses = [level_witness(n)[1] for n in (1, 2, 3)]
-    batch = moser._field_batch
-    points = []
+    rule = moser._validity_margins
+    points, batches = [], []
 
-    def counting(family, t, pts, *args):
+    def counting(family, pts, *args):
         points.append(len(pts))
-        return batch(family, t, pts, *args)
+        return rule(family, pts, *args)
 
-    monkeypatch.setattr(moser, "_field_batch", counting)
+    monkeypatch.setattr(moser, "_validity_margins", counting)
+    monkeypatch.setattr(moser, "_field_batch", lambda *args: batches.append(args))
     assert kumar_hex(witnesses) == [float("inf").hex()] * 3
+    # One rule evaluation at the witness per level, and no velocity solve.
     assert points == [1, 1, 1]
+    assert batches == []
 
 
 def test_kumar_is_the_sampled_one_without_a_failing_witness_in_the_ball():

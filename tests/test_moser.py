@@ -55,12 +55,7 @@ def quadratic_perturbation_field(dim, epsilon, seed, radius=1.0):
     def eval_fn(pts):
         return base + epsilon * d_beta(np.asarray(pts, dtype=float))
 
-    def derivative(x, h):
-        return epsilon * d_beta(np.asarray(h, dtype=float))
-
-    return FormField(
-        ModelSpace(dim), np.zeros(dim), radius, eval_fn=eval_fn, derivative=derivative
-    )
+    return FormField(ModelSpace(dim), np.zeros(dim), radius, eval_fn=eval_fn)
 
 
 def sphere_degenerating_field(rho=0.8, radius=0.96):
@@ -227,22 +222,34 @@ def test_exterior_derivative_constant_field_is_closed():
 
 
 def test_exterior_derivative_quadratic_perturbation_is_closed():
-    analytic = quadratic_perturbation_field(4, 1.0, seed=2)
-    assert exterior_derivative_residual(analytic, samples=40, seed=3) <= 1e-12
-    fd_only = FormField(
-        analytic.space, analytic.center, analytic.radius, eval_fn=analytic.eval_fn
-    )
-    assert exterior_derivative_residual(fd_only, samples=40, seed=3) <= 1e-8
+    # Its declared degree makes the derivative an interpolation, exact up to roundoff.
+    field = replace(quadratic_perturbation_field(4, 1.0, seed=2), degree=1)
+    assert exterior_derivative_residual(field, samples=40, seed=3) <= 1e-12
 
 
-def test_exterior_derivative_detects_non_closed_field():
+def test_exterior_derivative_of_undeclared_degree_takes_differences():
+    field = quadratic_perturbation_field(4, 1.0, seed=2)
+    assert field.degree is None
+    assert exterior_derivative_residual(field, samples=40, seed=3) <= 1e-8
+
+
+def scaled_darboux_field(degree=None):
+    """(1 + x_0) times the Darboux form of R^4: not closed."""
     base = darboux_constant_form(2).matrix
 
     def eval_fn(pts):
         pts = np.asarray(pts, dtype=float)
         return (1.0 + pts[..., 0])[..., None, None] * base
 
-    field = FormField(ModelSpace(4), np.zeros(4), 0.5, eval_fn=eval_fn)
+    return FormField(ModelSpace(4), np.zeros(4), 0.5, eval_fn=eval_fn, degree=degree)
+
+
+def test_exterior_derivative_detects_non_closed_field():
+    assert exterior_derivative_residual(scaled_darboux_field(), samples=60, seed=0) >= 0.1
+
+
+def test_exterior_derivative_detects_non_closed_field_of_declared_degree():
+    field = scaled_darboux_field(degree=1)
     assert exterior_derivative_residual(field, samples=60, seed=0) >= 0.1
 
 
@@ -395,7 +402,8 @@ def test_constant_field_is_degree_zero_and_zero_exactly_when_its_matrix_is(scale
     field = constant_field(scale * OMEGA2)
     assert field.degree == 0
     assert field.is_zero == (scale == 0.0)
-    np.testing.assert_array_equal(field.derivative(np.ones(2), np.ones(2)), np.zeros((2, 2)))
+    np.testing.assert_array_equal(field.directional_derivative(np.ones(2), np.ones(2)),
+                                  np.zeros((2, 2)))
     # The shift folds the offset into the value, which it leaves as computed.
     shifted = field.shifted(np.ones(2), scale * OMEGA2)
     assert shifted.degree == 0 and shifted.is_zero

@@ -190,16 +190,18 @@ def test_single_level_tower():
     assert classify_tower(tower) is True
 
 
-def test_build_tower_errors_name_the_index():
+def test_build_tower_errors_name_the_index(monkeypatch):
     levels = [ModelSpace(2), ModelSpace(4), ModelSpace(6)]
     good = LinearMap(levels[1], levels[0], coordinate_projection(4, 2))
     bad = LinearMap(ModelSpace(5), levels[1], coordinate_projection(5, 4))
     with pytest.raises(DimensionMismatchError, match="bonding 1"):
         build_tower(levels, [good, bad])
+    monkeypatch.setattr(tower_module, "MAX_DEPTH", 1)
     with pytest.raises(ValueError, match="depth"):
-        build_tower(levels, [good, LinearMap(levels[2], levels[1], coordinate_projection(6, 4))], max_depth=1)
+        build_tower(levels, [good, LinearMap(levels[2], levels[1], coordinate_projection(6, 4))])
+    monkeypatch.setattr(tower_module, "MAX_DIM", 3)
     with pytest.raises(ValueError, match="level 1"):
-        build_tower(levels[:2], [good], max_dim=3)
+        build_tower(levels[:2], [good])
 
 
 def test_classify_flags_rank_deficient_bonding():
