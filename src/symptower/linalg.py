@@ -35,13 +35,32 @@ class DegenerateFormError(ValueError):
     """The operation needed an invertible form and did not get one."""
 
 
-def _as_matrix(a, rows: int, cols: int, what: str) -> np.ndarray:
+def frozen(a) -> np.ndarray:
+    """``a`` as a read-only float64 array, shared when nothing can write it.
+
+    A float64 ndarray that is read-only, and whose ``base`` is absent or a
+    read-only ndarray of the same kind, is kept as it is: a caller's frozen
+    array, or a view of one, is held once however many objects take it.
+    Anything else (a writeable array, a read-only view of a writeable one,
+    a list, another dtype) is copied and the copy frozen, so no later write
+    to the caller's array reaches it.
+    """
+    m = a
+    while type(m) is np.ndarray and m.dtype == np.float64 and not m.flags.writeable:
+        if m.base is None:
+            return a
+        m = m.base
     m = np.array(a, dtype=float)
+    m.flags.writeable = False
+    return m
+
+
+def _as_matrix(a, rows: int, cols: int, what: str) -> np.ndarray:
+    m = frozen(a)
     if m.shape != (rows, cols):
         raise DimensionMismatchError(
             "%s must have shape (%d, %d), got %r" % (what, rows, cols, m.shape)
         )
-    m.flags.writeable = False
     return m
 
 

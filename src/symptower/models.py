@@ -206,7 +206,7 @@ def make_quadratic_field(
     return FormField(base.space, center, radius, eval_fn=evaluate, degree=1)
 
 
-def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
+def _frozen_block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total))
     at = 0
@@ -214,6 +214,7 @@ def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
         k = m.shape[0]
         out[at : at + k, at : at + k] = m
         at += k
+    out.flags.writeable = False
     return out
 
 
@@ -223,6 +224,11 @@ def make_product_tower(factor_forms) -> tuple[Tower, FormSequence]:
     Level i carries the direct sum of the first i+1 factors with the block
     diagonal form; bondings project away the last factor.  Every factor
     must be nondegenerate (the error names the offender).
+
+    Each matrix is held once: level i's form and gram are the leading
+    d_i x d_i views of the top level's, frozen, and every bonding is a view
+    of one frozen identity of the top dimension, so the linalg
+    constructors keep them without a copy (and still check each level).
     """
     factors = list(factor_forms)
     if not factors:
@@ -231,25 +237,28 @@ def make_product_tower(factor_forms) -> tuple[Tower, FormSequence]:
         if not check_weak_nondegenerate(form).nondegenerate:
             raise ValueError("factor %d carries a degenerate form" % idx)
 
+    top_form = _frozen_block_diag([f.matrix for f in factors])
+    top_gram = None
+    if not all(f.space.has_identity_gram for f in factors):
+        top_gram = _frozen_block_diag([f.space.gram_matrix for f in factors])
     levels = []
     forms = []
-    for i in range(len(factors)):
-        head = factors[: i + 1]
-        dim = sum(f.space.dim for f in head)
-        if all(f.space.has_identity_gram for f in head):
-            gram = None
-        else:
-            gram = _block_diag([f.space.gram_matrix for f in head])
+    dim = 0
+    identity_gram = True
+    for i, factor in enumerate(factors):
+        dim += factor.space.dim
+        identity_gram = identity_gram and factor.space.has_identity_gram
+        gram = None if identity_gram else top_gram[:dim, :dim]
         space = ModelSpace(dim, gram, label="product-%d" % (i + 1))
         levels.append(space)
-        forms.append(SkewForm(space, _block_diag([f.matrix for f in head])))
+        forms.append(SkewForm(space, top_form[:dim, :dim]))
 
-    bondings = []
-    for i in range(len(factors) - 1):
-        tgt, src = levels[i], levels[i + 1]
-        proj = np.zeros((tgt.dim, src.dim))
-        proj[:, : tgt.dim] = np.eye(tgt.dim)
-        bondings.append(LinearMap(src, tgt, proj))
+    eye = np.eye(top_form.shape[0])
+    eye.flags.writeable = False
+    bondings = [
+        LinearMap(src, tgt, eye[: tgt.dim, : src.dim])
+        for tgt, src in zip(levels, levels[1:])
+    ]
     tower = build_tower(levels, bondings)
     return tower, FormSequence(tower, tuple(forms))
 

@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm
+from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm, frozen
 from symptower.tower import Tower
 
 # Relative floor for flat invertibility: singular below SING_TOL * sigma_max.
@@ -272,7 +272,7 @@ class FormField:
         remaining = self.radius - self.distance_from_center(new_center)
         if remaining <= 0.0:
             raise ValueError("new center lies outside the region")
-        offset = np.array(offset_matrix, dtype=float)
+        offset = frozen(offset_matrix)
         blocks = _blocks_kept(self.blocks, offset)
         if self.degree == 0:
             # Folded, so the shifted field keeps one matrix, not two.
@@ -296,8 +296,17 @@ class FormField:
 def _constant_field(space: ModelSpace, center, radius: float, value: np.ndarray,
                     blocks: np.ndarray | None = None) -> FormField:
     """The degree-0 field of ``value``.  Unlike a ``SkewForm``, it accepts
-    the roundoff of a near-zero difference such as ``shifted``'s."""
-    value = np.array(value, dtype=float)
+    the roundoff of a near-zero difference such as ``shifted``'s.
+
+    A value that is +0.0 everywhere, as the difference x - x of any finite
+    matrix is, is held as one broadcast zero instead of a dim x dim matrix;
+    a -0.0 entry keeps the matrix, so every bit of the value survives.
+    """
+    value = np.asarray(value, dtype=float)
+    if np.any(value) or np.any(np.signbit(value)):
+        value = frozen(value)
+    else:
+        value = np.broadcast_to(0.0, value.shape)
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         out = np.empty(pts.shape[:-1] + value.shape)

@@ -18,6 +18,7 @@ from symptower.linalg import (
     check_weak_nondegenerate,
     darboux_constant_form,
     flat_operator,
+    frozen,
     kernel_split,
     matrix_rank,
     null_space_basis,
@@ -276,6 +277,87 @@ def test_linear_map_compose_and_identity():
     np.testing.assert_allclose(f.compose(ident).matrix, f.matrix)
     with pytest.raises(DimensionMismatchError):
         ident.compose(f)
+
+
+def _frozen_array(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+# A valid 2 x 2 matrix for each holder: any map, a skew form, an SPD gram.
+CALLER_MATRICES = {
+    "LinearMap": np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "SkewForm": np.array([[0.0, 2.0], [-2.0, 0.0]]),
+    "ModelSpace": np.array([[2.0, 1.0], [1.0, 3.0]]),
+}
+
+
+def _held(holder, m):
+    """The array that a LinearMap, SkewForm or ModelSpace built from m holds."""
+    if holder == "LinearMap":
+        return LinearMap(ModelSpace(2), ModelSpace(2), m).matrix
+    if holder == "SkewForm":
+        return SkewForm(ModelSpace(2), m).matrix
+    return ModelSpace(2, m).gram
+
+
+def _caller_input(kind, m):
+    """(what the caller passes, a function that then writes to it)."""
+    if kind == "writeable":
+        return m, lambda: m.fill(7.0)
+    if kind == "read-only view of writeable":
+        view = m[:, :]
+        view.flags.writeable = False
+        return view, lambda: m.fill(7.0)
+    if kind == "list":
+        rows = m.tolist()
+        return rows, lambda: rows[0].__setitem__(0, 7.0)
+    single = m.astype(np.float32)
+    return single, lambda: single.fill(7.0)
+
+
+@pytest.mark.parametrize("holder", sorted(CALLER_MATRICES))
+@pytest.mark.parametrize(
+    "kind", ["writeable", "read-only view of writeable", "list", "float32"]
+)
+def test_an_array_a_caller_can_write_is_copied(holder, kind):
+    m = CALLER_MATRICES[holder].copy()
+    given_, write = _caller_input(kind, m)
+    held = _held(holder, given_)
+    assert held.dtype == np.float64 and not held.flags.writeable
+    assert not np.shares_memory(held, m)
+    write()
+    np.testing.assert_array_equal(held, CALLER_MATRICES[holder])
+
+
+@pytest.mark.parametrize("holder", sorted(CALLER_MATRICES))
+def test_a_frozen_array_and_its_views_are_shared(holder):
+    big = np.zeros((3, 3))
+    big[:2, :2] = CALLER_MATRICES[holder]
+    big[2, 2] = 1.0
+    big.flags.writeable = False
+    for given_ in (_frozen_array(CALLER_MATRICES[holder]), big[:2, :2]):
+        assert _held(holder, given_) is given_
+
+
+def test_frozen_keeps_only_what_no_one_can_write():
+    owner = _frozen_array(np.eye(3))
+    for kept in (owner, owner[:2, 1:], owner.T):
+        assert frozen(kept) is kept
+    # A read-only view of a read-only view of a writeable array: copied.
+    writeable = np.eye(3)
+    view = writeable[:2]
+    view.flags.writeable = False
+    assert not np.shares_memory(frozen(view[:, :2]), writeable)
+    # A read-only array over a buffer that is not an ndarray: copied.
+    buffered = np.frombuffer(bytearray(np.eye(2).tobytes()), dtype=np.float64)
+    buffered.flags.writeable = False
+    assert not np.shares_memory(frozen(buffered), buffered)
+    # Another byte order is another dtype: copied into float64.
+    swapped = _frozen_array(np.eye(2)).astype(">f8")
+    swapped.flags.writeable = False
+    assert frozen(swapped).dtype == np.float64
 
 
 def test_subspace_span_drops_dependent_vectors():

@@ -1,5 +1,6 @@
 """Model builders: metric phase fields, product and loop towers, shrink runs."""
 
+import tracemalloc
 from functools import lru_cache
 from math import comb
 
@@ -139,6 +140,52 @@ class TestMarsdenField:
         assert field.contains(np.array([3.0, 0.0]))
 
 
+def _mixed_factors(count):
+    """Seeded factors: an identity-gram Darboux factor first, then skew
+    factors of dims 2, 4, 6, ... whose odd ones carry an SPD gram."""
+    rng = np.random.default_rng(count)
+    factors = [darboux_constant_form(1)]
+    for k in range(1, count):
+        dim = 2 * k
+        a = rng.standard_normal((dim, dim))
+        gram = None
+        if k % 2:
+            g = rng.standard_normal((dim, dim))
+            gram = g @ g.T + dim * np.eye(dim)
+        factors.append(SkewForm(ModelSpace(dim, gram), a - a.T))
+    return factors
+
+
+def _per_level_copies(factors):
+    """Each level's gram, form and bonding built on its own, the way the
+    product tower built them before it held each matrix once."""
+
+    def block_diag(mats):
+        total = sum(m.shape[0] for m in mats)
+        out = np.zeros((total, total))
+        at = 0
+        for m in mats:
+            out[at : at + m.shape[0], at : at + m.shape[0]] = m
+            at += m.shape[0]
+        return out
+
+    grams, forms, dims = [], [], []
+    for i in range(len(factors)):
+        head = factors[: i + 1]
+        dims.append(sum(f.space.dim for f in head))
+        if all(f.space.has_identity_gram for f in head):
+            grams.append(None)
+        else:
+            grams.append(block_diag([f.space.gram_matrix for f in head]))
+        forms.append(block_diag([f.matrix for f in head]))
+    bondings = []
+    for tgt, src in zip(dims, dims[1:]):
+        proj = np.zeros((tgt, src))
+        proj[:, :tgt] = np.eye(tgt)
+        bondings.append(proj)
+    return grams, forms, bondings
+
+
 class TestProductTower:
     def test_levels_and_blocks(self):
         tower, fs = make_product_tower([darboux_constant_form(1), darboux_constant_form(2)])
@@ -173,6 +220,47 @@ class TestProductTower:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             make_product_tower([])
+
+    def test_levels_are_views_of_the_top_level(self):
+        tower, fs = make_product_tower(_mixed_factors(5))
+        top_form, top_gram = fs.forms[-1].matrix, tower.levels[-1].gram
+        for level, form in zip(tower.levels, fs.forms):
+            assert np.shares_memory(form.matrix, top_form)
+            assert level.gram is None or np.shares_memory(level.gram, top_gram)
+        first = tower.bondings[0].matrix
+        for bonding in tower.bondings:
+            assert np.shares_memory(bonding.matrix, first)
+            assert not bonding.matrix.flags.writeable
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_levels_equal_per_level_copies_bit_for_bit(self, count):
+        factors = _mixed_factors(count)
+        tower, fs = make_product_tower(factors)
+        grams, forms, bondings = _per_level_copies(factors)
+        assert [lv.gram is None for lv in tower.levels] == [g is None for g in grams]
+        for level, form, gram, expected in zip(tower.levels, fs.forms, grams, forms):
+            assert form.matrix.tobytes() == expected.tobytes()
+            if gram is not None:
+                assert level.gram.tobytes() == gram.tobytes()
+        for bonding, expected in zip(tower.bondings, bondings, strict=True):
+            assert bonding.matrix.tobytes() == expected.tobytes()
+
+    def test_building_at_the_caps_holds_each_matrix_once(self):
+        # 32 factors of dim 16 (the depth and dimension caps), a gram on
+        # factor 0.  The top form, top gram and identity take 2 MiB each;
+        # building peaked at 8.1 MiB, against 70.0 MiB when every level held
+        # its own form, gram and bonding.
+        gram = np.diag(np.linspace(1.0, 2.0, 16))
+        first = SkewForm(ModelSpace(16, gram), darboux_constant_form(8).matrix)
+        factors = [first] + [darboux_constant_form(8)] * 31
+        tracemalloc.start()
+        try:
+            tower, _ = make_product_tower(factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tower.levels[-1].dim == 512
+        assert peak < 16 * 2**20
 
     @seed(20240811)
     @settings(max_examples=20, deadline=None)

@@ -410,6 +410,40 @@ def test_constant_field_is_degree_zero_and_zero_exactly_when_its_matrix_is(scale
     np.testing.assert_array_equal(shifted.omega_many(np.zeros((3, 2))), np.zeros((3, 2, 2)))
 
 
+def test_a_zero_constant_field_holds_one_broadcast_zero():
+    form = darboux_constant_form(256)
+    base = np.zeros(512)
+    tracemalloc.start()
+    try:
+        family = MoserFamily.darboux_target(FormField.constant(form, base, 1.0), base)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # omega0 is the one 2 MiB matrix kept: the constant field shares the
+    # form's frozen matrix and omega_bar, x - x = +0.0 everywhere, holds a
+    # broadcast zero.  When omega_bar held a dense zero, 4.0 MiB stayed.
+    assert held < 3 * 2**20
+    bar = family.omega_bar
+    assert bar.is_zero
+    first, second = bar.omega_many(np.zeros((2, 512))), bar.omega_many(np.zeros((2, 512)))
+    assert first.shape == (2, 512, 512) and first.flags.writeable
+    assert not np.shares_memory(first, second)
+    assert not np.any(first) and not np.any(np.signbit(first))
+    first[0, 0, 1] = 1.0
+    assert not np.any(bar.omega(base))
+
+
+def test_a_constant_value_with_negative_zeros_keeps_their_sign_bits():
+    value = np.zeros((2, 2))
+    value[0, 1] = -0.0
+    field = constant_field(value)
+    assert field.is_zero
+    np.testing.assert_array_equal(np.signbit(field.omega(np.zeros(2))), np.signbit(value))
+    # -0.0 - (+0.0) is -0.0: the shifted difference keeps the bit too.
+    shifted = field.shifted(np.zeros(2), np.zeros((2, 2)))
+    np.testing.assert_array_equal(np.signbit(shifted.omega(np.zeros(2))), np.signbit(value))
+
+
 def test_a_degree_one_field_vanishing_at_its_center_is_not_zero():
     def linear(pts):
         return np.asarray(pts, dtype=float)[..., :1, None] * OMEGA2
