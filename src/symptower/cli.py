@@ -640,13 +640,10 @@ def _build_checked(builder, *args, **kwargs):
 
 def _skew_form(section) -> SkewForm:
     """The form of a section with a 'matrix' and an optional 'gram'."""
-    import numpy as np
-
     from .linalg import ModelSpace, SkewForm
 
-    matrix = np.array(section["matrix"], dtype=float)
-    gram = np.array(section["gram"], dtype=float) if "gram" in section else None
-    return SkewForm(ModelSpace(matrix.shape[0], gram), matrix)
+    matrix = section["matrix"]
+    return SkewForm(ModelSpace(len(matrix), section.get("gram")), matrix)
 
 
 def _build_tower_doc(tower):
@@ -670,22 +667,14 @@ def _build_tower_doc(tower):
             tower["d"], tower["depth"], a=tower.get("a"), s_eigs=tower.get("s_eigs"),
             region_radius=tower.get("region_radius"),
         )
-        top = tower.get("thread_top", np.zeros(built.levels[-1].dim))
-        thread = Thread.from_top(built, np.asarray(top, dtype=float))
+        thread = Thread.from_top(built, tower.get("thread_top", np.zeros(built.levels[-1].dim)))
         return built, field_sequence_at(built, fields, thread)
     levels = [
-        ModelSpace(lv["dim"], np.array(lv["gram"], dtype=float) if "gram" in lv else None,
-                   label=lv.get("label", ""))
-        for lv in tower["levels"]
+        ModelSpace(lv["dim"], lv.get("gram"), label=lv.get("label", "")) for lv in tower["levels"]
     ]
-    bondings = [
-        LinearMap(levels[i + 1], levels[i], np.array(b, dtype=float))
-        for i, b in enumerate(tower["bondings"])
-    ]
+    bondings = [LinearMap(levels[i + 1], levels[i], b) for i, b in enumerate(tower["bondings"])]
     built = build_tower(levels, bondings)
-    forms = tuple(
-        SkewForm(levels[i], np.array(f, dtype=float)) for i, f in enumerate(tower["forms"])
-    )
+    forms = tuple(SkewForm(levels[i], f) for i, f in enumerate(tower["forms"]))
     return built, FormSequence(built, forms)
 
 
@@ -702,13 +691,10 @@ def _build_field(fobj) -> FormField:
         )
     if kind == "constant":
         form = _skew_form(fobj)
-        center = np.array(fobj.get("center", np.zeros(form.space.dim)), dtype=float)
+        center = fobj.get("center", np.zeros(form.space.dim))
         return FormField.constant(form, center, fobj.get("radius", 1.0))
     spec = MarsdenSpec(
-        d=fobj["d"],
-        a=np.array(fobj["a"], dtype=float),
-        shift_k=fobj.get("shift_k", 1),
-        s_eigs=np.array(fobj["s_eigs"], dtype=float) if "s_eigs" in fobj else None,
+        d=fobj["d"], a=fobj["a"], shift_k=fobj.get("shift_k", 1), s_eigs=fobj.get("s_eigs"),
     )
     return make_marsden_field(spec, radius=fobj.get("radius"))
 

@@ -35,6 +35,15 @@ class DegenerateFormError(ValueError):
     """The operation needed an invertible form and did not get one."""
 
 
+def count(value, name: str, least: int = 1) -> int:
+    """``value`` as an ``int``, when it is an int or numpy integer (not a
+    bool) of at least ``least``, 1 or 0; else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError("%s must be a %s integer, got %r"
+                         % (name, "positive" if least else "non-negative", value))
+    return int(value)
+
+
 def frozen(a) -> np.ndarray:
     """``a`` as a read-only float64 array, shared when nothing can write it.
 
@@ -43,7 +52,9 @@ def frozen(a) -> np.ndarray:
     array, or a view of one, is held once however many objects take it.
     Anything else (a writeable array, a read-only view of a writeable one,
     a list, another dtype) is copied and the copy frozen, so no later write
-    to the caller's array reaches it.
+    to the caller's array reaches it.  It is the one way in for an array
+    that a library object keeps, so a builder that freezes what it builds
+    in place hands it over without a second copy.
     """
     m = a
     while type(m) is np.ndarray and m.dtype == np.float64 and not m.flags.writeable:
@@ -142,9 +153,7 @@ class ModelSpace:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError("dim must be a positive integer, got %r" % (self.dim,))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", count(self.dim, "dim"))
         if self.gram is not None:
             g = _as_matrix(self.gram, self.dim, self.dim, "gram")
             sym_defect = np.linalg.norm(g - g.T)
@@ -269,7 +278,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.basis, dtype=float)
+        b = frozen(self.basis)
         if b.ndim != 2 or b.shape[0] != self.ambient.dim:
             raise DimensionMismatchError(
                 "basis must have shape (%d, k), got %r" % (self.ambient.dim, b.shape)
@@ -278,7 +287,6 @@ class Subspace:
             s = np.linalg.svd(b, compute_uv=False)
             if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
                 raise ValueError("basis columns are not linearly independent")
-        b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
     @classmethod
@@ -367,7 +375,7 @@ class WeakIsometryReport:
 
 def flat_operator(form: SkewForm) -> LinearMap:
     """Map ``u`` to the covector ``v -> form(u, v)``; matrix is ``form.matrix.T``."""
-    return LinearMap(form.space, form.space, form.matrix.T.copy())
+    return LinearMap(form.space, form.space, form.matrix.T)
 
 
 def check_weak_nondegenerate(
@@ -385,9 +393,7 @@ def darboux_constant_form(l_dim: int) -> SkewForm:
     Pairs ``(u, eta)`` with ``(v, xi)`` as ``eta . v - xi . u``; the matrix is
     ``[[0, -I], [I, 0]]`` in block form.
     """
-    if not isinstance(l_dim, (int, np.integer)) or l_dim < 1:
-        raise ValueError("l_dim must be a positive integer, got %r" % (l_dim,))
-    l_dim = int(l_dim)
+    l_dim = count(l_dim, "l_dim")
     omega = np.zeros((2 * l_dim, 2 * l_dim))
     eye = np.eye(l_dim)
     omega[:l_dim, l_dim:] = -eye

@@ -20,7 +20,9 @@ from .linalg import (
     ModelSpace,
     SkewForm,
     check_weak_nondegenerate,
+    count,
     darboux_constant_form,
+    frozen,
     weakness_conditioning,
 )
 from .moser import (
@@ -75,30 +77,22 @@ class MarsdenSpec:
     s_eigs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise ValueError("d must be a positive integer, got %r" % (self.d,))
-        object.__setattr__(self, "d", int(self.d))
-        a = np.array(self.a, dtype=float)
+        object.__setattr__(self, "d", count(self.d, "d"))
+        a = frozen(self.a)
         if a.shape != (self.d,):
             raise ValueError("a must have shape (%d,), got %r" % (self.d, a.shape))
         if not np.linalg.norm(a) > 0.0:
             raise ValueError("a must be nonzero")
-        a.flags.writeable = False
         object.__setattr__(self, "a", a)
-        if not isinstance(self.shift_k, (int, np.integer)) or self.shift_k < 1:
-            raise ValueError("shift_k must be a positive integer, got %r" % (self.shift_k,))
-        object.__setattr__(self, "shift_k", int(self.shift_k))
-        if self.s_eigs is None:
-            s = 1.0 / np.arange(1, self.d + 1, dtype=float)
-        else:
-            s = np.array(self.s_eigs, dtype=float)
+        object.__setattr__(self, "shift_k", count(self.shift_k, "shift_k"))
+        s = frozen(1.0 / np.arange(1, self.d + 1, dtype=float)
+                   if self.s_eigs is None else self.s_eigs)
         if s.shape != (self.d,):
             raise ValueError("s_eigs must have shape (%d,), got %r" % (self.d, s.shape))
         if not np.all(s > 0.0):
             raise ValueError("s_eigs must be strictly positive")
         if np.any(np.diff(s) > 0.0):
             raise ValueError("s_eigs must be non-increasing")
-        s.flags.writeable = False
         object.__setattr__(self, "s_eigs", s)
 
     @property
@@ -287,9 +281,7 @@ def make_counterexample_tower(
     any practical cap on those hyperplanes.  Bondings drop the last factor
     in both base and fiber coordinates.
     """
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
-        raise ValueError("depth must be a positive integer, got %r" % (depth,))
-    depth = int(depth)
+    depth = count(depth, "depth")
     if a is None:
         a = np.zeros(d)
         a[0] = 1.0
@@ -339,36 +331,36 @@ def make_loop_tower(m: int, modes: int, orders) -> tuple[Tower, FormSequence]:
     ``orders[i]`` gram ``diag((1 + j^2)^k)`` per slot coordinate, while the
     form is the same block Darboux matrix at every level, so bondings are
     identity inclusions and the pullback identity holds exactly.
+
+    The form and the identity are each held once, frozen, and shared by
+    every level and bonding; each level's gram is frozen where it is built,
+    so no constructor copies it again.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError("m must be a positive integer, got %r" % (m,))
-    if not isinstance(modes, (int, np.integer)) or modes < 0:
-        raise ValueError("modes must be a non-negative integer, got %r" % (modes,))
-    orders = list(orders)
+    m, modes = count(m, "m"), count(modes, "modes", least=0)
+    orders = [count(k, "order", least=0) for k in orders]
     if not orders:
         raise ValueError("need at least one order")
-    for k in orders:
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise ValueError("orders must be non-negative integers, got %r" % (k,))
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError("orders must be strictly increasing")
 
-    m, modes = int(m), int(modes)
     freqs = [0] + [j for j in range(1, modes + 1) for _ in range(2)]
     dim = len(freqs) * 2 * m
-    form_matrix = np.kron(np.eye(len(freqs)), darboux_constant_form(m).matrix)
+    # np.kron's result is a view of a writeable array: frozen copies it once.
+    form_matrix = frozen(np.kron(np.eye(len(freqs)), darboux_constant_form(m).matrix))
+    eye = np.eye(dim)
+    eye.flags.writeable = False
 
     levels = []
     forms = []
     for k in orders:
-        weights = np.repeat([(1.0 + j * j) ** k for j in freqs], 2 * m)
-        gram = None if k == 0 else np.diag(weights)
+        gram = None
+        if k:
+            gram = np.diag(np.repeat([(1.0 + j * j) ** k for j in freqs], 2 * m))
+            gram.flags.writeable = False
         space = ModelSpace(dim, gram, label="loops-h%d" % k)
         levels.append(space)
         forms.append(SkewForm(space, form_matrix))
-    bondings = [
-        LinearMap(levels[i + 1], levels[i], np.eye(dim)) for i in range(len(orders) - 1)
-    ]
+    bondings = [LinearMap(levels[i + 1], levels[i], eye) for i in range(len(orders) - 1)]
     tower = build_tower(levels, bondings)
     return tower, FormSequence(tower, tuple(forms))
 
@@ -417,21 +409,14 @@ def _shrink_levels(tower_spec: Mapping, n_max: int):
         tower, fields = make_counterexample_tower(
             d, n_max, a=a, s_eigs=s_eigs, region_radius=region_radius
         )
-        if a is None:
-            a_norm = 1.0
-        else:
-            a_norm = float(np.linalg.norm(np.asarray(a, dtype=float)))
+        a_vec = np.eye(d)[0] if a is None else np.asarray(a, dtype=float)
+        a_norm = float(np.linalg.norm(a_vec))
+        unit = a_vec / a_norm
         families = [
             MoserFamily.darboux_target(f, np.zeros(f.space.dim)) for f in fields
         ]
         bounds = [a_norm / n for n in range(1, n_max + 1)]
         # One ray per factor slot, aimed straight at its degeneracy point.
-        if a is None:
-            unit = np.zeros(d)
-            unit[0] = 1.0
-        else:
-            av = np.asarray(a, dtype=float)
-            unit = av / np.linalg.norm(av)
         ray_sets = []
         for i, f in enumerate(fields):
             rays = []
@@ -484,9 +469,7 @@ def shrink_experiment(
     ``uniform_bound_check``, whose kumar is inf once that failing point
     lies in its sampled ball, without sampling the ball.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError("n_max must be a positive integer, got %r" % (n_max,))
-    n_max = int(n_max)
+    n_max = count(n_max, "n_max")
     tower, families, bounds, ray_sets = _shrink_levels(tower_spec, n_max)
 
     rows = []

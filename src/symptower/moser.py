@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm, frozen
+from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm, count, frozen
 from symptower.tower import Tower
 
 # Relative floor for flat invertibility: singular below SING_TOL * sigma_max.
@@ -187,19 +187,16 @@ class FormField:
     degree: int | None = None
 
     def __post_init__(self) -> None:
-        c = np.array(self.center, dtype=float)
+        c = frozen(self.center)
         if c.shape != (self.space.dim,):
             raise DimensionMismatchError(
                 "center must have shape (%d,)" % self.space.dim
             )
-        c.flags.writeable = False
         object.__setattr__(self, "center", c)
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if self.degree is not None:
-            if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
-                raise ValueError("degree must be a non-negative integer or None")
-            object.__setattr__(self, "degree", int(self.degree))
+            object.__setattr__(self, "degree", count(self.degree, "degree", least=0))
         if self.blocks is not None:
             try:
                 blocks = np.array(self.blocks, dtype=int)
@@ -345,7 +342,9 @@ class MoserFamily:
         """Family joining a field to its own constant value at the base point."""
         base = np.asarray(base_point, dtype=float)
         at_base = field.omega(base)
-        omega0 = SkewForm(field.space, 0.5 * (at_base - at_base.T))
+        skew = 0.5 * (at_base - at_base.T)
+        skew.flags.writeable = False
+        omega0 = SkewForm(field.space, skew)
         return cls(omega0, field.shifted(base, omega0.matrix))
 
     @property
@@ -1162,38 +1161,30 @@ class VerifyReport:
 
 
 def verify_darboux_chart(
-    chart,
+    chart: ChartMap,
     omega_field: FormField,
     omega0: SkewForm,
     samples: int = 50,
     tol: float = 1e-5,
-    center=None,
-    radius: float | None = None,
     seed: int = 0,
 ) -> VerifyReport:
     """Independent pullback check: max_x || DF^T omega(F(x)) DF - omega0 ||_2.
 
     DF comes from central differences (step FD_STEP) on the chart evaluator
     itself, so the check does not reuse any quantity from the construction.
-    ``chart`` is a ChartMap or any callable point -> point; plain callables
-    need explicit ``center`` and ``radius``.  Samples whose stencil or image leaves the
-    usable region are skipped and counted.
+    The samples are drawn in the chart's domain ball around its base point.
+    Samples whose stencil or image leaves the usable region are skipped and
+    counted.
     """
     space = omega0.space
     dim = space.dim
-    if isinstance(chart, ChartMap):
-        center = chart.base_point if center is None else np.asarray(center, float)
-        radius = chart.domain_radius if radius is None else radius
-    elif center is None or radius is None:
-        raise ValueError("plain callables need explicit center and radius")
-    else:
-        center = np.asarray(center, dtype=float)
+    radius = chart.domain_radius
     if radius <= 0.0:
         raise ValueError("verification radius must be positive")
 
     rng = _Draws(seed)
     sample_radius = max(radius - 2.0 * FD_STEP, 0.25 * radius)
-    base_pts = _sample_ball(rng, space, center, sample_radius, samples)
+    base_pts = _sample_ball(rng, space, chart.base_point, sample_radius, samples)
 
     eye = np.eye(dim)
     stencil = [base_pts]
@@ -1202,17 +1193,7 @@ def verify_darboux_chart(
         stencil.append(base_pts - FD_STEP * eye[k])
     batch = np.concatenate(stencil, axis=0)
 
-    if isinstance(chart, ChartMap):
-        out, alive = chart.map_points(batch)
-    else:
-        out = np.empty_like(batch)
-        alive = np.ones(len(batch), dtype=bool)
-        for i, p in enumerate(batch):
-            try:
-                out[i] = np.asarray(chart(p), dtype=float)
-            except (ValueError, ArithmeticError):
-                alive[i] = False
-
+    out, alive = chart.map_points(batch)
     out = out.reshape(2 * dim + 1, samples, dim)
     alive = alive.reshape(2 * dim + 1, samples)
     usable = alive.all(axis=0)

@@ -31,6 +31,7 @@ from symptower.linalg import (
     WeakIsometryReport,
     check_weak_isometry,
     check_weak_nondegenerate,
+    frozen,
     kernel_split,
     matrix_rank,
     orthonormal_columns,
@@ -87,12 +88,14 @@ class Tower:
         """Yield ``(j, composite(i, j) matrix)`` for j = i..depth.
 
         Each matrix is the previous one times ``bondings[j - 1].matrix``,
-        starting from the identity; only the current one is kept.
+        starting from the identity; only the current one is kept.  Each is
+        frozen in place, so a ``LinearMap`` keeps it without a copy.
         """
         m = np.eye(self.levels[i].dim)
-        yield i, m
-        for j in range(i + 1, self.depth + 1):
-            m = m @ self.bondings[j - 1].matrix
+        for j in range(i, self.depth + 1):
+            if j > i:
+                m = m @ self.bondings[j - 1].matrix
+            m.flags.writeable = False
             yield j, m
 
     def composite(self, i: int, j: int) -> LinearMap:
@@ -160,12 +163,11 @@ class Thread:
                 % (self.tower.depth + 1, len(self.components))
             )
         for i, (c, space) in enumerate(zip(self.components, self.tower.levels)):
-            v = np.array(c, dtype=float)
+            v = frozen(c)
             if v.shape != (space.dim,):
                 raise DimensionMismatchError(
                     "component %d must have shape (%d,), got %r" % (i, space.dim, v.shape)
                 )
-            v.flags.writeable = False
             comps.append(v)
         for i in range(self.tower.depth):
             pushed = self.tower.bondings[i].matrix @ comps[i + 1]

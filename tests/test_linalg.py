@@ -30,6 +30,9 @@ from symptower.linalg import (
     symplectic_orthogonal,
     weakness_conditioning,
 )
+from symptower.models import MarsdenSpec
+from symptower.moser import FormField
+from symptower.tower import Thread, build_tower
 
 # Frozen by hand from the conventions in the module docstring.
 FLAT_OF_E1 = np.array([0.0, 1.0])            # omega=[[0,1],[-1,0]], u=e1
@@ -285,21 +288,38 @@ def _frozen_array(a):
     return a
 
 
-# A valid 2 x 2 matrix for each holder: any map, a skew form, an SPD gram.
-CALLER_MATRICES = {
+# A valid array for each holder: any map, a skew form, an SPD gram, a
+# basis of independent columns, a thread component, a field's center, a
+# nonzero direction and a non-increasing positive spectrum.
+CALLER_ARRAYS = {
     "LinearMap": np.array([[1.0, 2.0], [3.0, 4.0]]),
     "SkewForm": np.array([[0.0, 2.0], [-2.0, 0.0]]),
     "ModelSpace": np.array([[2.0, 1.0], [1.0, 3.0]]),
+    "Subspace": np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "Thread": np.array([0.5, -0.25]),
+    "FormField": np.array([0.5, -0.25]),
+    "MarsdenSpec.a": np.array([1.0, 0.5]),
+    "MarsdenSpec.s_eigs": np.array([1.0, 0.5]),
 }
 
 
 def _held(holder, m):
-    """The array that a LinearMap, SkewForm or ModelSpace built from m holds."""
+    """The array that the holder built from m keeps."""
     if holder == "LinearMap":
         return LinearMap(ModelSpace(2), ModelSpace(2), m).matrix
     if holder == "SkewForm":
         return SkewForm(ModelSpace(2), m).matrix
-    return ModelSpace(2, m).gram
+    if holder == "ModelSpace":
+        return ModelSpace(2, m).gram
+    if holder == "Subspace":
+        return Subspace(ModelSpace(2), m).basis
+    if holder == "Thread":
+        return Thread(build_tower([ModelSpace(2)], []), (m,)).components[0]
+    if holder == "FormField":
+        return FormField.constant(darboux_constant_form(1), m, 1.0).center
+    if holder == "MarsdenSpec.a":
+        return MarsdenSpec(d=2, a=m).a
+    return MarsdenSpec(d=2, a=[1.0, 0.0], s_eigs=m).s_eigs
 
 
 def _caller_input(kind, m):
@@ -307,37 +327,39 @@ def _caller_input(kind, m):
     if kind == "writeable":
         return m, lambda: m.fill(7.0)
     if kind == "read-only view of writeable":
-        view = m[:, :]
+        view = m[...]
         view.flags.writeable = False
         return view, lambda: m.fill(7.0)
     if kind == "list":
         rows = m.tolist()
-        return rows, lambda: rows[0].__setitem__(0, 7.0)
+        first = rows[0] if m.ndim == 2 else rows
+        return rows, lambda: first.__setitem__(0, 7.0)
     single = m.astype(np.float32)
     return single, lambda: single.fill(7.0)
 
 
-@pytest.mark.parametrize("holder", sorted(CALLER_MATRICES))
+@pytest.mark.parametrize("holder", sorted(CALLER_ARRAYS))
 @pytest.mark.parametrize(
     "kind", ["writeable", "read-only view of writeable", "list", "float32"]
 )
 def test_an_array_a_caller_can_write_is_copied(holder, kind):
-    m = CALLER_MATRICES[holder].copy()
+    m = CALLER_ARRAYS[holder].copy()
     given_, write = _caller_input(kind, m)
     held = _held(holder, given_)
     assert held.dtype == np.float64 and not held.flags.writeable
     assert not np.shares_memory(held, m)
     write()
-    np.testing.assert_array_equal(held, CALLER_MATRICES[holder])
+    np.testing.assert_array_equal(held, CALLER_ARRAYS[holder])
 
 
-@pytest.mark.parametrize("holder", sorted(CALLER_MATRICES))
+@pytest.mark.parametrize("holder", sorted(CALLER_ARRAYS))
 def test_a_frozen_array_and_its_views_are_shared(holder):
-    big = np.zeros((3, 3))
-    big[:2, :2] = CALLER_MATRICES[holder]
-    big[2, 2] = 1.0
+    value = CALLER_ARRAYS[holder]
+    lead = tuple(slice(0, n) for n in value.shape)
+    big = np.ones(tuple(n + 1 for n in value.shape))
+    big[lead] = value
     big.flags.writeable = False
-    for given_ in (_frozen_array(CALLER_MATRICES[holder]), big[:2, :2]):
+    for given_ in (_frozen_array(value), big[lead]):
         assert _held(holder, given_) is given_
 
 

@@ -1005,21 +1005,18 @@ def test_moser_flow_integrates_under_its_own_tolerances(tolerance, monkeypatch):
 
 def test_verify_darboux_chart_identity_cases():
     omega0 = darboux_constant_form(1)
+    # 0 RK4 steps over a zero difference field: the identity chart on the unit ball.
+    family = MoserFamily(omega0, constant_field(np.zeros((2, 2))))
+    identity = moser.ChartMap(family, np.zeros(2), 1.0, 0, moser.COND_CAP, moser.SING_TOL)
     field = constant_field(OMEGA2)
-    report = verify_darboux_chart(
-        lambda x: x, field, omega0, samples=10, tol=1e-9,
-        center=np.zeros(2), radius=1.0,
-    )
+    report = verify_darboux_chart(identity, field, omega0, samples=10, tol=1e-9)
     assert report.ok
     assert report.residual <= 1e-10
     assert report.used == 10
 
     offset = OMEGA2 + 0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     shifted = constant_field(offset)
-    report = verify_darboux_chart(
-        lambda x: x, shifted, omega0, samples=5, tol=1e-9,
-        center=np.zeros(2), radius=1.0,
-    )
+    report = verify_darboux_chart(identity, shifted, omega0, samples=5, tol=1e-9)
     assert not report.ok
     assert report.residual == pytest.approx(IDENTITY_OFFSET_RESIDUAL)
 

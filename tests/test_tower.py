@@ -15,6 +15,7 @@ from symptower.linalg import (
     check_weak_isometry,
     column_spaces_equal,
     darboux_constant_form,
+    frozen,
 )
 from symptower.models import make_counterexample_tower, make_product_tower
 from symptower.tower import (
@@ -79,6 +80,12 @@ def test_composites_of_coordinate_tower():
     np.testing.assert_array_equal(tower.composite(1, 1).matrix, np.eye(4))
     chained = tower.bondings[0].compose(tower.bondings[1])
     np.testing.assert_array_equal(tower.composite(0, 2).matrix, chained.matrix)
+    # Walked matrices are frozen where they are formed, so no LinearMap copies one.
+    for i in range(3):
+        for j, m in tower._row(i):
+            assert not m.flags.writeable and frozen(m) is m
+            held = tower.composite(i, j).matrix
+            assert not held.flags.writeable and held.tobytes() == m.tobytes()
 
 
 def test_row_walk_equals_the_chained_products_bit_for_bit():
