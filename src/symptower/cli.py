@@ -727,7 +727,12 @@ def _pipeline_check_tower(doc, cfg: RunConfig):
     tower, fs = _build_checked(_build_tower_doc, doc["tower"])
     tol = float(cfg.tolerances.get("rank_tol", RANK_TOL))
     comp = check_compatible_sequence(fs, tol=tol)
-    surjective = classify_tower(tower, rank_tol=tol)
+    # The compatibility check decides each bonding's rank at RANK_TOL, so
+    # at that cut-off its dense_range flags are the classification.
+    if tol == RANK_TOL:
+        surjective = all(per.dense_range for per in comp.per_level)
+    else:
+        surjective = classify_tower(tower, rank_tol=tol)
     bonding_rows = [dict(bonding=i, **asdict(per)) for i, per in enumerate(comp.per_level)]
     payload = {
         "levels": [

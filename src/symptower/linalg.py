@@ -25,6 +25,7 @@ from symptower import SKEW_TOL
 
 # Relative cutoff for every rank decision made from singular values.
 RANK_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class DimensionMismatchError(ValueError):
@@ -109,6 +110,59 @@ def null_space_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     _, s, vt = np.linalg.svd(m)
     rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
     return vt[rank:].T
+
+
+def certify_full_row_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
+    """Whether the SVD rule provably finds full row rank in ``m`` at ``rank_tol``.
+
+    The rule (``matrix_rank``, ``kernel_split``) counts the computed
+    singular values above ``rank_tol`` times the largest.  The certificate
+    is one Cholesky factorization of G = m m^T with f t taken off its
+    diagonal, where t = trace G = |m|_F^2, f = 16 N eps + rank_tol^2 and
+    N = rows + cols.  A square map is accepted like any other (its kernel
+    is then empty); one with more rows than columns, or a zero or
+    non-finite one, is refused without factoring.
+
+    Success proves the rule's verdict.  With u = eps / 2, to first order in
+    u (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.5 and chapter 10):
+
+    - Each entry of the computed G is a dot product of length cols, so it
+      is G + E with |E|_2 <= cols u |m|_F^2 = cols u t; taking the floor
+      off rounds each diagonal entry once more, a relative u.  The floor
+      itself is computed to within (N + 4) u relative.
+    - A Cholesky factorization that runs to completion on a symmetric A
+      gives R^T R = A + dA with |dA| <= (rows + 1) u |R^T| |R|
+      (Theorem 10.3; LAPACK's blocked form obeys a bound of the same
+      form), and |R|_F^2 = trace(A + dA) <= t, so |dA|_2 <= (rows + 1) u t.
+      R^T R is positive definite.
+    - So lambda_min(G) > f t - ((N + 4) f + N + 2) u t.  For
+      rank_tol >= 1, where the rule finds no rank at all, that exceeds
+      t >= lambda_max(G), so the factorization never succeeds there; for
+      rank_tol < 1 it exceeds (rank_tol^2 + 5 N eps) t, since 11 N eps
+      covers (N + 4 + N + 2) u with room for the second order.
+    - LAPACK's SVD returns the singular values of m + E with
+      |E|_2 <= p eps |m|_2, p a modest function of the size (LAPACK
+      Users' Guide, section 4.9), taken here as at most N; by Weyl's
+      inequality each computed value is within N eps s_max of the true
+      one.  The rule then finds full rank when
+      s_min > (rank_tol + 2 N eps) s_max, which
+      s_min^2 = lambda_min(G) > (rank_tol^2 + 5 N eps) t >=
+      (rank_tol^2 + 4 N eps rank_tol + 4 N^2 eps^2) s_max^2 gives.
+    """
+    rows, cols = m.shape
+    if rows == 0 or rows > cols:
+        return False
+    gram = m @ m.T
+    trace = float(np.trace(gram))
+    if not 0.0 < trace < np.inf:
+        return False
+    gram.flat[:: rows + 1] -= (16.0 * (rows + cols) * _EPS + rank_tol * rank_tol) * trace
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def matrix_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> int:
@@ -497,13 +551,34 @@ def kernel_split(
 
     Returns ``(rank, ker_basis, kperp_basis, stacked_rank)``: the rank of
     the map, orthonormal bases (columns) of its kernel and of the kernel's
-    orthogonal under the form, and the dimension of their sum.  The map is
-    factored once; its singular values give the rank and its right singular
-    vectors the kernel.  The sum's dimension comes from the principal
-    angles between the two bases (:func:`orthonormal_stacked_rank`).
+    orthogonal under the form, and the dimension of their sum.  The sum's
+    dimension comes from the principal angles between the two bases
+    (:func:`orthonormal_stacked_rank`).
+
+    A map that :func:`certify_full_row_rank` accepts has rank ``rows``, and
+    one complete QR of its transpose gives its row space (the first
+    ``rows`` columns) and its kernel (the rest; none for a square map).
+    When that kernel is the wider side and the form is certified too, the
+    orthogonal {u : k^T form u = 0}, k the kernel basis, is form^-1 applied
+    to the row space: ``rows`` columns from one LU solve.  The null-space
+    route would count as many: k^T form has a smallest singular value at
+    least the form's and a smaller trace and size, so the form's
+    certificate covers it; the product's rounding, under
+    cols eps |form|_F / 2, moves that singular value by less than the
+    certificate's margin.  Otherwise the map is factored once by the SVD,
+    whose singular values give the rank and right singular vectors the
+    kernel, and the orthogonal is the null space of k^T form.
     """
     rows, cols = map_matrix.shape
-    if rows == 0 or not np.any(map_matrix):
+    row_space = None
+    if certify_full_row_rank(map_matrix, rank_tol):
+        rank = rows
+        if rows == cols:
+            ker_basis = np.zeros((cols, 0))
+        else:
+            q = np.linalg.qr(map_matrix.T, mode="complete")[0]
+            row_space, ker_basis = q[:, :rows], q[:, rows:]
+    elif rows == 0 or not np.any(map_matrix):
         rank, ker_basis = 0, np.eye(cols)
     else:
         _, s, vt = np.linalg.svd(map_matrix)
@@ -511,6 +586,9 @@ def kernel_split(
         ker_basis = vt[rank:].T
     if ker_basis.shape[1] == 0:
         kperp_basis = np.eye(cols)
+    elif (row_space is not None and cols - rows > rows
+          and certify_full_row_rank(form_matrix, rank_tol)):
+        kperp_basis = np.linalg.qr(np.linalg.solve(form_matrix, row_space))[0]
     else:
         kperp_basis = null_space_basis(ker_basis.T @ form_matrix, rank_tol)
     stacked_rank = orthonormal_stacked_rank(ker_basis, kperp_basis, rank_tol)

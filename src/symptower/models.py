@@ -400,7 +400,7 @@ def _shrink_levels(tower_spec: Mapping, n_max: int):
     spec = dict(tower_spec)
     kind = spec.pop("kind", "counterexample")
     if kind == "counterexample":
-        d = int(spec.pop("d", 4))
+        d = count(spec.pop("d", 4), "d")
         a = spec.pop("a", None)
         s_eigs = spec.pop("s_eigs", None)
         region_radius = spec.pop("region_radius", None)
@@ -430,7 +430,7 @@ def _shrink_levels(tower_spec: Mapping, n_max: int):
             ray_sets.append(rays[::-1])
         return tower, families, bounds, ray_sets
     if kind == "product":
-        factor_dim = int(spec.pop("factor_dim", 1))
+        factor_dim = count(spec.pop("factor_dim", 1), "factor_dim")
         radius = float(spec.pop("radius", 1.0))
         if spec:
             raise ValueError("unknown tower_spec fields: %s" % sorted(spec))
@@ -499,9 +499,10 @@ def shrink_experiment(
         )
 
     radii = [row.r_validity for row in rows]
-    projected = [r * shrink for r, shrink in zip(radii, tower.radius_shrinks(0))]
+    first_row = tower.radius_shrinks(0)
+    projected = [r * shrink for r, shrink in zip(radii, first_row)]
     floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
-    assembly = assemble_projective_darboux(radii, tower, min_radius=floor)
+    assembly = assemble_projective_darboux(radii, tower, min_radius=floor, first_row=first_row)
     fitted = _power_law_exponent(range(1, n_max + 1), projected)
     decreasing = all(b < a for a, b in zip(projected, projected[1:]))
     failing = fitted is not None and fitted <= -0.5 and decreasing

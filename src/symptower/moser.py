@@ -1346,13 +1346,16 @@ def assemble_projective_darboux(
     per_level_radii,
     tower: Tower,
     min_radius: float,
+    first_row: list[float] | None = None,
 ) -> AssemblyReport:
     """Chart ball radii pushed down the tower, with a decay diagnosis.
 
     ``per_level_radii[j]`` is the chart radius at level j.  For each base
     level the limiting radius is the smallest ball guaranteed inside every
     projected higher-level chart domain (``Tower.radius_shrinks``, which
-    holds one composite at a time).  A power-law fit of the radii against
+    holds one composite at a time).  A caller that has walked row 0
+    already hands its ``tower.radius_shrinks(0)`` as ``first_row``, so the
+    row is not walked again.  A power-law fit of the radii against
     n = j + 1 feeds the diagnosis when the floor is missed.
     """
     radii = [float(r) for r in per_level_radii]
@@ -1361,8 +1364,10 @@ def assemble_projective_darboux(
             "missing level radius: need %d, got %d" % (tower.depth + 1, len(radii))
         )
 
+    if first_row is None:
+        first_row = tower.radius_shrinks(0)
     limiting = [
-        min(r * shrink for r, shrink in zip(radii[i:], tower.radius_shrinks(i)))
+        min(r * shrink for r, shrink in zip(radii[i:], tower.radius_shrinks(i) if i else first_row))
         for i in range(tower.depth + 1)
     ]
     ok = all(v >= min_radius for v in limiting)

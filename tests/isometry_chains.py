@@ -1,8 +1,12 @@
-"""Random forms and passing weak isometries, shared by the test modules."""
+"""Random forms and passing weak isometries, shared by the test modules,
+and the comparison of kernel_split's certified paths with its SVD path."""
+
+from unittest import mock
 
 import numpy as np
 
-from symptower.linalg import LinearMap, ModelSpace, SkewForm
+from symptower import linalg
+from symptower.linalg import LinearMap, ModelSpace, SkewForm, check_weak_isometry, kernel_split
 
 
 def random_orthogonal(rng, n: int) -> np.ndarray:
@@ -48,3 +52,28 @@ def isometry_step(
     proj = np.zeros((target.dim, src_dim))
     proj[:, : target.dim] = np.eye(target.dim)
     return LinearMap(source, target, proj @ rot), form_src
+
+
+def refused():
+    """Every certificate refused: kernel_split runs its SVD path."""
+    return mock.patch.object(linalg, "certify_full_row_rank", return_value=False)
+
+
+def assert_same_split(map_matrix, form_matrix, span_tol):
+    """kernel_split as it runs against its SVD path: the same counts, and
+    the same kernel and orthogonal within ``span_tol`` (their projectors)."""
+    got = kernel_split(map_matrix, form_matrix)
+    with refused():
+        want = kernel_split(map_matrix, form_matrix)
+    assert (got[0], got[3]) == (want[0], want[3])
+    for a, b in zip(got[1:3], want[1:3]):
+        assert a.shape == b.shape
+        assert np.abs(a @ a.T - b @ b.T).max() <= span_tol
+
+
+def assert_same_report(map_, form_src, form_tgt):
+    got = check_weak_isometry(map_, form_src, form_tgt)
+    with refused():
+        want = check_weak_isometry(map_, form_src, form_tgt)
+    for name in ("ok", "ker_dim", "dense_range", "direct_sum_defect"):
+        assert getattr(got, name) == getattr(want, name), name

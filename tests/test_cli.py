@@ -1064,6 +1064,22 @@ class TestRunner:
         assert error["dt"] == 1.0 and error["cap"] == 0.5
         assert error["lipschitz"] * error["dt"] > error["cap"]
 
+    def test_check_tower_at_the_default_rank_tol_does_not_classify_again(
+        self, tmp_path, monkeypatch
+    ):
+        from symptower import tower
+
+        def refactoring(*args, **kwargs):
+            raise AssertionError("classify_tower factors the bondings again")
+
+        monkeypatch.setattr(tower, "classify_tower", refactoring)
+        out = tmp_path / "out"
+        assert main(["check-tower", "--config", str(SPECS / "check_tower.json"),
+                     "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["surjective"] is True
+        assert all(row["dense_range"] for row in report["bondings"])
+
     def test_check_tower_classification_honours_rank_tol(self, tmp_path):
         doc = {
             "tower": {

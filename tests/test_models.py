@@ -37,7 +37,9 @@ from symptower.moser import (
     uniform_bound_check,
     validity_radius,
 )
-from symptower.tower import Thread, build_tower, check_compatible_sequence, classify_tower
+from symptower.tower import (
+    Thread, Tower, build_tower, check_compatible_sequence, classify_tower,
+)
 
 # Hand-computed: d=2, a=(1,0), shift_k=1, s=(1,0.5), z=(1.5,1,2,-1).
 # w=(0.5,1), |w|^2=1.25, A=diag(2.25,1.75), Gamma=[[0,5],[-5,0]], halved.
@@ -474,6 +476,30 @@ class TestShrinkExperiment:
         assert [row.r_validity for row in result.rows] == [1.0] * 4
         assert result.level1_radii == (1.0, 0.5, 0.25, 0.125)
         assert result.assembly.limiting_radius_by_level == (0.125, 0.25, 0.5, 1.0)
+
+    def test_walks_row_0_once(self, monkeypatch):
+        rows = []
+        radius_shrinks = Tower.radius_shrinks
+
+        def counting(tower, i):
+            rows.append(i)
+            return radius_shrinks(tower, i)
+
+        monkeypatch.setattr(Tower, "radius_shrinks", counting)
+        shrink_experiment({"kind": "product"}, n_max=4)
+        assert rows == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ({"kind": "counterexample", "d": 2.5}, "d"),
+            ({"kind": "product", "factor_dim": True}, "factor_dim"),
+        ],
+    )
+    def test_rejects_a_non_integer_dimension(self, spec, name):
+        # int() would have run d = 2 and factor_dim = 1
+        with pytest.raises(ValueError, match="^%s must be a positive integer" % name):
+            shrink_experiment(spec, n_max=2)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown tower kind"):

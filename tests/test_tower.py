@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from symptower.linalg import (
     ModelSpace,
     SkewForm,
     Subspace,
+    certify_full_row_rank,
     check_weak_isometry,
     column_spaces_equal,
     darboux_constant_form,
@@ -34,7 +36,9 @@ from symptower.tower import (
     limit_form_eval,
 )
 
-from isometry_chains import isometry_step, random_form, random_space
+from isometry_chains import (
+    assert_same_report, assert_same_split, isometry_step, random_form, random_space,
+)
 
 DARBOUX2 = darboux_constant_form(1).matrix
 
@@ -505,6 +509,31 @@ def test_consecutive_compatibility_carries_to_every_composite(entropy, depth, wi
         for i in range(j - 1):
             rep = check_weak_isometry(fs.tower.composite(i, j), fs.forms[j], fs.forms[i])
             assert rep.ok, (i, j, rep)
+
+
+@seed(20240811)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=6),
+    st.booleans(),
+)
+def test_rotated_bondings_and_composites_split_as_the_svd_path(entropy, depth, with_grams):
+    # Dense rotated bondings and their composites (0, j): every map is
+    # certified, and where its kernel is the wider side so is the form, so
+    # the QR kernel and the one-solve orthogonal are what is compared.
+    fs = compatible_chain(np.random.default_rng(entropy), depth, with_grams)
+    tower = fs.tower
+    pairs = [(i, i + 1, tower.bondings[i]) for i in range(depth)]
+    pairs += [(0, j, LinearMap(tower.levels[j], tower.levels[0], m))
+              for j, m in islice(tower._row(0), 2, None)]
+    for i, j, map_ in pairs:
+        rows, cols = map_.matrix.shape
+        assert certify_full_row_rank(map_.matrix)
+        if cols - rows > rows:
+            assert certify_full_row_rank(fs.forms[j].matrix)
+        assert_same_split(map_.matrix, fs.forms[j].matrix, 1e-10)
+        assert_same_report(map_, fs.forms[j], fs.forms[i])
 
 
 def test_anchored_composites_catch_drift():
