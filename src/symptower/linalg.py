@@ -45,6 +45,15 @@ def count(value, name: str, least: int = 1) -> int:
     return int(value)
 
 
+def positive_real(value, name: str) -> float:
+    """``value`` as a ``float``, when it is a finite positive int, float or
+    numpy real (not a bool); else a ValueError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0.0 < value < float("inf")):
+        raise ValueError("%s must be a finite positive real, got %r" % (name, value))
+    return float(value)
+
+
 def frozen(a) -> np.ndarray:
     """``a`` as a read-only float64 array, shared when nothing can write it.
 

@@ -431,11 +431,9 @@ def _shrink_levels(tower_spec: Mapping, n_max: int):
         return tower, families, bounds, ray_sets
     if kind == "product":
         factor_dim = count(spec.pop("factor_dim", 1), "factor_dim")
-        radius = float(spec.pop("radius", 1.0))
+        radius = spec.pop("radius", 1.0)
         if spec:
             raise ValueError("unknown tower_spec fields: %s" % sorted(spec))
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
         factors = [darboux_constant_form(factor_dim) for _ in range(n_max)]
         tower, fs = make_product_tower(factors)
         families = [

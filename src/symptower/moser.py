@@ -50,7 +50,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from symptower.linalg import DimensionMismatchError, ModelSpace, SkewForm, count, frozen
+from symptower.linalg import (
+    DimensionMismatchError, ModelSpace, SkewForm, count, frozen, positive_real,
+)
 from symptower.tower import Tower
 
 # Relative floor for flat invertibility: singular below SING_TOL * sigma_max.
@@ -193,8 +195,7 @@ class FormField:
                 "center must have shape (%d,)" % self.space.dim
             )
         object.__setattr__(self, "center", c)
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "radius", positive_real(self.radius, "radius"))
         if self.degree is not None:
             object.__setattr__(self, "degree", count(self.degree, "degree", least=0))
         if self.blocks is not None:
@@ -1273,7 +1274,14 @@ def uniform_bound_check(
     would repeat the same matrices: ``forward`` and ``inverse`` come from
     omega0 at the base point, and ``kumar`` is 0.0, or inf when omega0's
     cached ``omega0_sigma_range`` fails the rule ``validity_radius`` applies.
-    Its witness would meet the same omega0 and is not read.
+    Its witness would meet the same omega0 and is not read.  On an
+    identity-gram space whose family declares no blocks, ``forward`` and
+    ``inverse`` come from that same ``omega0_sigma_range``, so omega0 is
+    factored once per level.  That factors omega0 rather than the flat, its
+    transpose: the singular values agree, and so do their bits on the block
+    sums of ``darboux_constant_form`` that a product control builds
+    (checked to dim 512); on other forms the last bits may differ.  With a
+    gram or blocks the level factors its gram-normalized flat whole.
     """
     ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []
@@ -1281,15 +1289,18 @@ def uniform_bound_check(
         base = family.base_point
         space = family.space
         zero_field = family.omega_bar.is_zero
-        times = ts[:1] if zero_field else ts
-        oms = family.omega0.matrix + times[:, None, None] * family.omega_bar.omega(base)
-        flats = np.swapaxes(oms, -1, -2)
-        # Multiplying by an identity gram_inv_sqrt is exact, so it is skipped.
-        if not space.has_identity_gram:
-            flats = space.gram_inv_sqrt @ flats @ space.gram_inv_sqrt
-        s = np.linalg.svd(flats, compute_uv=False)
-        forward = float(s[:, 0].max())
-        smin = float(s[:, -1].min())
+        if zero_field and space.has_identity_gram and family.blocks is None:
+            forward, smin = family.omega0_sigma_range
+        else:
+            times = ts[:1] if zero_field else ts
+            oms = family.omega0.matrix + times[:, None, None] * family.omega_bar.omega(base)
+            flats = np.swapaxes(oms, -1, -2)
+            # Multiplying by an identity gram_inv_sqrt is exact, so it is skipped.
+            if not space.has_identity_gram:
+                flats = space.gram_inv_sqrt @ flats @ space.gram_inv_sqrt
+            s = np.linalg.svd(flats, compute_uv=False)
+            forward = float(s[:, 0].max())
+            smin = float(s[:, -1].min())
         inverse = float("inf") if smin <= _EPS else 1.0 / smin
 
         if zero_field:

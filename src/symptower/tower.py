@@ -5,7 +5,10 @@ spaces connected by bonding maps.  Composites come from one row walk,
 ``Tower._row(i)``, which multiplies ``bondings[i] @ ... @ bondings[j - 1]``
 from the left and keeps only the current product: ``composite``,
 ``radius_shrinks`` and the compatibility check read it, so every composite
-is the same float whoever asks, and the tower holds none.  Threads are
+is the same float whoever asks, and the tower holds none.  Rows that start
+at or above the tower's selection floor, from which every bonding up only
+selects coordinates between identity-gram levels, are not walked by
+``radius_shrinks``: every shrink factor there is exactly 1.  Threads are
 per-level vectors consistent with the bondings, pushed down them one bonding
 at a time; form sequences attach one skew form per level.
 
@@ -17,6 +20,7 @@ kernel chain, and transport forms downward through submersions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -105,15 +109,40 @@ class Tower:
         m = next(m for k, m in self._row(i) if k == j)
         return LinearMap(self.levels[j], self.levels[i], m)
 
+    @cached_property
+    def _selection_floor(self) -> int:
+        """The lowest level k such that levels k..depth have identity grams
+        and every bonding between them is a selection (``_is_selection``)."""
+        k = self.depth
+        while (k > 0 and self.levels[k].has_identity_gram
+               and self.levels[k - 1].has_identity_gram
+               and _is_selection(self.bondings[k - 1].matrix)):
+            k -= 1
+        return k
+
     def radius_shrinks(self, i: int) -> list[float]:
         """Factors by which the composites levels[j] -> levels[i] shrink a ball, j = i..depth.
 
         A ball of radius r in levels[j] maps onto a set containing the ball
         of radius r times factor j - i: the smallest singular value of the
         gram-normalized composite, or 0.0 when the composite is not onto.
+
+        From the selection floor up (``i >= _selection_floor``) every factor
+        is exactly 1.0, so the row is not walked and nothing is factored:
+        - a product of selections is a selection: row a of p @ q is row
+          sigma(a) of q, a unit row e_tau(sigma(a)), and distinct rows pick
+          distinct columns; each entry is a sum with at most one nonzero
+          term 1.0 * 1.0, so the float product is that selection exactly;
+        - a selection m has m @ m.T = I exactly, so all its singular values
+          are 1 and it is onto;
+        - with identity grams at both ends the gram-normalized composite is
+          m itself.
+        Below the floor the row is walked and each composite factored.
         """
         if not 0 <= i <= self.depth:
             raise ValueError("need 0 <= i <= depth, got %d" % i)
+        if i >= self._selection_floor:
+            return [1.0] * (self.depth - i + 1)
         tgt = self.levels[i]
         shrinks = [1.0]
         for j, m in islice(self._row(i), 1, None):
@@ -127,6 +156,15 @@ class Tower:
             else:
                 shrinks.append(float(s[tgt.dim - 1]))
         return shrinks
+
+
+def _is_selection(m: np.ndarray) -> bool:
+    """Whether every entry is exactly 0.0 (either sign) or 1.0, with exactly
+    one 1.0 per row and at most one per column."""
+    ones = m == 1.0
+    return bool(np.all(ones | (m == 0.0))
+                and np.all(ones.sum(axis=1) == 1)
+                and np.all(ones.sum(axis=0) <= 1))
 
 
 def build_tower(levels, consecutive_bondings) -> Tower:

@@ -501,6 +501,32 @@ class TestShrinkExperiment:
         with pytest.raises(ValueError, match="^%s must be a positive integer" % name):
             shrink_experiment(spec, n_max=2)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "product", "radius": True},
+            {"kind": "product", "radius": "2"},
+            {"kind": "product", "radius": float("inf")},
+            {"kind": "product", "radius": float("nan")},
+            {"kind": "product", "radius": 0.0},
+            {"kind": "counterexample", "d": 2, "region_radius": float("inf")},
+            {"kind": "counterexample", "d": 2, "region_radius": "2"},
+            {"kind": "counterexample", "d": 2, "region_radius": False},
+        ],
+        ids=["product-true", "product-str", "product-inf", "product-nan", "product-zero",
+             "counterexample-inf", "counterexample-str", "counterexample-false"],
+    )
+    def test_rejects_a_radius_that_is_not_a_finite_positive_real(self, spec):
+        # True once ran radius 1.0 and "2" radius 2.0; inf reported r_validity
+        # inf at every level, and the counterexample died inside the SVD
+        with pytest.raises(ValueError, match="^radius must be a finite positive real"):
+            shrink_experiment(spec, n_max=2)
+
+    def test_an_integer_radius_is_the_float(self):
+        assert shrink_experiment({"kind": "product", "radius": 2}, n_max=2) == shrink_experiment(
+            {"kind": "product", "radius": 2.0}, n_max=2
+        )
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown tower kind"):
             shrink_experiment({"kind": "mystery"}, n_max=2)

@@ -387,6 +387,19 @@ def test_degree_is_validated_and_kept():
             replace(field, degree=bad)
 
 
+@pytest.mark.parametrize("bad", [True, "2", math.inf, math.nan, 0.0, -1.0, None],
+                         ids=["true", "str", "inf", "nan", "zero", "negative", "none"])
+def test_radius_must_be_a_finite_positive_real(bad):
+    with pytest.raises(ValueError, match="^radius must be a finite positive real"):
+        constant_field(OMEGA2, radius=bad)
+
+
+def test_radius_is_kept_as_a_float():
+    for radius in (2, np.int64(2), np.float32(2.0), 2.0):
+        kept = constant_field(OMEGA2, radius=radius).radius
+        assert type(kept) is float and kept == 2.0
+
+
 def test_eval_fn_of_the_wrong_shape_is_rejected():
     def three_by_three(pts):
         return np.zeros(np.shape(pts)[:-1] + (3, 3))
@@ -1059,7 +1072,7 @@ def test_uniform_bound_check_detects_inverse_growth():
     assert relaxed.forward_ok and relaxed.inverse_ok and relaxed.kumar_ok
 
 
-def test_uniform_bound_check_zero_field_factors_two_matrices_per_level(monkeypatch):
+def test_uniform_bound_check_zero_field_factors_one_matrix_per_level(monkeypatch):
     families = [
         MoserFamily(darboux_constant_form(2), constant_field(np.zeros((4, 4)), dim=4))
         for _ in range(3)
@@ -1067,8 +1080,28 @@ def test_uniform_bound_check_zero_field_factors_two_matrices_per_level(monkeypat
     shapes = record_svd_shapes(monkeypatch)
     report = uniform_bound_check(families, K=1.01)
     assert report.forward_ok and report.inverse_ok and report.kumar_ok
-    # the flat at the base point, for the operator norms and for kumar
-    assert sum(int(np.prod(shape[:-2])) for shape in shapes) == 2 * len(families)
+    assert [(r.forward, r.inverse, r.kumar) for r in report.per_level] == [(1.0, 1.0, 0.0)] * 3
+    # omega0, once, for the operator norms and for kumar
+    assert sum(int(np.prod(shape[:-2])) for shape in shapes) == len(families)
+
+
+@pytest.mark.parametrize("kind", ["gram", "blocks"])
+def test_uniform_bound_check_zero_field_with_a_gram_or_blocks_factors_its_flat(monkeypatch, kind):
+    omega0 = darboux_constant_form(2).matrix
+    if kind == "gram":
+        space, blocks = ModelSpace(4, gram=np.diag([1.0, 4.0, 1.0, 4.0])), None
+    else:
+        space, blocks = ModelSpace(4), np.array([[0, 2], [1, 3]])
+    zero = moser._constant_field(space, np.zeros(4), 4.0, np.zeros((4, 4)), blocks)
+    family = MoserFamily(SkewForm(space, omega0), zero)
+    assert (family.blocks is None) == (kind == "gram")
+    shapes = record_svd_shapes(monkeypatch)
+    (row,) = uniform_bound_check([family], K=4.0).per_level
+    # the gram-normalized flat, whole, and omega0 for kumar
+    assert shapes[0] == (1, 4, 4) and len(shapes) == 2
+    flat = omega0.T if kind == "blocks" else space.gram_inv_sqrt @ omega0.T @ space.gram_inv_sqrt
+    s = np.linalg.svd(flat, compute_uv=False)
+    assert (row.forward, row.inverse, row.kumar) == (s[0], 1.0 / s[-1], 0.0)
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,28 @@ def non_surjective_tower():
     return build_tower(levels, bondings)
 
 
+def halved_upper_bonding_tower():
+    """Coordinate projections R^14 -> ... -> R^2 with bonding 2 halved: the
+    selection floor is level 3, and rows 0-2 walk through the halved bonding."""
+    tower = coordinate_tower([2, 4, 6, 8, 10, 12, 14])
+    bondings = list(tower.bondings)
+    bondings[2] = LinearMap(bondings[2].source, bondings[2].target, 0.5 * bondings[2].matrix)
+    return build_tower(tower.levels, bondings)
+
+
+def upper_gram_tower():
+    """Coordinate projections R^14 -> ... -> R^2 with a gram on level 3: the
+    selection floor is level 4."""
+    dims = [2, 4, 6, 8, 10, 12, 14]
+    levels = [ModelSpace(d) for d in dims]
+    levels[3] = ModelSpace(8, gram=np.diag(np.linspace(1.0, 2.0, 8)))
+    bondings = [
+        LinearMap(levels[i + 1], levels[i], coordinate_projection(dims[i + 1], dims[i]))
+        for i in range(len(dims) - 1)
+    ]
+    return build_tower(levels, bondings)
+
+
 SHRINK_TOWERS = {
     "product-control-28": lambda: make_product_tower([darboux_constant_form(2)] * 28)[0],
     **{
@@ -170,6 +192,8 @@ SHRINK_TOWERS = {
     },
     "explicit-grams": explicit_gram_tower,
     "non-surjective": non_surjective_tower,
+    "halved-upper-bonding": halved_upper_bonding_tower,
+    "upper-gram": upper_gram_tower,
 }
 
 
@@ -183,6 +207,75 @@ def test_radius_shrinks_walk_equals_the_composite_svds_bit_for_bit(name):
         ]
     if name == "non-surjective":
         assert rows[0][1:] == [0.0, 0.0] and rows[1][1] > 0.0
+
+
+SELECTION_FLOORS = {
+    "product-control-28": 0,
+    **{"counterexample-%d" % depth: 0 for depth in range(1, 9)},
+    "explicit-grams": 3,
+    "non-surjective": 2,
+    "halved-upper-bonding": 3,
+    "upper-gram": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINK_TOWERS))
+def test_radius_shrinks_walks_and_factors_only_the_rows_below_the_selection_floor(
+    name, monkeypatch
+):
+    tower = SHRINK_TOWERS[name]()
+    floor = SELECTION_FLOORS[name]
+    assert tower._selection_floor == floor
+    walked, factored = [], []
+    row, svd = Tower._row, np.linalg.svd
+
+    def walking(tower, i):
+        walked.append(i)
+        return row(tower, i)
+
+    def factoring(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(Tower, "_row", walking)
+    monkeypatch.setattr(np.linalg, "svd", factoring)
+    rows = [tower.radius_shrinks(i) for i in range(tower.depth + 1)]
+    # product-control-28 and every counterexample tower: no walk, no SVD
+    assert walked == list(range(floor))
+    assert len(factored) == sum(tower.depth - i for i in range(floor))
+    assert rows[floor:] == [[1.0] * (tower.depth + 1 - i) for i in range(floor, tower.depth + 1)]
+
+
+@pytest.mark.parametrize(
+    "matrix, selection",
+    [
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], True),
+        ([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True),
+        ([[1.0, -0.0, -0.0], [-0.0, -0.0, 1.0]], True),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], False),
+        ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]], False),
+        ([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]], False),
+        ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], False),
+        ([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], False),
+        ([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+    ],
+    ids=["drop-middle", "square-permutation", "negative-zeros", "zero-row", "half-entry",
+         "nan", "repeated-column", "sign", "two-ones-in-a-row"],
+)
+def test_selection_floor_of_one_bonding(matrix, selection):
+    m = np.array(matrix)
+    assert tower_module._is_selection(m) is selection
+    levels = [ModelSpace(m.shape[0]), ModelSpace(m.shape[1])]
+    tower = build_tower(levels, [LinearMap(levels[1], levels[0], m)])
+    assert tower._selection_floor == (0 if selection else 1)
+    if selection:
+        np.testing.assert_array_equal(m @ m.T, np.eye(len(m)))
+        assert tower.radius_shrinks(0) == [1.0, composite_shrink(tower, 0, 1)] == [1.0, 1.0]
+
+
+def test_selection_floor_of_a_single_level_tower():
+    tower = build_tower([ModelSpace(3, gram=np.diag([1.0, 2.0, 3.0]))], [])
+    assert tower._selection_floor == 0 and tower.radius_shrinks(0) == [1.0]
 
 
 def test_radius_shrinks_checks_the_row():
