@@ -396,6 +396,8 @@ def _explicit_tower(ok: dict, where: str, errors: list) -> None:
             continue
         for key in sorted(set(level) - {"dim", "gram", "label"}):
             errors.append("%s: unknown key %r" % (at, key))
+        if "label" in level and not isinstance(level["label"], str):
+            errors.append(at + ".label: must be a string")
         if "gram" in level:
             gram = _apply(_matrix, level["gram"], ok, at + ".gram", errors)
             if gram is not None and _shape(gram) != (dim, dim):

@@ -497,10 +497,9 @@ def shrink_experiment(
         )
 
     radii = [row.r_validity for row in rows]
-    first_row = tower.radius_shrinks(0)
-    projected = [r * shrink for r, shrink in zip(radii, first_row)]
+    projected = [r * shrink for r, shrink in zip(radii, tower.radius_shrinks(0))]
     floor = 0.5 * projected[0] if projected[0] > 0.0 else 1e-12
-    assembly = assemble_projective_darboux(radii, tower, min_radius=floor, first_row=first_row)
+    assembly = assemble_projective_darboux(radii, tower, min_radius=floor)
     fitted = _power_law_exponent(range(1, n_max + 1), projected)
     decreasing = all(b < a for a, b in zip(projected, projected[1:]))
     failing = fitted is not None and fitted <= -0.5 and decreasing

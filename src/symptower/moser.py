@@ -14,9 +14,10 @@ Conventions:
 * a point is valid for the family at time t when the flat at (t, x) has
   sigma_min > sing_tol * sigma_max and condition number < cond_cap (by
   default SING_TOL and COND_CAP).  ``_margins`` > 0 is the one test, fed by
-  ``_sigma_range`` from the singular values of the flat's diagonal blocks;
+  ``_flat_sigma_range``, the one rule for a Moser flat's singular values: it
+  forms only the flat's diagonal blocks and reads t = 0 from omega0's cache;
   ``_block_sigma_range`` is the one factorization of those blocks, and
-  factors a block that repeats along the point axis once;
+  factors a block that repeats along axis -3 once;
 * a constant field is a ``FormField`` of degree 0; ``validity_radius``
   alone gives a zero difference field (``is_zero``) its radius;
 * ``validity_radius`` skips the rays that ``_certified_clear`` proves
@@ -164,11 +165,11 @@ class FormField:
     decisions, not evaluation.
 
     ``blocks``, when given, partitions ``range(dim)`` into index groups of
-    equal size (one row each of a (count, size) integer array) and declares
-    the field zero off the diagonal blocks they pick out, so its singular
-    values are those of the blocks; every validity test then factors the
-    small blocks instead of the whole matrix.  The declaration is checked
-    at the region center only.
+    equal size (one row each of a (count, size) integer array, not bool)
+    and declares the field zero off the diagonal blocks they pick out, so
+    its singular values are those of the blocks; every validity test then
+    factors the small blocks instead of the whole matrix.  The declaration
+    is checked at the region center only.
 
     ``degree``, when given, declares the field a polynomial of that degree
     in x, so along any line it is a matrix polynomial recovered exactly from
@@ -200,13 +201,13 @@ class FormField:
             object.__setattr__(self, "degree", count(self.degree, "degree", least=0))
         if self.blocks is not None:
             try:
-                blocks = np.array(self.blocks, dtype=int)
+                blocks = np.asarray(self.blocks)
             except ValueError:
                 blocks = None
-            if blocks is None or blocks.ndim != 2 or not np.array_equal(
-                np.sort(blocks, axis=None), np.arange(self.space.dim)
-            ):
+            if blocks is None or blocks.dtype.kind not in "iu" or blocks.ndim != 2 or not (
+                    np.array_equal(np.sort(blocks, axis=None), np.arange(self.space.dim))):
                 raise ValueError("blocks must partition range(dim) into groups of equal size")
+            blocks = blocks.astype(int)
             blocks.flags.writeable = False
             object.__setattr__(self, "blocks", blocks)
         probe = self.omega(self.center)
@@ -503,12 +504,14 @@ def _block_sigma_range(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     In a (count, ..., N, size, size) stack, axis -3 is the point axis.  A
     block whose matrices are byte-identical along it, such as a block that a
     marched ray leaves unchanged, is factored at its first point only, and
-    its values are repeated.  Bytes are compared, so 0.0 and -0.0 never
-    merge.  Such blocks are factored in one call and every other block in
+    its values are repeated.  A base-point stack (count, T, size, size) has
+    no point axis, so there axis -3 is time: a block equal at every time is
+    factored once, which is as correct.  Bytes are compared, so 0.0 and -0.0
+    never merge.  Such blocks are factored in one call and every other block in
     one call of its own, so the stack is never copied; each matrix is
     factored by itself either way, so the values are those of one
     ``np.linalg.svd`` call on the whole stack.  A stack in which no block
-    repeats is that call, and a (count, size, size) stack has no point axis.
+    repeats is that call, and so is a (count, size, size) stack.
     """
     once = np.zeros(len(blocks), dtype=bool)
     if blocks.ndim > 3 and blocks.shape[-3] > 1:
@@ -533,25 +536,32 @@ def _margins(smax, smin, sing_tol: float, cond_cap: float):
     return np.minimum(m1, m2)
 
 
+def _flat_sigma_range(family: MoserFamily, ts: np.ndarray,
+                      bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_max, sigma_min), each (T, ...), of omega0 + t * bar for every
+    time of the 1-d ``ts`` and every value of the (..., dim, dim) ``bar``.
+
+    Only the diagonal blocks (``MoserFamily.blocks``) are formed.  The t > 0
+    flats are factored first, in one stack; a leading t = 0, where every
+    flat is omega0, then reads the cached ``omega0_sigma_range``.
+    """
+    at_zero = int(ts[0] == 0.0)
+    smax, smin = np.empty((2, len(ts)) + bar.shape[:-2])
+    if len(ts) > at_zero:
+        times = ts[at_zero:].reshape((-1,) + (1,) * bar.ndim)
+        oms = times * _diagonal_blocks(bar, family.blocks)[:, None]
+        oms += _diagonal_blocks(family.omega0.matrix[(None,) * (bar.ndim - 1)], family.blocks)
+        smax[at_zero:], smin[at_zero:] = _sigma_range(oms)
+    if at_zero:
+        smax[0], smin[0] = family.omega0_sigma_range
+    return smax, smin
+
+
 def _validity_margins(family: MoserFamily, pts: np.ndarray, ts: np.ndarray,
                       sing_tol: float, cond_cap: float) -> np.ndarray:
-    """min-over-t margin per point; positive means valid at every time.
-
-    Only the diagonal blocks of the flats (``MoserFamily.blocks``) are
-    formed and factored, stacked as (count, T, N, size, size).  A leading
-    t = 0, where every flat is omega0, is served from the family's cached
-    factorization.
-    """
-    at_zero = ts[0] == 0.0
-    if at_zero:
-        ts = ts[1:]
-    bar = _diagonal_blocks(family.omega_bar.omega_many(pts), family.blocks)
-    omega0 = _diagonal_blocks(family.omega0.matrix, family.blocks)
-    oms = omega0[:, None, None] + ts[:, None, None, None] * bar[:, None]
-    margins = _margins(*_sigma_range(oms), sing_tol, cond_cap).min(axis=0)
-    if at_zero:
-        margins = np.minimum(margins, _margins(*family.omega0_sigma_range, sing_tol, cond_cap))
-    return margins
+    """min-over-t margin per point; positive means valid at every time."""
+    smax, smin = _flat_sigma_range(family, ts, family.omega_bar.omega_many(pts))
+    return _margins(smax, smin, sing_tol, cond_cap).min(axis=0)
 
 
 def validity_radius(
@@ -968,24 +978,19 @@ def _field_batch(family: MoserFamily, t, pts: np.ndarray,
     ``t`` is a float or a 1-d array of times; an array adds a leading time
     axis to ``vel`` (T, N, dim) and ``ok`` (T, N).  The difference field and
     its radial primitive (``_alpha_batch``) are evaluated once per point
-    whatever the times.  The flags come from the singular values of the
-    flats' diagonal blocks (``MoserFamily.blocks``); at a leading t = 0,
-    where every flat is omega0, from the family's cached
-    ``omega0_sigma_range``, as in ``_validity_margins``.  Each flat then
-    gets one dense solve, the only Moser-velocity solve of this module; a
-    failing flat is swapped for the identity first, so its velocity is
-    meaningless but finite.
+    whatever the times.  The flags come from ``_flat_sigma_range``, which
+    reads a float as a grid of one time.  Each flat then gets one dense
+    solve, the only Moser-velocity solve of this module; a failing flat is
+    swapped for the identity first, so its velocity is meaningless but
+    finite.
     """
     alpha = _alpha_batch(family.omega_bar, pts)
     ts = np.asarray(t, dtype=float)
-    oms = ts[..., None, None, None] * family.omega_bar.omega_many(pts)
+    bar = family.omega_bar.omega_many(pts)
+    smax, smin = _flat_sigma_range(family, ts.reshape(-1), bar)
+    ok = (_margins(smax, smin, sing_tol, cond_cap) > 0.0).reshape(ts.shape + bar.shape[:-2])
+    oms = ts[..., None, None, None] * bar
     oms += family.omega0.matrix
-    ok = np.empty(oms.shape[:-2], dtype=bool)
-    first = 1 if ts.ndim and ts[0] == 0.0 else 0
-    if first:
-        ok[0] = _margins(*family.omega0_sigma_range, sing_tol, cond_cap) > 0.0
-    ok[first:] = _margins(*_sigma_range(_diagonal_blocks(oms[first:], family.blocks)),
-                          sing_tol, cond_cap) > 0.0
     oms[~ok] = np.eye(pts.shape[-1])
     # alpha gets the matrices' ndim, which numpy 1.x needs to read it as a stack of columns.
     rhs = np.broadcast_to(alpha, oms.shape[:-1])[..., None]
@@ -1275,13 +1280,10 @@ def uniform_bound_check(
     omega0 at the base point, and ``kumar`` is 0.0, or inf when omega0's
     cached ``omega0_sigma_range`` fails the rule ``validity_radius`` applies.
     Its witness would meet the same omega0 and is not read.  On an
-    identity-gram space whose family declares no blocks, ``forward`` and
-    ``inverse`` come from that same ``omega0_sigma_range``, so omega0 is
-    factored once per level.  That factors omega0 rather than the flat, its
-    transpose: the singular values agree, and so do their bits on the block
-    sums of ``darboux_constant_form`` that a product control builds
-    (checked to dim 512); on other forms the last bits may differ.  With a
-    gram or blocks the level factors its gram-normalized flat whole.
+    identity-gram space ``forward`` and ``inverse`` come from
+    ``_flat_sigma_range``, so a leading t = 0 reads omega0's cached values
+    and omega0 is factored once per family.  With a gram the level factors
+    its gram-normalized flat whole.
     """
     ts = np.linspace(0.0, 1.0, T_GRID)
     rows = []
@@ -1289,18 +1291,16 @@ def uniform_bound_check(
         base = family.base_point
         space = family.space
         zero_field = family.omega_bar.is_zero
-        if zero_field and space.has_identity_gram and family.blocks is None:
-            forward, smin = family.omega0_sigma_range
+        times = ts[:1] if zero_field else ts
+        bar = family.omega_bar.omega(base)
+        if space.has_identity_gram:
+            smax, smin = _flat_sigma_range(family, times, bar)
         else:
-            times = ts[:1] if zero_field else ts
-            oms = family.omega0.matrix + times[:, None, None] * family.omega_bar.omega(base)
-            flats = np.swapaxes(oms, -1, -2)
-            # Multiplying by an identity gram_inv_sqrt is exact, so it is skipped.
-            if not space.has_identity_gram:
-                flats = space.gram_inv_sqrt @ flats @ space.gram_inv_sqrt
+            oms = family.omega0.matrix + times[:, None, None] * bar
+            flats = space.gram_inv_sqrt @ np.swapaxes(oms, -1, -2) @ space.gram_inv_sqrt
             s = np.linalg.svd(flats, compute_uv=False)
-            forward = float(s[:, 0].max())
-            smin = float(s[:, -1].min())
+            smax, smin = s[:, 0], s[:, -1]
+        forward, smin = float(smax.max()), float(smin.min())
         inverse = float("inf") if smin <= _EPS else 1.0 / smin
 
         if zero_field:
@@ -1357,16 +1357,13 @@ def assemble_projective_darboux(
     per_level_radii,
     tower: Tower,
     min_radius: float,
-    first_row: list[float] | None = None,
 ) -> AssemblyReport:
     """Chart ball radii pushed down the tower, with a decay diagnosis.
 
     ``per_level_radii[j]`` is the chart radius at level j.  For each base
     level the limiting radius is the smallest ball guaranteed inside every
     projected higher-level chart domain (``Tower.radius_shrinks``, which
-    holds one composite at a time).  A caller that has walked row 0
-    already hands its ``tower.radius_shrinks(0)`` as ``first_row``, so the
-    row is not walked again.  A power-law fit of the radii against
+    holds one composite at a time).  A power-law fit of the radii against
     n = j + 1 feeds the diagnosis when the floor is missed.
     """
     radii = [float(r) for r in per_level_radii]
@@ -1375,10 +1372,8 @@ def assemble_projective_darboux(
             "missing level radius: need %d, got %d" % (tower.depth + 1, len(radii))
         )
 
-    if first_row is None:
-        first_row = tower.radius_shrinks(0)
     limiting = [
-        min(r * shrink for r, shrink in zip(radii[i:], tower.radius_shrinks(i) if i else first_row))
+        min(r * shrink for r, shrink in zip(radii[i:], tower.radius_shrinks(i)))
         for i in range(tower.depth + 1)
     ]
     ok = all(v >= min_radius for v in limiting)

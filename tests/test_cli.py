@@ -866,6 +866,20 @@ class TestValidateSpec:
         assert list(validate_spec(write_json(tmp_path / "e.json", doc)).errors) == errors
 
 
+    @pytest.mark.parametrize("label", [5, [1, 2], None, {"a": 1}],
+                             ids=["number", "list", "null", "object"])
+    def test_an_explicit_level_label_must_be_a_string(self, tmp_path, capsys, label):
+        doc = {"tower": {"kind": "explicit", "levels": [{"dim": 2, "label": label}],
+                         "bondings": [], "forms": [[[0.0, -1.0], [1.0, 0.0]]]}}
+        inp = write_json(tmp_path / "tower.json", doc)
+        error = "tower.levels[0].label: must be a string"
+        assert validate_spec(inp).errors == (error,)
+        assert main(["validate", "--config", str(inp)]) == 2
+        cfg = write_json(tmp_path / "run.json", {"command": "check-tower", "input": "tower.json"})
+        assert main(["check-tower", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        assert "%s: %s" % (inp.resolve(), error) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 @seed(20261019)
 @settings(max_examples=200, deadline=None)
 @given(

@@ -477,17 +477,20 @@ class TestShrinkExperiment:
         assert result.level1_radii == (1.0, 0.5, 0.25, 0.125)
         assert result.assembly.limiting_radius_by_level == (0.125, 0.25, 0.5, 1.0)
 
-    def test_walks_row_0_once(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [{"kind": "product"}, {"kind": "counterexample", "d": 2}])
+    def test_walks_no_row(self, monkeypatch, spec):
+        # Both towers select coordinates between identity-gram levels, so
+        # every row sits at or above the selection floor.
         rows = []
-        radius_shrinks = Tower.radius_shrinks
+        row = Tower._row
 
         def counting(tower, i):
             rows.append(i)
-            return radius_shrinks(tower, i)
+            return row(tower, i)
 
-        monkeypatch.setattr(Tower, "radius_shrinks", counting)
-        shrink_experiment({"kind": "product"}, n_max=4)
-        assert rows == [0, 1, 2, 3]
+        monkeypatch.setattr(Tower, "_row", counting)
+        shrink_experiment(spec, n_max=4)
+        assert rows == []
 
     @pytest.mark.parametrize(
         "spec, name",

@@ -737,7 +737,8 @@ def test_field_batch_factors_only_blocks_and_matches_dense(monkeypatch):
 
     shapes = record_svd_shapes(monkeypatch)
     vel, ok = moser._field_batch(family, t, pts, cond_cap, 1e-8)
-    assert shapes == [(2, 6, 4, 4)]
+    # a float is a grid of one time: (block, t, point)
+    assert shapes == [(2, 1, 6, 4, 4)]
     np.testing.assert_array_equal(ok, want_ok)
     np.testing.assert_allclose(vel[ok], want_vel[ok], rtol=1e-12, atol=1e-12)
 
@@ -835,6 +836,18 @@ def test_form_field_blocks_are_checked():
     with pytest.raises(ValueError, match="zero off its blocks"):
         replace(FormField.constant(coupled, np.zeros(8), 1.0),
                 blocks=[[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.5, 1.0]], [[1.9, 0.2]], [[True, False]], [["0", "1"]],
+], ids=["half", "truncates-to-a-partition", "bools", "strings"])
+def test_form_field_blocks_refuse_entries_that_are_not_integers(bad):
+    # Each would truncate or convert to the partition [[0, 1]] of range(2).
+    with pytest.raises(ValueError, match="partition"):
+        moser._constant_field(ModelSpace(2), np.zeros(2), 1.0, np.zeros((2, 2)), bad)
+    for good in ([[0, 1]], np.array([[1, 0]], dtype=np.uint8)):
+        kept = moser._constant_field(ModelSpace(2), np.zeros(2), 1.0, np.zeros((2, 2)), good).blocks
+        assert kept.dtype == int and not kept.flags.writeable
 
 
 def test_golden_min_brackets_like_fifty_ternary_rounds():
@@ -1097,8 +1110,12 @@ def test_uniform_bound_check_zero_field_with_a_gram_or_blocks_factors_its_flat(m
     assert (family.blocks is None) == (kind == "gram")
     shapes = record_svd_shapes(monkeypatch)
     (row,) = uniform_bound_check([family], K=4.0).per_level
-    # the gram-normalized flat, whole, and omega0 for kumar
-    assert shapes[0] == (1, 4, 4) and len(shapes) == 2
+    if kind == "gram":
+        # the gram-normalized flat, whole, and omega0 for kumar
+        assert shapes[0] == (1, 4, 4) and len(shapes) == 2
+    else:
+        # omega0's cached blocks, for the operator norms and for kumar
+        assert shapes == [(2, 2, 2)]
     flat = omega0.T if kind == "blocks" else space.gram_inv_sqrt @ omega0.T @ space.gram_inv_sqrt
     s = np.linalg.svd(flat, compute_uv=False)
     assert (row.forward, row.inverse, row.kumar) == (s[0], 1.0 / s[-1], 0.0)
@@ -1132,10 +1149,75 @@ def test_uniform_bound_check_kumar_factors_only_blocks(monkeypatch):
     shapes = record_svd_shapes(monkeypatch)
     got = uniform_bound_check([family], K=4.0)
     assert got == want
-    # full flats only at the base point, for the operator norms; one stack
-    # each, with t = 0 served from omega0's blocks, factored once per family
+    # blocks only, one stack each, with t = 0 served from omega0's blocks,
+    # factored once per family.  The difference field vanishes at the base
+    # point, so there each block repeats at every t > 0 and is factored once.
     samples = 1 + moser.KUMAR_SAMPLES
-    assert shapes == [(moser.T_GRID, 8, 8), (2, 4, 4), (2, moser.T_GRID - 1, samples, 4, 4)]
+    assert shapes == [(2, 1, 4, 4), (2, 4, 4), (2, moser.T_GRID - 1, samples, 4, 4)]
+
+
+def random_block_family(rng, blocked, offset=0.0):
+    """omega0 a Darboux block plus noise on each of two 4-blocks of R^8, and
+    a linear difference field zero off them, plus a constant skew term of
+    norm ``offset``, declared blocked or not."""
+    blocks = rng.permutation(8).reshape(2, 4)
+    omega0 = np.zeros((8, 8))
+    for idx in blocks:
+        omega0[np.ix_(idx, idx)] = darboux_constant_form(2).matrix
+    omega0 += block_skew(rng, blocks, 0.3)
+    bar = linear_block_field(rng, blocks, 0.6)
+    if offset:
+        bar = bar.shifted(bar.center, -block_skew(rng, blocks, offset))
+    family = MoserFamily(SkewForm(ModelSpace(8), omega0), bar if blocked else replace(bar, blocks=None))
+    assert (family.blocks is not None) == blocked
+    return family
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocks", "dense"])
+@pytest.mark.parametrize("ts", [
+    np.linspace(0.0, 1.0, 5), np.linspace(0.25, 1.0, 4), np.array([0.0]), np.array([0.7]),
+], ids=["grid-from-0", "grid-past-0", "t-0", "t-0.7"])
+def test_flat_sigma_range_matches_a_dense_svd(blocked, ts):
+    rng = np.random.default_rng(14)
+    family = random_block_family(rng, blocked)
+    pts = rng.standard_normal((5, 8))
+    pts *= rng.random(5)[:, None] / np.linalg.norm(pts, axis=1, keepdims=True)
+    # A stack of points, and the one base-point value uniform_bound_check reads.
+    for bar in (family.omega_bar.omega_many(pts), family.omega_bar.omega(pts[0])):
+        smax, smin = moser._flat_sigma_range(family, ts, bar)
+        times = ts.reshape((-1,) + (1,) * bar.ndim)
+        s = np.linalg.svd(family.omega0.matrix + times * bar, compute_uv=False)
+        assert smax.shape == smin.shape == (len(ts),) + bar.shape[:-2]
+        np.testing.assert_allclose(smax, s[..., 0], rtol=1e-12)
+        np.testing.assert_allclose(smin, s[..., -1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("blocked", [True, False], ids=["blocks", "dense"])
+def test_a_nonzero_field_level_factors_omega0_once_for_radius_and_bounds(monkeypatch, blocked):
+    rng = np.random.default_rng(15)
+    # The offset keeps the difference field off zero at every point these
+    # calls sample, so only t = 0 meets omega0.
+    family = random_block_family(rng, blocked, offset=0.2)
+    omega0 = family.omega0.matrix
+    pieces = moser._diagonal_blocks(omega0, family.blocks)
+    pieces = [omega0, omega0.T, *pieces, *np.swapaxes(pieces, -1, -2)]
+    factored = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        a = np.asarray(a)
+        factored.extend(a.reshape((-1,) + a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    r, witness = validity_radius(family, family.base_point, return_witness=True)
+    assert r > 0.0
+    uniform_bound_check([family], K=4.0, witnesses=[witness])
+    meets = sum(any(m.shape == p.shape and np.array_equal(m, p) for p in pieces)
+                for m in factored)
+    # omega0 once, as its blocks or whole, for the validity search, the
+    # operator norms, the witness and the kumar ball together
+    assert meets == len(moser._diagonal_blocks(omega0, family.blocks))
 
 
 def test_uniform_bound_check_reads_its_cond_cap():
