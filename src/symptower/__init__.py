@@ -14,6 +14,11 @@ __version__ = "0.1.0"
 # by the schema check of every matrix a document calls skew.  Defined here
 # so that the schema reads it without importing numpy.
 SKEW_TOL = 1e-12
+# Desk-scale caps on a tower: build_tower refuses more than MAX_DEPTH
+# bondings or a level above MAX_DIM, and the schema refuses a document
+# that implies either before anything is built.
+MAX_DEPTH = 32
+MAX_DIM = 512
 
 # Each public name, with the submodule that defines it.
 _EXPORTS = {

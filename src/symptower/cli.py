@@ -35,11 +35,11 @@ import operator
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import SKEW_TOL
+from . import MAX_DEPTH, MAX_DIM, SKEW_TOL
 
 if TYPE_CHECKING:
     import numpy as np
@@ -233,7 +233,9 @@ class _Choice:
             message = self.message or "must be one of %s; got %%r" % ", ".join(self.variants)
             errors.append("%s.%s: %s" % (where, self.tag, message % (kind,)))
             return {}
-        return self.variants[kind].walk(value, where, errors, extra=(self.tag,))
+        ok = self.variants[kind].walk(value, where, errors, extra=(self.tag,))
+        ok[self.tag] = kind
+        return ok
 
 
 @dataclass(frozen=True)
@@ -380,6 +382,45 @@ def _phase_dim(field: dict) -> int | None:
     return None
 
 
+def _caps(levels, at: str = ""):
+    """A section check: ``build_tower``'s caps on the tower that
+    ``levels(ok)`` gives as (level count, dimensions), so no builder
+    allocates a tower it would refuse; skipped when a key it reads was not
+    kept.  ``at`` locates the errors of a top-level section."""
+
+    def check(ok, where, errors):
+        try:
+            count, dims = levels(ok)
+        except KeyError:
+            return
+        at_ = (where or at) + ": "
+        if count - 1 > MAX_DEPTH:
+            errors.append("%stower depth %d exceeds cap %d" % (at_, count - 1, MAX_DEPTH))
+            return
+        over = next(((i, dim) for i, dim in enumerate(dims) if dim > MAX_DIM), None)
+        if over:
+            errors.append("%slevel %d: dimension %d exceeds cap %d" % (at_, *over, MAX_DIM))
+
+    return check
+
+
+def _slots(d: int, levels: int) -> tuple:
+    """The counterexample's levels: level n - 1 holds n slots, dim 2 n d."""
+    return levels, (2 * n * d for n in range(1, levels + 1))
+
+
+def _product_levels(ok: dict) -> tuple:
+    factors = [f or {} for f in ok["factors"]]  # a factor not kept: KeyError below
+    sizes = [2 * f["l"] if "l" in f else len(f["matrix"]) for f in factors]
+    return len(sizes), accumulate(sizes)
+
+
+def _experiment_levels(ok: dict) -> tuple:
+    exp = ok["experiment"]
+    return _slots(exp["d"] if exp["kind"] == "counterexample" else exp.get("factor_dim", 1),
+                  ok["n_max"])
+
+
 def _explicit_tower(ok: dict, where: str, errors: list) -> None:
     """Level dimensions, then the bonding and form shapes they fix."""
     levels = ok.get("levels")
@@ -402,6 +443,8 @@ def _explicit_tower(ok: dict, where: str, errors: list) -> None:
             gram = _apply(_matrix, level["gram"], ok, at + ".gram", errors)
             if gram is not None and _shape(gram) != (dim, dim):
                 errors.append("%s.gram: expected shape (%d, %d)" % (at, dim, dim))
+    if None not in dims:
+        _caps(lambda ok: (len(dims), dims))(ok, where, errors)
     for key, count in (("bondings", len(dims) - 1), ("forms", len(dims))):
         items = ok.get(key)
         if not isinstance(items, list) or len(items) != count:
@@ -437,11 +480,12 @@ def _s_eigs(value, ok):
     return value
 
 
-_LOOP = {
+# Each level holds 1 + 2 modes slots of R^(2m): the constant, a cos and a sin per mode.
+_LOOP = _Section({
     "m": _Key(_POSITIVE_INT, required=True),
     "modes": _Key(_NON_NEGATIVE_INT, required=True),
     "orders": _Key(_orders, required=True),
-}
+}, check=_caps(lambda ok: (len(ok["orders"]), [(1 + 2 * ok["modes"]) * 2 * ok["m"]])))
 # Shared by the counterexample tower and experiment; both declare "d" first.
 _COUNTEREXAMPLE = {
     "a": _Key(_vector(lambda ok: ok["d"], nonzero=True)),
@@ -455,14 +499,15 @@ _FACTOR = _Choice({
     }),
 }, tag=None)
 _TOWER = _Choice({
-    "product": _Section({"factors": _Key(_ListOf(_FACTOR), required=True)}),
-    "loop": _Section(_LOOP),
+    "product": _Section({"factors": _Key(_ListOf(_FACTOR), required=True)},
+                        check=_caps(_product_levels)),
+    "loop": _LOOP,
     "counterexample": _Section({
         "d": _Key(_POSITIVE_INT, required=True),
         "depth": _Key(_POSITIVE_INT, required=True),
         **_COUNTEREXAMPLE,
         "thread_top": _Key(_vector(lambda ok: 2 * ok["d"] * ok["depth"])),
-    }),
+    }, check=_caps(lambda ok: _slots(ok["d"], ok["depth"]))),
     "explicit": _Section(
         dict.fromkeys(("levels", "bondings", "forms"), _Key(_ANY, required=True)),
         check=_explicit_tower,
@@ -512,9 +557,9 @@ _DOCUMENTS = {
         "experiment": _Key(_EXPERIMENT, required=True, stop=True),
         "n_max": _Key(_POSITIVE_INT, required=True),
         "expect_uniform": _Key(_BOOLEAN),
-    }),
+    }, check=_caps(_experiment_levels, "experiment")),
     "loop": _Section({
-        "loop": _Key(_Section(_LOOP), required=True, stop=True),
+        "loop": _Key(_LOOP, required=True, stop=True),
         "r_start": _Key(_POSITIVE),
         "kappa_rel_tol": _Key(_POSITIVE),
     }),
@@ -724,17 +769,12 @@ def _table(columns: str, records) -> tuple:
 
 def _pipeline_check_tower(doc, cfg: RunConfig):
     from .linalg import RANK_TOL
-    from .tower import check_compatible_sequence, classify_tower
+    from .tower import check_compatible_sequence
 
     tower, fs = _build_checked(_build_tower_doc, doc["tower"])
-    tol = float(cfg.tolerances.get("rank_tol", RANK_TOL))
-    comp = check_compatible_sequence(fs, tol=tol)
-    # The compatibility check decides each bonding's rank at RANK_TOL, so
-    # at that cut-off its dense_range flags are the classification.
-    if tol == RANK_TOL:
-        surjective = all(per.dense_range for per in comp.per_level)
-    else:
-        surjective = classify_tower(tower, rank_tol=tol)
+    comp = check_compatible_sequence(fs, tol=float(cfg.tolerances.get("rank_tol", RANK_TOL)))
+    # Each bonding's rank is decided at rank_tol: dense_range is its classification.
+    surjective = all(per.dense_range for per in comp.per_level)
     bonding_rows = [dict(bonding=i, **asdict(per)) for i, per in enumerate(comp.per_level)]
     payload = {
         "levels": [

@@ -94,6 +94,12 @@ def _as_vector(a, dim: int, what: str = "vector") -> np.ndarray:
     return v
 
 
+def svd_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """The rank rule: how many of the singular values ``s`` (descending) lie
+    above ``rank_tol`` times the largest; 0 for none, or all zero."""
+    return int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+
+
 def orthonormal_columns(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis for the column space of ``m``, as columns.
 
@@ -103,10 +109,7 @@ def orthonormal_columns(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray
     if m.shape[1] == 0:
         return m.copy()
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((m.shape[0], 0))
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
-    return u[:, :rank]
+    return u[:, :svd_rank(s, rank_tol)]
 
 
 def null_space_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -117,15 +120,14 @@ def null_space_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     if rows == 0 or not np.any(m):
         return np.eye(cols)
     _, s, vt = np.linalg.svd(m)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
-    return vt[rank:].T
+    return vt[svd_rank(s, rank_tol):].T
 
 
 def certify_full_row_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
     """Whether the SVD rule provably finds full row rank in ``m`` at ``rank_tol``.
 
-    The rule (``matrix_rank``, ``kernel_split``) counts the computed
-    singular values above ``rank_tol`` times the largest.  The certificate
+    The rule (:func:`svd_rank`) counts the computed singular values above
+    ``rank_tol`` times the largest.  The certificate
     is one Cholesky factorization of G = m m^T with f t taken off its
     diagonal, where t = trace G = |m|_F^2, f = 16 N eps + rank_tol^2 and
     N = rows + cols.  A square map is accepted like any other (its kernel
@@ -177,10 +179,7 @@ def certify_full_row_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
 def matrix_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return svd_rank(np.linalg.svd(m, compute_uv=False), rank_tol)
 
 
 def column_space_contains(
@@ -346,10 +345,8 @@ class Subspace:
             raise DimensionMismatchError(
                 "basis must have shape (%d, k), got %r" % (self.ambient.dim, b.shape)
             )
-        if b.shape[1] > 0:
-            s = np.linalg.svd(b, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-                raise ValueError("basis columns are not linearly independent")
+        if matrix_rank(b) < b.shape[1]:
+            raise ValueError("basis columns are not linearly independent")
         object.__setattr__(self, "basis", b)
 
     @classmethod
@@ -441,13 +438,21 @@ def flat_operator(form: SkewForm) -> LinearMap:
     return LinearMap(form.space, form.space, form.matrix.T)
 
 
+def _flat_singular_values(form: SkewForm) -> np.ndarray:
+    """The flat's singular values in the norms of the space, descending:
+    those of the form matrix conjugated by ``gram^(-1/2)``."""
+    gis = None if form.space.has_identity_gram else form.space.gram_inv_sqrt
+    m = form.matrix if gis is None else gis @ form.matrix @ gis
+    return np.linalg.svd(m, compute_uv=False)
+
+
 def check_weak_nondegenerate(
     form: SkewForm, tol: float = RANK_TOL
 ) -> NondegeneracyReport:
-    """Injectivity of the flat operator, decided on the smallest singular value."""
-    s = np.linalg.svd(form.matrix, compute_uv=False)
-    smallest = float(s[-1])
-    return NondegeneracyReport(nondegenerate=smallest > tol, smallest_singular_value=smallest)
+    """Injectivity of the flat operator: its singular values in the norms of
+    the space have full :func:`svd_rank` at ``tol``."""
+    s = _flat_singular_values(form)
+    return NondegeneracyReport(svd_rank(s, tol) == form.space.dim, float(s[-1]))
 
 
 def darboux_constant_form(l_dim: int) -> SkewForm:
@@ -476,15 +481,10 @@ def weakness_conditioning(form: SkewForm) -> ConditioningReport:
     The form matrix is conjugated by ``gram^(-1/2)`` so that the reported
     ``kappa = sigma_max / sigma_min`` measures how far the flat operator is
     from an isometry onto its image in the norms of the space.  Raises
-    :class:`DegenerateFormError` when the form is singular at ``RANK_TOL``.
+    :class:`DegenerateFormError` where :func:`check_weak_nondegenerate` does.
     """
-    gis = form.space.gram_inv_sqrt
-    if form.space.has_identity_gram:
-        normalized = form.matrix
-    else:
-        normalized = gis @ form.matrix @ gis
-    s = np.linalg.svd(normalized, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+    s = _flat_singular_values(form)
+    if svd_rank(s) < form.space.dim:
         raise DegenerateFormError("degenerate form: conditioning is undefined")
     return ConditioningReport(
         kappa=float(s[0] / s[-1]), sigma_min=float(s[-1]), sigma_max=float(s[0])
@@ -574,9 +574,9 @@ def kernel_split(
     least the form's and a smaller trace and size, so the form's
     certificate covers it; the product's rounding, under
     cols eps |form|_F / 2, moves that singular value by less than the
-    certificate's margin.  Otherwise the map is factored once by the SVD,
-    whose singular values give the rank and right singular vectors the
-    kernel, and the orthogonal is the null space of k^T form.
+    certificate's margin.  Otherwise the kernel is the map's
+    :func:`null_space_basis` (one SVD), the rank is ``cols`` less its
+    width, and the orthogonal is the null space of k^T form.
     """
     rows, cols = map_matrix.shape
     row_space = None
@@ -587,12 +587,9 @@ def kernel_split(
         else:
             q = np.linalg.qr(map_matrix.T, mode="complete")[0]
             row_space, ker_basis = q[:, :rows], q[:, rows:]
-    elif rows == 0 or not np.any(map_matrix):
-        rank, ker_basis = 0, np.eye(cols)
     else:
-        _, s, vt = np.linalg.svd(map_matrix)
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
-        ker_basis = vt[rank:].T
+        ker_basis = null_space_basis(map_matrix, rank_tol)
+        rank = cols - ker_basis.shape[1]
     if ker_basis.shape[1] == 0:
         kperp_basis = np.eye(cols)
     elif (row_space is not None and cols - rows > rows

@@ -226,7 +226,7 @@ class FormField:
     def constant(cls, form: SkewForm, center, radius: float) -> "FormField":
         return _constant_field(form.space, center, radius, form.matrix)
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         return self.degree == 0 and not np.any(self.omega(self.center))
 

@@ -25,6 +25,7 @@ from itertools import islice
 
 import numpy as np
 
+from symptower import MAX_DEPTH, MAX_DIM
 from symptower.linalg import (
     RANK_TOL,
     DimensionMismatchError,
@@ -40,15 +41,13 @@ from symptower.linalg import (
     matrix_rank,
     orthonormal_columns,
     restrict_form,
+    svd_rank,
 )
 
 # Consistency tolerance for thread components, relative to component size.
 THREAD_TOL = 1e-10
 # Stabilization tolerance for per-level value sequences.
 STAB_TOL = 1e-8
-# Desk-scale caps.
-MAX_DEPTH = 32
-MAX_DIM = 512
 
 
 class PreconditionError(ValueError):
@@ -297,7 +296,8 @@ def check_compatible_sequence(fs: FormSequence, tol: float = RANK_TOL) -> Compat
 
     Overall ok iff every consecutive bonding and every composite
     levels[j] -> levels[0], j >= 2, passes; failing composites land in
-    ``failed_composites``.
+    ``failed_composites``.  ``tol`` is each check's pullback bound and its
+    rank cut-off, so ``all(dense_range)`` is ``classify_tower(tower, tol)``.
 
     In exact arithmetic the consecutive checks imply every composite.  Let
     b2: E2 -> E1 and b1: E1 -> E0 pass, with forms omega_k on E_k, and let
@@ -325,13 +325,13 @@ def check_compatible_sequence(fs: FormSequence, tol: float = RANK_TOL) -> Compat
     """
     tower = fs.tower
     per_level = tuple(
-        check_weak_isometry(tower.bondings[i], fs.forms[i + 1], fs.forms[i], tol)
+        check_weak_isometry(tower.bondings[i], fs.forms[i + 1], fs.forms[i], tol, tol)
         for i in range(tower.depth)
     )
     failed = []
     for j, m in islice(tower._row(0), 2, None):
         composite = LinearMap(tower.levels[j], tower.levels[0], m)
-        if not check_weak_isometry(composite, fs.forms[j], fs.forms[0], tol).ok:
+        if not check_weak_isometry(composite, fs.forms[j], fs.forms[0], tol, tol).ok:
             failed.append((0, j))
     ok = all(r.ok for r in per_level) and not failed
     return CompatibilityReport(ok=ok, per_level=per_level, failed_composites=tuple(failed))
@@ -404,9 +404,9 @@ def block_decompose(
     bases = decompose(level_j)
     dim = tower.levels[level_j].dim
     stacked = np.hstack(bases)
-    if stacked.shape[1] != dim or matrix_rank(stacked, rank_tol) != dim:
-        raise ValueError("level %d: blocks do not span the level" % level_j)
     s = np.linalg.svd(stacked, compute_uv=False)
+    if stacked.shape[1] != dim or svd_rank(s, rank_tol) != dim:
+        raise ValueError("level %d: blocks do not span the level" % level_j)
     return BlockDecomposition(
         base=base_i,
         level=level_j,

@@ -880,6 +880,62 @@ class TestValidateSpec:
         assert "%s: %s" % (inp.resolve(), error) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"loop": {"m": 1, "modes": 500, "orders": [0]}},
+         "loop: level 0: dimension 2002 exceeds cap 512"),
+        ({"loop": {"m": 1, "modes": 0, "orders": list(range(34))}},
+         "loop: tower depth 33 exceeds cap 32"),
+        ({"tower": {"kind": "loop", "m": 86, "modes": 1, "orders": [0, 1]}},
+         "tower: level 0: dimension 516 exceeds cap 512"),
+        ({"tower": {"kind": "counterexample", "d": 4, "depth": 34}},
+         "tower: tower depth 33 exceeds cap 32"),
+        ({"tower": {"kind": "counterexample", "d": 9, "depth": 30}},
+         "tower: level 28: dimension 522 exceeds cap 512"),
+        ({"tower": {"kind": "product", "factors": [{"l": 200}, {"matrix": [[0, 1], [-1, 0]]},
+                                                     {"l": 56}]}},
+         "tower: level 2: dimension 514 exceeds cap 512"),
+        ({"tower": {"kind": "product", "factors": [{"l": 1}] * 34}},
+         "tower: tower depth 33 exceeds cap 32"),
+        ({"tower": {"kind": "explicit", "levels": [{"dim": 2}] * 34,
+                    "bondings": [[[1, 0], [0, 1]]] * 33, "forms": [[[0, -1], [1, 0]]] * 34}},
+         "tower: tower depth 33 exceeds cap 32"),
+        ({"experiment": {"kind": "counterexample"}, "n_max": 65},
+         "experiment: tower depth 64 exceeds cap 32"),
+        ({"experiment": {"kind": "counterexample", "d": 8}, "n_max": 33},
+         "experiment: level 32: dimension 528 exceeds cap 512"),
+        ({"experiment": {"kind": "product", "factor_dim": 9}, "n_max": 30},
+         "experiment: level 28: dimension 522 exceeds cap 512"),
+    ], ids=["loop-dim", "loop-depth", "tower-loop-dim", "counterexample-depth",
+            "counterexample-dim", "product-dim", "product-depth", "explicit-depth",
+            "experiment-depth", "experiment-dim", "product-experiment-dim"])
+    def test_a_document_past_the_tower_caps_is_refused_where_it_says_so(
+        self, tmp_path, doc, error
+    ):
+        assert validate_spec(write_json(tmp_path / "doc.json", doc)).errors == (error,)
+
+    @pytest.mark.parametrize("doc", [
+        {"loop": {"m": 85, "modes": 1, "orders": list(range(32))}},
+        {"tower": {"kind": "product", "factors": [{"l": 8}] * 32}},
+        {"tower": {"kind": "counterexample", "d": 4, "depth": 33}},
+        {"experiment": {"kind": "counterexample", "d": 4}, "n_max": 32},
+        {"experiment": {"kind": "product", "factor_dim": 8}, "n_max": 32},
+    ], ids=["loop", "product", "counterexample", "experiment", "product-experiment"])
+    def test_a_document_at_the_tower_caps_validates(self, tmp_path, doc):
+        assert validate_spec(write_json(tmp_path / "doc.json", doc)).ok
+
+    def test_an_over_cap_loop_run_builds_nothing(self, tmp_path, monkeypatch, capsys):
+        from symptower import models
+
+        def building(*args):
+            raise AssertionError("the loop tower is built")
+
+        monkeypatch.setattr(models, "make_loop_tower", building)
+        write_json(tmp_path / "loop.json", {"loop": {"m": 1, "modes": 500, "orders": [0]}})
+        cfg = write_json(tmp_path / "run.json", {"command": "loop-check", "input": "loop.json"})
+        assert main(["loop-check", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        assert "dimension 2002 exceeds cap 512" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 @seed(20261019)
 @settings(max_examples=200, deadline=None)
 @given(
@@ -1078,8 +1134,9 @@ class TestRunner:
         assert error["dt"] == 1.0 and error["cap"] == 0.5
         assert error["lipschitz"] * error["dt"] > error["cap"]
 
-    def test_check_tower_at_the_default_rank_tol_does_not_classify_again(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("rank_tol", [None, 1e-3])
+    def test_check_tower_reads_surjective_from_dense_range_at_every_rank_tol(
+        self, tmp_path, monkeypatch, rank_tol
     ):
         from symptower import tower
 
@@ -1087,12 +1144,16 @@ class TestRunner:
             raise AssertionError("classify_tower factors the bondings again")
 
         monkeypatch.setattr(tower, "classify_tower", refactoring)
+        run_doc = json.loads((SPECS / "check_tower.json").read_text())
+        run_doc["input"] = str(SPECS / run_doc["input"])
+        if rank_tol is not None:
+            run_doc["tolerances"] = {"rank_tol": rank_tol}
+        cfg = write_json(tmp_path / "run.json", run_doc)
         out = tmp_path / "out"
-        assert main(["check-tower", "--config", str(SPECS / "check_tower.json"),
-                     "--output", str(out)]) == 0
+        assert main(["check-tower", "--config", str(cfg), "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())["report"]
         assert report["surjective"] is True
-        assert all(row["dense_range"] for row in report["bondings"])
+        assert report["surjective"] == all(row["dense_range"] for row in report["bondings"])
 
     def test_check_tower_classification_honours_rank_tol(self, tmp_path):
         doc = {
@@ -1121,8 +1182,22 @@ class TestRunner:
             main(["check-tower", "--config", str(cfg), "--output", str(out)])
             report = json.loads((out / "report.json").read_text())["report"]
             surjective[rank_tol] = report["surjective"]
+            # The compatibility check cuts the rank at rank_tol too.
+            assert report["bondings"][0]["dense_range"] is report["surjective"]
         # The bonding's second singular value, 1e-6, counts only above rank_tol.
         assert surjective == {1e-10: True, 1e-3: False}
+
+    def test_check_tower_accepts_a_tiny_well_conditioned_factor(self, tmp_path):
+        # 1e-11 J has condition number 1: nondegenerate under the relative
+        # rank rule, which an absolute floor of 1e-10 refused.
+        tiny = [[0.0, -1e-11], [1e-11, 0.0]]
+        write_json(tmp_path / "t.json",
+                   {"tower": {"kind": "product", "factors": [{"matrix": tiny}, {"l": 1}]}})
+        cfg = write_json(tmp_path / "run.json", {"command": "check-tower", "input": "t.json"})
+        out = tmp_path / "out"
+        assert main(["check-tower", "--config", str(cfg), "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["compatible"] is True and report["surjective"] is True
 
     def test_shrink_honours_sing_tol(self, tmp_path):
         write_json(

@@ -28,6 +28,7 @@ from symptower.linalg import (
     orthonormal_stacked_rank,
     pullback_form,
     restrict_form,
+    svd_rank,
     symplectic_orthogonal,
     weakness_conditioning,
 )
@@ -401,6 +402,14 @@ def test_null_space_and_orthonormal_edge_cases():
     assert orthonormal_columns(np.zeros((4, 2))).shape == (4, 0)
 
 
+def test_svd_rank_counts_above_the_relative_cut():
+    assert svd_rank(np.zeros(0)) == 0
+    assert svd_rank(np.zeros(3)) == 0
+    assert svd_rank(np.array([2.0, 2e-10, 2.1e-10])) == 2
+    assert svd_rank(np.array([1e-30, 1e-30])) == 2
+    assert svd_rank(np.array([1.0, 1e-6]), 1e-3) == 1
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -476,6 +485,63 @@ def test_odd_dimensional_forms_are_degenerate(l_dim, entropy):
     rng = np.random.default_rng(entropy)
     form = SkewForm(ModelSpace(dim), random_skew(rng, dim))
     assert not check_weak_nondegenerate(form).nondegenerate
+
+
+def spread_form(space, q, sigmas):
+    """q (sigma_1 J + ... + sigma_l J) q^T on ``space``: each sigma twice a
+    singular value of the matrix."""
+    blocks = np.zeros((space.dim, space.dim))
+    for k, sigma in enumerate(sigmas):
+        blocks[2 * k, 2 * k + 1], blocks[2 * k + 1, 2 * k] = -sigma, sigma
+    return SkewForm(space, q @ blocks @ q.T)
+
+
+def assert_one_nondegeneracy_rule(form, tol):
+    verdict = check_weak_nondegenerate(form, tol).nondegenerate
+    if form.space.has_identity_gram:
+        assert verdict == (matrix_rank(form.matrix, tol) == form.space.dim)
+    if tol == RANK_TOL:
+        if verdict:
+            weakness_conditioning(form)
+        else:
+            with pytest.raises(DegenerateFormError):
+                weakness_conditioning(form)
+
+
+@pytest.mark.parametrize("sigmas, nondegenerate", [
+    ((1e-11,), True),  # kappa 1: tiny, not degenerate
+    ((1e-11, 1e-20), True),
+    ((1.0, 1e-11), False),
+    ((1e10, 1e-11), False),  # spread over 1e21: degenerate however large
+])
+def test_nondegeneracy_is_relative_to_the_largest_singular_value(sigmas, nondegenerate):
+    form = spread_form(ModelSpace(2 * len(sigmas)), np.eye(2 * len(sigmas)), sigmas)
+    assert check_weak_nondegenerate(form).nondegenerate is nondegenerate
+    assert check_weak_nondegenerate(form).smallest_singular_value == pytest.approx(min(sigmas))
+    assert_one_nondegeneracy_rule(form, RANK_TOL)
+
+
+@seed(20240811)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=25.0),
+    st.floats(min_value=-15.0, max_value=5.0),
+    st.sampled_from([1e-14, RANK_TOL, 1e-6, 1e-3]),
+    st.booleans(),
+)
+def test_nondegeneracy_is_the_rank_rule_and_the_conditioning_verdict(
+    l_dim, entropy, decades, scale, tol, with_gram
+):
+    rng = np.random.default_rng(entropy)
+    space = ModelSpace(2 * l_dim)
+    if with_gram:
+        a = rng.normal(size=(space.dim, space.dim))
+        space = ModelSpace(space.dim, gram=a @ a.T + space.dim * np.eye(space.dim))
+    sigmas = 10.0 ** (scale - decades * rng.uniform(size=l_dim))
+    form = spread_form(space, random_orthogonal(rng, space.dim), sigmas)
+    assert_one_nondegeneracy_rule(form, tol)
 
 
 @seed(20240811)

@@ -467,6 +467,19 @@ def test_a_degree_one_field_vanishing_at_its_center_is_not_zero():
     assert not replace(field, degree=None).is_zero
 
 
+def test_is_zero_evaluates_the_field_once():
+    calls = []
+
+    def zero(pts):
+        calls.append(pts)
+        return np.zeros(np.shape(pts)[:-1] + (2, 2))
+
+    field = FormField(ModelSpace(2), np.zeros(2), 1.0, eval_fn=zero, degree=0)
+    del calls[:]  # the constructor's probe at the center
+    assert field.is_zero and field.is_zero
+    assert len(calls) == 1
+
+
 def test_validity_radius_of_a_zero_field_is_the_room_left_at_an_off_center_point():
     family = MoserFamily(darboux_constant_form(1), constant_field(np.zeros((2, 2)), radius=1.5))
     x0 = np.array([0.3, -0.4])
