@@ -123,6 +123,12 @@ def null_space_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return vt[svd_rank(s, rank_tol):].T
 
 
+def _certificate_floor(rows: int, cols: int, rank_tol: float) -> float:
+    """The share f of the trace that :func:`certify_full_row_rank` takes off
+    the gram's diagonal for a ``rows`` x ``cols`` matrix."""
+    return 16.0 * (rows + cols) * _EPS + rank_tol * rank_tol
+
+
 def certify_full_row_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
     """Whether the SVD rule provably finds full row rank in ``m`` at ``rank_tol``.
 
@@ -168,7 +174,7 @@ def certify_full_row_rank(m: np.ndarray, rank_tol: float = RANK_TOL) -> bool:
     trace = float(np.trace(gram))
     if not 0.0 < trace < np.inf:
         return False
-    gram.flat[:: rows + 1] -= (16.0 * (rows + cols) * _EPS + rank_tol * rank_tol) * trace
+    gram.flat[:: rows + 1] -= _certificate_floor(rows, cols, rank_tol) * trace
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -601,6 +607,83 @@ def kernel_split(
     return rank, ker_basis, kperp_basis, stacked_rank
 
 
+def is_selection(m: np.ndarray) -> bool:
+    """Whether every entry is exactly 0.0 (either sign) or 1.0, with exactly
+    one 1.0 per row and at most one per column: row r of ``m`` reads the
+    coordinate c_r where m[r, c_r] = 1.0."""
+    ones = m == 1.0
+    return bool(np.all(ones | (m == 0.0))
+                and np.all(ones.sum(axis=1) == 1)
+                and np.all(ones.sum(axis=0) <= 1))
+
+
+def _selection_report(
+    m: np.ndarray, src: np.ndarray, tgt: np.ndarray, tol: float, rank_tol: float
+) -> WeakIsometryReport | None:
+    """:func:`check_weak_isometry`'s report for a selection ``m``
+    (:func:`is_selection`), read off the blocks of the source form ``src``;
+    None where the general path has to decide.
+
+    Write ``sel`` = (c_r) for the coordinates the rows read, in row order,
+    ``unsel`` for the other columns, and W_u = src[unsel] for the rows of
+    the dropped coordinates (every column).  The branch runs when
+    f rows < 1, f being the floor :func:`certify_full_row_rank` takes for
+    ``m``; when W_u[:, sel] is exactly zero; and, if ``m`` has a kernel,
+    when the certificate accepts W_u.  W_u is certified whole rather than
+    its block src[unsel][:, unsel]: the two have one gram, and W_u has the
+    size of the matrix k^T src that the general path ranks.  The report is
+    then exact:
+
+    - m m^T = I exactly (every entry is a sum with at most one nonzero
+      term, 1.0 * 1.0) and its trace is ``rows``, so the general path's
+      certificate factors the diagonal (1 - f rows) I and succeeds: the
+      rank is ``rows`` there as here, and the range is full.
+    - The kernel is span(e_unsel), and its orthogonal {u : W_u u = 0} is
+      {u : src[unsel][:, unsel] u_unsel = 0}, as W_u[:, sel] = 0.  W_u has
+      full row rank, so that square block is invertible and the orthogonal
+      is span(e_sel): it meets the kernel at 0 only and the two span the
+      source, so both defects are 0.
+    - The general path counts the same.  Householder QR of the 0/1 matrix
+      m^T works on small integers, so its kernel basis k is a signed
+      permutation of e_unsel, and k^T src a signed row permutation of W_u
+      (every entry one nonzero term): the same singular values, trace and
+      size, all that the certificate's proof reads.  So the rank rule finds
+      full row rank in k^T src, with the margin of :func:`kernel_split`'s
+      argument to spare, and the null-space route keeps ``rows`` columns,
+      as the one-solve route does by construction.  That orthogonal is
+      span(e_sel) up to its roundoff, so the principal angles are right
+      angles to that roundoff, far from the stacked-rank cut-off
+      (rank_tol^2 < 1 / rows, since f rows < 1).
+    - In the basis e_sel of the orthogonal the pulled-back target form is
+      ``tgt`` itself, (m^T tgt m)[c_a, c_b] = tgt[a, b], so the compressed
+      mismatch is tgt - src[sel][:, sel], one rounding per entry.  Its
+      spectral norm is the general path's, which compresses to another
+      orthonormal basis of span(e_sel), less that path's roundoff; it is
+      0.0, with no SVD, when the forms agree there exactly.
+    """
+    rows, cols = m.shape
+    if not _certificate_floor(rows, cols, rank_tol) * rows < 1.0:
+        return None
+    sel = np.nonzero(m == 1.0)[1]
+    if rows < cols:
+        unsel = np.ones(cols, dtype=bool)
+        unsel[sel] = False
+        w_u = src[unsel]
+        if np.any(w_u[:, sel]) or not certify_full_row_rank(w_u, rank_tol):
+            return None
+    compressed = tgt - src[np.ix_(sel, sel)]
+    residual = (float(np.linalg.svd(compressed, compute_uv=False)[0])
+                if np.any(compressed) else 0.0)
+    return WeakIsometryReport(
+        ok=residual <= tol,
+        ker_dim=cols - rows,
+        transversality_defect=0.0,
+        pullback_residual=residual,
+        dense_range=True,
+        direct_sum_defect=0,
+    )
+
+
 def check_weak_isometry(
     map_: LinearMap,
     form_src: SkewForm,
@@ -615,9 +698,21 @@ def check_weak_isometry(
     the target form agrees with the source form on that symplectic
     orthogonal.  The pullback residual is the spectral norm of the mismatch
     compressed to the orthogonal.
+
+    A selection (:func:`is_selection`) whose dropped coordinates the source
+    form keeps apart from the selected ones is decided exactly from the
+    form's blocks (:func:`_selection_report`): one certificate, and one SVD
+    only where the forms disagree on the selected coordinates.  Any other
+    map runs the general path.
     """
     _require_same_space(map_.source, form_src.space, "check_weak_isometry")
     _require_same_space(map_.target, form_tgt.space, "check_weak_isometry")
+    if is_selection(map_.matrix):
+        report = _selection_report(
+            map_.matrix, form_src.matrix, form_tgt.matrix, tol, rank_tol
+        )
+        if report is not None:
+            return report
     src_dim = map_.source.dim
 
     rank, ker_basis, kperp_basis, stacked_rank = kernel_split(

@@ -37,6 +37,7 @@ from symptower.linalg import (
     check_weak_isometry,
     check_weak_nondegenerate,
     frozen,
+    is_selection,
     kernel_split,
     matrix_rank,
     orthonormal_columns,
@@ -111,11 +112,11 @@ class Tower:
     @cached_property
     def _selection_floor(self) -> int:
         """The lowest level k such that levels k..depth have identity grams
-        and every bonding between them is a selection (``_is_selection``)."""
+        and every bonding between them is a selection (``is_selection``)."""
         k = self.depth
         while (k > 0 and self.levels[k].has_identity_gram
                and self.levels[k - 1].has_identity_gram
-               and _is_selection(self.bondings[k - 1].matrix)):
+               and is_selection(self.bondings[k - 1].matrix)):
             k -= 1
         return k
 
@@ -155,15 +156,6 @@ class Tower:
             else:
                 shrinks.append(float(s[tgt.dim - 1]))
         return shrinks
-
-
-def _is_selection(m: np.ndarray) -> bool:
-    """Whether every entry is exactly 0.0 (either sign) or 1.0, with exactly
-    one 1.0 per row and at most one per column."""
-    ones = m == 1.0
-    return bool(np.all(ones | (m == 0.0))
-                and np.all(ones.sum(axis=1) == 1)
-                and np.all(ones.sum(axis=0) <= 1))
 
 
 def build_tower(levels, consecutive_bondings) -> Tower:
@@ -322,6 +314,12 @@ def check_compatible_sequence(fs: FormSequence, tol: float = RANK_TOL) -> Compat
     within ``tol``, can add up along the chain in floating point.  They
     measure drift against level 0 only: a chain whose forms drift down and
     back up can pass while a composite (i, j), i > 0, fails.
+
+    On selections nothing adds up: a composite of selections is a selection
+    exactly (see ``Tower.radius_shrinks``), so when the forms keep the
+    dropped coordinates apart each composite's residual is read off the
+    forms' entries, ``forms[0]`` less the selected block of ``forms[j]``,
+    one rounding per entry and no basis, as each bonding's is.
     """
     tower = fs.tower
     per_level = tuple(

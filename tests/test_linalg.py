@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from symptower import linalg
 from symptower.linalg import (
     RANK_TOL,
     DegenerateFormError,
@@ -32,7 +33,7 @@ from symptower.linalg import (
     symplectic_orthogonal,
     weakness_conditioning,
 )
-from symptower.models import MarsdenSpec
+from symptower.models import MarsdenSpec, make_product_tower
 from symptower.moser import FormField
 from symptower.tower import Thread, build_tower
 
@@ -267,7 +268,11 @@ def test_check_weak_isometry_factors_each_matrix_once(
     tgt = darboux_constant_form(tgt_l)
     keep = list(range(tgt_l)) + list(range(src_l, src_l + tgt_l))
     proj = np.eye(2 * src_l)[keep]
-    map_ = LinearMap(src.space, tgt.space, proj)
+    # the shear [[1, 1], [0, 1]] on each Darboux pair of the target is
+    # symplectic and no selection, so the map takes the general path
+    shear = np.eye(2 * tgt_l)
+    shear[np.arange(tgt_l), np.arange(tgt_l, 2 * tgt_l)] = 1.0
+    map_ = LinearMap(src.space, tgt.space, shear @ proj)
     calls = count_svd_calls(monkeypatch)
     rep = check_weak_isometry(map_, src, tgt)
     assert rep.ok
@@ -277,6 +282,167 @@ def test_check_weak_isometry_factors_each_matrix_once(
         # neither the stacked [kernel, orthogonal] nor any other n x n matrix
         n = 2 * src_l
         assert (n, n) not in calls
+
+
+def count_factorizations(monkeypatch):
+    """Shapes of the matrices handed to each numpy.linalg factorization."""
+    calls = {name: [] for name in ("svd", "qr", "solve", "cholesky")}
+    for name, shapes in calls.items():
+        def counting(a, *args, _f=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("src_l, tgt_l", [(2, 1), (3, 1), (3, 2), (2, 2)])
+def test_a_selection_off_a_product_form_factors_only_the_dropped_block(
+    monkeypatch, src_l, tgt_l
+):
+    # a Darboux form is the product of its Darboux planes, and the map keeps
+    # tgt_l of them: one certificate on the dropped rows, nothing else
+    src = darboux_constant_form(src_l)
+    tgt = darboux_constant_form(tgt_l)
+    keep = list(range(tgt_l)) + list(range(src_l, src_l + tgt_l))
+    map_ = LinearMap(src.space, tgt.space, np.eye(2 * src_l)[keep])
+    calls = count_factorizations(monkeypatch)
+    rep = check_weak_isometry(map_, src, tgt)
+    dropped = 2 * (src_l - tgt_l)
+    assert rep == WeakIsometryReport(True, dropped, 0.0, 0.0, True, 0)
+    assert calls == {"svd": [], "qr": [], "solve": [],
+                     "cholesky": [(dropped, dropped)] if dropped else []}
+
+
+def both_paths(monkeypatch, map_, form_src, form_tgt, rank_tol=RANK_TOL):
+    """``(exact, general, taken)``: check_weak_isometry's report, the report
+    with the selection branch off, and whether the branch decided."""
+    taken = []
+    branch = linalg._selection_report
+
+    def spying(*args):
+        report = branch(*args)
+        taken.append(report is not None)
+        return report
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_selection_report", spying)
+        exact = check_weak_isometry(map_, form_src, form_tgt, rank_tol=rank_tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "is_selection", lambda m: False)
+        general = check_weak_isometry(map_, form_src, form_tgt, rank_tol=rank_tol)
+    return exact, general, taken == [True]
+
+
+def assert_paths_agree(exact, general, form_src, form_tgt):
+    for name in ("ok", "ker_dim", "dense_range", "direct_sum_defect", "transversality_defect"):
+        assert getattr(exact, name) == getattr(general, name), name
+    scale = np.linalg.norm(form_src.matrix, 2) + np.linalg.norm(form_tgt.matrix, 2)
+    assert abs(exact.pullback_residual - general.pullback_residual) <= 1e-14 * scale
+
+
+def explicit_factor(rng, dim):
+    """A Darboux plane sum plus a seeded skew perturbation, on an SPD gram."""
+    a = rng.standard_normal((dim, dim))
+    gram = a @ a.T / dim + np.eye(dim)
+    p = 0.25 * np.triu(rng.standard_normal((dim, dim)), 1)
+    return SkewForm(ModelSpace(dim, 0.5 * (gram + gram.T)),
+                    darboux_constant_form(dim // 2).matrix + p - p.T)
+
+
+@pytest.mark.parametrize("entropy", range(4))
+def test_the_selection_branch_decides_product_towers_as_the_general_path(monkeypatch, entropy):
+    rng = np.random.default_rng(entropy)
+    factors = [explicit_factor(rng, dim) if k % 2 == 0 else darboux_constant_form(dim // 2)
+               for k, dim in enumerate((2, 4, 6, 8, 2, 4))]
+    tower, fs = make_product_tower(factors)
+    pairs = [(i, i + 1) for i in range(tower.depth)] + [(0, j) for j in range(2, tower.depth + 1)]
+    for i, j in pairs:
+        map_ = tower.composite(i, j)
+        exact, general, taken = both_paths(monkeypatch, map_, fs.forms[j], fs.forms[i])
+        assert taken and exact.ok and exact.pullback_residual == 0.0
+        assert_paths_agree(exact, general, fs.forms[j], fs.forms[i])
+
+
+def selection_case(kind, rng):
+    """(map matrix, source form, target form) for a selection of ``kind``."""
+    n, sel = 8, np.array([5, 0, 3, 6])
+    unsel = np.setdiff1d(np.arange(n), sel)
+    kept = darboux_constant_form(2).matrix + 0.25 * random_skew(rng, 4)
+    dropped = darboux_constant_form(2).matrix + 0.25 * random_skew(rng, 4)
+    if kind == "square-permutation":
+        n, sel, unsel = 4, np.array([2, 0, 3, 1]), np.array([], dtype=int)
+    if kind == "degenerate-dropped-block":
+        dropped = np.zeros((4, 4))
+        dropped[0, 1], dropped[1, 0] = 1.0, -1.0
+    src = np.zeros((n, n))
+    src[np.ix_(sel, sel)] = kept
+    src[np.ix_(unsel, unsel)] = dropped[: len(unsel), : len(unsel)]
+    m = np.zeros((len(sel), n))
+    m[np.arange(len(sel)), sel] = 1.0
+    tgt = kept.copy()
+    if kind == "negative-zeros":
+        m[m == 0.0] = -0.0
+        src[src == 0.0] = -0.0
+    elif kind == "coupled":
+        src[unsel[0], sel[1]], src[sel[1], unsel[0]] = 0.5, -0.5
+    elif kind == "nonzero-mismatch":
+        tgt = tgt + 1e-3 * random_skew(rng, 4)
+    return m, src, tgt
+
+
+SELECTION_CASES = {
+    # kind: whether the branch decides
+    "unsorted-columns": True,
+    "square-permutation": True,
+    "negative-zeros": True,
+    "coupled": False,
+    "degenerate-dropped-block": False,
+    "nonzero-mismatch": True,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SELECTION_CASES))
+@pytest.mark.parametrize("with_gram", [False, True])
+@pytest.mark.parametrize("entropy", range(3))
+def test_the_selection_branch_agrees_with_the_general_path(monkeypatch, kind, with_gram, entropy):
+    rng = np.random.default_rng(entropy)
+    m, src_matrix, tgt_matrix = selection_case(kind, rng)
+    src = random_space(rng, m.shape[1], with_gram)
+    tgt = random_space(rng, m.shape[0], with_gram)
+    form_src, form_tgt = SkewForm(src, src_matrix), SkewForm(tgt, tgt_matrix)
+    exact, general, taken = both_paths(monkeypatch, LinearMap(src, tgt, m), form_src, form_tgt)
+    assert taken == SELECTION_CASES[kind]
+    if taken and m.shape[0] < m.shape[1]:
+        # the general path's kernel basis is a signed permutation of the
+        # dropped coordinates' unit vectors, as the branch's proof reads it
+        ker_basis = kernel_split(m, src_matrix)[1]
+        assert np.all(np.isin(ker_basis, (-1.0, 0.0, 1.0)))
+        assert np.array_equal(np.abs(ker_basis).sum(axis=1) == 1, m.sum(axis=0) == 0)
+    if not taken:
+        # declined: the general path, bit for bit
+        assert exact == general
+    assert_paths_agree(exact, general, form_src, form_tgt)
+    if kind == "degenerate-dropped-block":
+        # the kernel meets its orthogonal
+        assert not exact.ok and exact.transversality_defect == pytest.approx(1.0)
+    elif taken:
+        assert exact.ok == (kind != "nonzero-mismatch")
+        assert (exact.pullback_residual > 1e-4) == (kind == "nonzero-mismatch")
+
+
+@pytest.mark.parametrize("rank_tol, taken", [(0.49, True), (0.51, False), (1.0, False)])
+def test_the_selection_branch_declines_where_the_map_is_not_certified(
+    monkeypatch, rank_tol, taken
+):
+    # a 4 x 4 permutation's certificate takes f = 16 * 8 eps + rank_tol^2
+    # of each unit diagonal entry, four times over: past rank_tol 1/2 it is
+    # refused, and at 1 the rule finds no rank at all
+    form = darboux_constant_form(2)
+    perm = LinearMap(form.space, form.space, np.eye(4)[[2, 0, 3, 1]])
+    exact, general, branch = both_paths(monkeypatch, perm, form, form, rank_tol)
+    assert branch == taken
+    assert_paths_agree(exact, general, form, form)
+    assert exact.dense_range == (rank_tol < 1.0)
 
 
 def test_linear_map_compose_and_identity():

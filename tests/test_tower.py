@@ -18,6 +18,7 @@ from symptower.linalg import (
     column_spaces_equal,
     darboux_constant_form,
     frozen,
+    is_selection,
 )
 from symptower.models import make_counterexample_tower, make_product_tower
 from symptower.tower import (
@@ -264,7 +265,7 @@ def test_radius_shrinks_walks_and_factors_only_the_rows_below_the_selection_floo
 )
 def test_selection_floor_of_one_bonding(matrix, selection):
     m = np.array(matrix)
-    assert tower_module._is_selection(m) is selection
+    assert is_selection(m) is selection
     levels = [ModelSpace(m.shape[0]), ModelSpace(m.shape[1])]
     tower = build_tower(levels, [LinearMap(levels[1], levels[0], m)])
     assert tower._selection_floor == (0 if selection else 1)
